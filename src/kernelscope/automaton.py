@@ -171,11 +171,36 @@ def _verify_against_table(rep, t, reps, M):
             raise ConstructionError(
                 f"vector recursion check failed for digit {r} of {t.id}"
             )
-    for n in range(1, rep.verified_to + 1):
-        if evaluate(rep, n) != int(t.values[n]):
-            raise ConstructionError(
-                f"representation of {t.id} disagrees with the table at n={n}"
-            )
+    got = vector_values(rep, rep.verified_to)[1:, rep.output_coord]
+    wrong = np.flatnonzero(got != t.values[1 : rep.verified_to + 1])
+    if len(wrong):
+        raise ConstructionError(
+            f"representation of {t.id} disagrees with the table at n={wrong[0] + 1}"
+        )
+
+
+def vector_values(rep: LinearRepresentation, N: int) -> np.ndarray:
+    """U_1..U_N as an (N+1, dim) array, exact in the matrices' integer type.
+
+    Row 0 is zero.  When the growth bound C N^d does not fit int64 the
+    array is float64 instead, so large values round rather than wrap.
+    Filled one digit length at a time: the indices k q + r for q in
+    [k^j, k^{j+1}) read only rows finished before.
+    """
+    k = rep.k
+    C, d = rep.growth
+    exact = C * max(N, 1) ** d < 2**63
+    dtype = np.result_type(rep.seeds, *rep.matrices) if exact else np.float64
+    out = np.zeros((N + 1, rep.dim), dtype=dtype)
+    top = min(k - 1, N)
+    out[1 : top + 1] = rep.seeds[:top]
+    lo = 1
+    while k * lo <= N:
+        for r in range(k):
+            hi = min(k * lo, (N - r) // k + 1)
+            out[k * lo + r : k * hi + r - k + 1 : k] = out[lo:hi] @ rep.matrices[r].T
+        lo *= k
+    return out
 
 
 def evaluate(rep: LinearRepresentation, n: int) -> int:

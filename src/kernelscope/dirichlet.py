@@ -13,11 +13,13 @@ never develops the e^{~|t|/2} cancellation the Q = 1 form suffers, and
 solving for H rather than G keeps the tail's relative precision.  Each
 evaluation carries a budget of descent levels; at budget zero the tail is
 summed directly (valid for Re s above 1 plus the coefficient growth
-degree).  Near-singular systems at the requested point are refused as
-candidate poles; hitting one strictly inside the recursion (a removable
-coefficient-times-pole limit, e.g. zeta at s = 0 needing the value at the
-pole s+1 = 1) is resolved by averaging two evaluations offset by +-i h,
-which is O(h^2) accurate for an analytic target.
+degree).  One engine evaluates a whole vertical column of points at
+once; a single evaluation is a column of one point.  Near-singular
+systems at the requested point are refused as candidate poles; hitting
+one strictly inside the recursion (a removable coefficient-times-pole
+limit, e.g. zeta at s = 0 needing the value at the pole s+1 = 1) is
+resolved by averaging two evaluations offset by +-i h, which is O(h^2)
+accurate for an analytic target.
 """
 
 from __future__ import annotations
@@ -26,19 +28,21 @@ import cmath
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache, partial
 
 import numpy as np
 
-from .automaton import LinearRepresentation, average_matrix, pole_lattice
+from .automaton import LinearRepresentation, average_matrix, pole_lattice, vector_values
 from .errors import CapacityError, DomainError
-from .seqgen import FunctionId, ValueTable
+from .seqgen import FunctionId, ValueTable, build_factor_table, generate
 from .zeta import zeta_em
 
 BASE_STRIP_SIGMA = 1.25
 _DIRECT_TOL = 1e-9
 _DIRECT_CAP = 1 << 21
+_CHUNK = 1 << 19  # terms per block of a long direct sum
 _NEAR_SINGULAR_DET = 1e-8
 _OFFSET_H = 1e-4
 _M_CAP = 200
@@ -95,9 +99,8 @@ def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
             f"N_terms={N_terms} outside the table range 1..{t.N} for {t.id}"
         )
     total = 0j
-    chunk = 1 << 19
-    for lo in range(1, N_terms + 1, chunk):
-        hi = min(N_terms, lo + chunk - 1)
+    for lo in range(1, N_terms + 1, _CHUNK):
+        hi = min(N_terms, lo + _CHUNK - 1)
         n = np.arange(lo, hi + 1, dtype=np.float64)
         total += complex(
             np.sum(t.values[lo : hi + 1].astype(np.float64) * np.exp(-s * np.log(n)))
@@ -114,19 +117,12 @@ def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
     )
 
 
-class _InnerSingular(Exception):
-    def __init__(self, at: complex, det: float):
-        self.at = at
-        self.det = det
-        super().__init__(f"near-singular inner system at {at} (|det|={det:.3e})")
-
-
 class ContinuationContext:
     """s-independent precomputation shared across evaluations of one rep.
 
-    Holds the forward-filled U_n arrays (keyed by power-of-two length) and
-    float copies of the digit matrices; grid scans reuse one context for
-    every grid point.
+    Holds float copies of the digit matrices, the averaged matrix and the
+    vectors U_n (the longest prefix asked for so far); grid scans reuse
+    one context for every column.
     """
 
     def __init__(self, rep: LinearRepresentation):
@@ -134,32 +130,18 @@ class ContinuationContext:
         abar_fr = average_matrix(rep)
         self.abar = np.array([[float(x) for x in row] for row in abar_fr])
         self.mats = [np.asarray(a, dtype=np.float64) for a in rep.matrices]
+        self.mat_norms = [float(np.abs(a).sum(axis=1).max()) for a in self.mats]
         self.seed_scale = max(1.0, float(np.abs(rep.seeds).max()))
-        self._u_cache: dict[int, np.ndarray] = {}
+        self._u = np.zeros((1, rep.dim))
 
-    def vector_values(self, N: int) -> np.ndarray:
-        """U_1..U_N as an (N+1, dim) array, from the recursion alone.
-
-        Chunked so every index n // k lands in an already-filled block.
-        """
-        if N in self._u_cache:
-            return self._u_cache[N]
-        rep = self.rep
-        k, dim = rep.k, rep.dim
-        out = np.zeros((N + 1, dim), dtype=np.float64)
-        top = min(k - 1, N)
-        out[1 : top + 1] = rep.seeds[:top]
-        lo = k
-        while lo <= N:
-            hi = min(N, lo * k - 1)
-            idx = np.arange(lo, hi + 1)
-            for r in range(k):
-                sel = idx[idx % k == r]
-                if len(sel):
-                    out[sel] = out[sel // k] @ self.mats[r].T
-            lo = hi + 1
-        self._u_cache[N] = out
-        return out
+    def u(self, N: int) -> np.ndarray:
+        """U_0..U_N as floats (row 0 unused)."""
+        u = self._u
+        if len(u) <= N:
+            # returned from the local: a concurrent call may store a shorter one
+            u = np.asarray(vector_values(self.rep, N), dtype=np.float64)
+            self._u = u
+        return u[: N + 1]
 
 
 def split_point(k: int, t_extreme: float) -> int:
@@ -172,148 +154,281 @@ def split_point(k: int, t_extreme: float) -> int:
     return max(1, math.ceil(abs(t_extreme) * (k - 1) / (4 * k)) + 1)
 
 
-@dataclass
-class _EngineState:
-    ctx: ContinuationContext
-    m_max: int
-    cap: int
-    Q: int
-    memo: dict = field(default_factory=dict)
-    truncated: bool = False
-    max_terms: int = 0
-
-
-def _direct_tail_vector(state: _EngineState, s: complex) -> tuple[np.ndarray, float]:
-    """H(s) = sum_{q >= Q} U_q q^{-s} by truncation with an integral tail."""
-    sigma = s.real
-    C, d = state.ctx.rep.growth
-    if sigma < 1 + d + 0.25:
-        raise DomainError(
-            f"recursion budget exhausted at Re s = {sigma}; the direct strip "
-            f"needs Re s >= {1 + d + 0.25} -- increase levels"
-        )
-    power = sigma - 1 - d
-    need = (C / (_DIRECT_TOL * power)) ** (1 / power)
-    if not math.isfinite(need) or need >= state.cap:
-        N = state.cap
-    else:
-        # quantized so the U-array cache stays small
-        N = 1 << max(6, math.ceil(math.log2(need + 1)))
-        N = min(N, state.cap)
-    N = max(N, 2 * state.Q)
-    tail = C * N ** (-power) / power
-    if N >= state.cap and tail > _DIRECT_TOL:
-        state.truncated = True
-    state.max_terms = max(state.max_terms, N)
-    u = state.ctx.vector_values(N)
-    total = np.zeros(state.ctx.rep.dim, dtype=np.complex128)
-    mass = 0.0
-    chunk = 1 << 19
-    for lo in range(state.Q, N + 1, chunk):
-        hi = min(N, lo + chunk - 1)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        block = np.exp(-s * np.log(n))
-        total += block @ u[lo : hi + 1]
-        mass += float(np.abs(block) @ np.abs(u[lo : hi + 1]).max(axis=1))
-    # rounding scales with the summed mass, not an absolute floor: deep
-    # tails are tiny and their errors must stay tiny relative to them
-    rounding = 1e-15 * math.log2(N + 1) * mass
-    return total, tail + rounding
-
-
-def _head_vector(
-    ctx: ContinuationContext, s: complex, lo: int, hi: int
-) -> np.ndarray:
-    """sum_{n=lo}^{hi-1} U_n n^{-s} (explicit short head)."""
-    dim = ctx.rep.dim
-    if hi <= lo:
-        return np.zeros(dim, dtype=np.complex128)
-    u = ctx.vector_values(max(hi - 1, ctx.rep.k - 1))
-    n = np.arange(lo, hi, dtype=np.float64)
-    return np.exp(-s * np.log(n)) @ u[lo:hi]
-
-
-def _m_horizon(state: _EngineState, s: complex) -> int:
-    """Cut the correction series where its coefficient envelope dies.
-
-    The m-th term is bounded by |C(s+m-1, m)| ((k-1)/(k Q))^m k^{-sigma}
-    times a bounded tail value; the envelope uses the same recurrence as
-    the coefficients, so an exactly-zero coefficient factor (s at a
-    nonpositive integer) zeroes the envelope too.
-    """
-    k = state.ctx.rep.k
-    ratio = (k - 1) / (k * state.Q)
-    scale = state.ctx.seed_scale
-    c = 1.0
-    prev_tiny = False
-    for m in range(1, state.m_max + 1):
-        c = c * abs(s + m - 1) / m
-        tiny = c * ratio**m * scale < 1e-16
-        if m >= 4 and tiny and prev_tiny:
-            return m
-        prev_tiny = tiny
-    state.truncated = True
-    return state.m_max
-
-
-def _g_vector(
-    state: _EngineState, s: complex, budget: int, top: bool
-) -> tuple[np.ndarray, float]:
-    """Tail vector H(s) = G(s) - P_Q(s); the caller adds the head back."""
-    key = (round(s.real, 12), round(s.imag, 12), budget)
-    if key in state.memo:
-        return state.memo[key]
-    if budget == 0:
-        res = _direct_tail_vector(state, s)
-        state.memo[key] = res
-        return res
-    ctx = state.ctx
-    rep, k, Q = ctx.rep, ctx.rep.k, state.Q
-    system = np.eye(rep.dim, dtype=np.complex128) - k ** (1 - s) * ctx.abar
-    det = abs(np.linalg.det(system))
-    if det < _NEAR_SINGULAR_DET:
-        if top:
-            raise _TopSingular(s, det)
-        raise _InnerSingular(s, det)
-    m_eff = _m_horizon(state, s)
-    gs = np.empty((m_eff, rep.dim), dtype=np.complex128)
-    g_errs = np.empty(m_eff)
-    for m in range(1, m_eff + 1):
-        gs[m - 1], g_errs[m - 1] = _g_vector(state, s + m, budget - 1, top=False)
-    ms = np.arange(1, m_eff + 1)
-    coefs = np.cumprod((s + ms - 1) / ms)  # C(s+m-1, m)
-    kpow = k ** (-(s + ms))
-    # the n < Q head cancels out of the system exactly, so the right-hand
-    # side and the solution stay on the tail's scale (no lost precision)
-    rhs = _head_vector(ctx, s, Q, k * Q)
-    # error propagation is relative: a child's absolute error only matters
-    # at the scale its term actually contributes to the right-hand side
-    g_scale = np.abs(gs).max(axis=1)
-    rel_children = g_errs / np.maximum(g_scale, 1e-300)
-    err_rhs = 0.0
-    for r in range(1, k):
-        w = coefs * np.float_power(-r, ms) * kpow
-        rhs += ctx.mats[r] @ (w @ gs)
-        mass = np.abs(w) * g_scale
-        err_rhs += 4.0 * float(mass @ rel_children) + 4e-16 * float(mass.sum())
-    sol = np.linalg.solve(system, rhs)
-    inv_norm = float(np.linalg.norm(np.linalg.inv(system), np.inf))
-    err = inv_norm * (err_rhs + 1e-16 * float(np.abs(rhs).max()))
-    res = (sol, err)
-    state.memo[key] = res
-    return res
-
-
-class _TopSingular(Exception):
-    def __init__(self, at: complex, det: float):
-        self.at = at
-        self.det = det
-        super().__init__(f"candidate pole at {at} (|det|={det:.3e})")
-
-
 def default_levels(s: complex) -> int:
     """Enough descent that budget-zero nodes land where truncation is easy."""
     return max(2, math.ceil(3.5 - complex(s).real))
+
+
+class _ColumnEngine:
+    """The continuation at every point x + i y, y in ys, at once.
+
+    Every node of the recursion is an array over the column's imaginary
+    parts: systems are solved with numpy's stacked solver and the strip
+    sums are products against the n^{-s} row of each point.  Points whose
+    top system is near-singular are refused; points that meet a
+    near-singular system strictly inside the recursion are evaluated
+    again as one column at y +- h and averaged.  ``Q`` defaults to the
+    split point of the column's largest height.
+    """
+
+    def __init__(self, ctx: ContinuationContext, x: float, ys: np.ndarray,
+                 levels: int, m_max: int, Q: int | None = None):
+        self.ctx = ctx
+        self.x = x
+        self.ys = ys
+        self.s_col = x + 1j * ys
+        self.ny = len(ys)
+        self.levels = levels
+        self.m_max = m_max
+        self.y_extreme = float(np.abs(ys).max(initial=0.0))
+        self.Q = split_point(ctx.rep.k, self.y_extreme) if Q is None else Q
+        self.memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.inner_bad = np.zeros(self.ny, dtype=bool)
+        self.top_bad = np.zeros(self.ny, dtype=bool)
+        self.top_det: np.ndarray | None = None
+        self.truncated = False
+        self.terms = 0
+        self._e_matrix: np.ndarray | None = None
+        self._e_len = 0
+        self._logn: np.ndarray | None = None
+
+    def _base(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        # tail H(s + offset) = sum_{q >= Q} U_q q^{-s-offset} by truncation
+        sigma = self.x + offset
+        C, d = self.ctx.rep.growth
+        if sigma < 1 + d + 0.25:
+            raise DomainError(
+                f"recursion budget exhausted at Re s = {sigma}; the direct strip "
+                f"needs Re s >= {1 + d + 0.25} -- increase levels"
+            )
+        power = sigma - 1 - d
+        need = (C / (_DIRECT_TOL * power)) ** (1 / power)
+        if not math.isfinite(need) or need >= _DIRECT_CAP:
+            N = _DIRECT_CAP
+        else:
+            # quantized so the U-array cache is rarely regrown
+            N = min(_DIRECT_CAP, 1 << max(6, math.ceil(math.log2(need + 1))))
+        tail = C * N ** (-power) / power
+        if N >= _DIRECT_CAP and tail > _DIRECT_TOL:
+            self.truncated = True
+        N = max(N, 2 * self.Q)
+        self.terms = max(self.terms, N)
+        vals, mass = self._strip(offset, self.Q, N + 1)
+        # rounding scales with the summed mass, not an absolute floor: deep
+        # tails are tiny and their errors must stay tiny relative to them
+        rounding = 1e-15 * math.log2(N + 1) * mass
+        return vals, np.full(self.ny, tail + rounding)
+
+    def _e(self, N: int) -> np.ndarray:
+        # shared n^{-s_j} matrix, grown on demand
+        if self._e_matrix is None or N > self._e_len:
+            n = np.arange(1, N + 1, dtype=np.float64)
+            self._logn = np.log(n)
+            self._e_matrix = np.exp(np.outer(-self.s_col, self._logn))
+            self._e_len = N
+        return self._e_matrix[:, :N]
+
+    def _strip(self, offset: int, lo: int, hi: int) -> tuple[np.ndarray, float]:
+        """sum_{n=lo}^{hi-1} U_n n^{-s-offset} for the whole column, and
+        its mass sum_n n^{-sigma-offset} |U_n|_inf.
+
+        Strips ending at n <= _CHUNK use the shared n^{-s} matrix, which
+        every node of the column reuses; longer ones are summed in blocks
+        so a long direct tail never holds a whole n^{-s} row.
+        """
+        if hi <= lo:
+            return np.zeros((self.ny, self.ctx.rep.dim), dtype=np.complex128), 0.0
+        u = self.ctx.u(hi - 1)
+        if hi - 1 <= _CHUNK:
+            e = self._e(hi - 1)[:, lo - 1 :]
+            logn = self._logn[lo - 1 : hi - 1]
+            vals = e @ (u[lo:hi] * np.exp(-offset * logn)[:, None])
+            mass = float(np.exp(-(self.x + offset) * logn) @ np.abs(u[lo:hi]).max(axis=1))
+            return vals, mass
+        vals = np.zeros((self.ny, self.ctx.rep.dim), dtype=np.complex128)
+        mass = 0.0
+        block = max(1, _CHUNK // self.ny)
+        for a in range(lo, hi, block):
+            b = min(hi, a + block)
+            logn = np.log(np.arange(a, b, dtype=np.float64))
+            vals += np.exp(np.outer(-(self.s_col + offset), logn)) @ u[a:b]
+            mass += float(np.exp(-(self.x + offset) * logn) @ np.abs(u[a:b]).max(axis=1))
+        return vals, mass
+
+    def _system(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        """I - k^{1-s} Abar at s + offset for every point (its one entry
+        when dim = 1), with |det|."""
+        ctx = self.ctx
+        fac = ctx.rep.k ** (1 - (self.s_col + offset))
+        if ctx.rep.dim == 1:
+            system = 1 - fac * ctx.abar[0, 0]
+            return system, np.abs(system)
+        dim = ctx.rep.dim
+        system = np.eye(dim)[None, :, :] - fac[:, None, None] * ctx.abar[None, :, :]
+        return system, np.abs(np.linalg.det(system))
+
+    def _node(self, offset: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tail vectors H(s + offset) and their errors; the caller adds the
+        head back."""
+        key = (offset, budget)
+        if key in self.memo:
+            return self.memo[key]
+        if budget == 0:
+            res = self._base(offset)
+            self.memo[key] = res
+            return res
+        ctx = self.ctx
+        k, dim = ctx.rep.k, ctx.rep.dim
+        s_vec = self.s_col + offset
+        system, det = self._system(offset)
+        singular = det < _NEAR_SINGULAR_DET
+        if offset == 0:
+            self.top_det = det
+            self.top_bad |= singular
+        else:
+            self.inner_bad |= singular
+        if singular.any():
+            system[singular] = 1.0 if dim == 1 else np.eye(dim)
+        m_eff, horizon = self._m_horizon(complex(self.x + offset, self.y_extreme))
+        gs = np.empty((m_eff, self.ny, dim), dtype=np.complex128)
+        g_errs = np.empty((m_eff, self.ny))
+        for m in range(1, m_eff + 1):
+            gs[m - 1], g_errs[m - 1] = self._node(offset + m, budget - 1)
+        ms = np.arange(1, m_eff + 1)
+        coefs = np.cumprod((s_vec[:, None] + ms[None, :] - 1) / ms[None, :], axis=1)
+        kpow = k ** (-(s_vec[:, None] + ms[None, :]))
+        # the n < Q head cancels out of the system exactly, so the right-hand
+        # side and the solution stay on the tail's scale (no lost precision)
+        rhs = self._strip(offset, self.Q, k * self.Q)[0]
+        # error propagation is relative: a child's absolute error only matters
+        # at the scale its term actually contributes to the right-hand side
+        g_scale = np.abs(gs).max(axis=2)  # (m_eff, ny)
+        rel_children = g_errs / np.maximum(g_scale, 1e-300)
+        err_rhs = np.zeros(self.ny)
+        for r in range(1, k):
+            w = coefs * np.float_power(-r, ms)[None, :] * kpow  # (ny, m_eff)
+            contrib = np.einsum("ym,myd->yd", w, gs)
+            rhs += contrib @ ctx.mats[r].T
+            mass = np.abs(w) * g_scale.T
+            err_rhs += 4.0 * np.einsum("ym,my->y", mass, rel_children)
+            err_rhs += 4e-16 * mass.sum(axis=1)
+            if horizon:
+                # terms m > m_eff: the last kept term times the envelope's tail
+                last = ctx.mat_norms[r] * mass[:, -1]
+                err_rhs += last * horizon if math.isfinite(horizon) else np.where(
+                    last > 0, math.inf, 0.0)
+        if dim == 1:
+            sol = rhs / system[:, None]
+            inv_norm = 1.0 / np.abs(system)
+        else:
+            sol = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+            inv_norm = np.abs(np.linalg.inv(system)).sum(axis=2).max(axis=1)
+        err = inv_norm * (err_rhs + 1e-16 * np.abs(rhs).max(axis=1))
+        res = (sol, err)
+        self.memo[key] = res
+        return res
+
+    def _m_horizon(self, s: complex) -> tuple[int, float]:
+        """Cut the correction series where its coefficient envelope dies.
+
+        The m-th term is bounded by |C(s+m-1, m)| ((k-1)/(k Q))^m k^{-sigma}
+        times a bounded tail value; the envelope uses the same recurrence as
+        the coefficients, so an exactly-zero coefficient factor (s at a
+        nonpositive integer) zeroes the envelope too.
+
+        Returns the cut and the terms it drops as a multiple of the last
+        kept one: 0 when the envelope died, else the envelope's sum past
+        m_max over its value there.  Each step |s+m|/(m+1) ratio is at most
+        ratio (1 + |s-1|/(m+1)), which falls with m, so once that is below
+        1 the rest is geometric; while it is not, the recurrence runs on.
+        """
+        k = self.ctx.rep.k
+        ratio = (k - 1) / (k * self.Q)
+        scale = self.ctx.seed_scale
+        c = 1.0
+        prev_tiny = False
+        for m in range(1, self.m_max + 1):
+            c = c * abs(s + m - 1) / m
+            tiny = c * ratio**m * scale < 1e-16
+            if m >= 4 and tiny and prev_tiny:
+                return m, 0.0
+            prev_tiny = tiny
+        self.truncated = True
+        term, dropped, m = 1.0, 0.0, self.m_max
+        while math.isfinite(dropped):
+            step_max = ratio * (1 + abs(s - 1) / (m + 1))
+            if step_max < 1:
+                return self.m_max, dropped + term * step_max / (1 - step_max)
+            term *= ratio * abs(s + m) / (m + 1)
+            dropped += term
+            m += 1
+        return self.m_max, math.inf
+
+    def _solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Output-coordinate values and errors over the column."""
+        vec, err = self._node(0, self.levels)
+        if self.levels == 0:
+            self.top_det = self._system(0)[1]
+        vec = vec + self._strip(0, 1, self.Q)[0]
+        return vec[:, self.ctx.rep.output_coord], err
+
+    def run(self) -> list[EvalResult]:
+        value, err = self._solve()
+        refused = self.top_bad.copy()
+        averaged = self.inner_bad & ~refused
+        truncated = np.full(self.ny, self.truncated)
+        terms = np.full(self.ny, self.terms)
+        idx = np.flatnonzero(averaged)
+        if len(idx):
+            # removable inner singularity: one column of the points at y +- h
+            y, n = self.ys[idx], len(idx)
+            pair = np.concatenate([y + _OFFSET_H, y - _OFFSET_H])
+            twin = _ColumnEngine(self.ctx, self.x, pair, self.levels, self.m_max, Q=self.Q)
+            t_val, t_err = twin._solve()
+            value[idx] = (t_val[:n] + t_val[n:]) / 2
+            err[idx] = np.maximum(t_err[:n], t_err[n:]) + _OFFSET_H**2
+            truncated[idx], terms[idx] = twin.truncated, twin.terms
+            bad = twin.top_bad | twin.inner_bad
+            refused[idx] = bad[:n] | bad[n:]
+            averaged &= ~refused
+        results = []
+        for j, s in enumerate(self.s_col.tolist()):
+            det = float(self.top_det[j])
+            if refused[j]:
+                results.append(EvalResult(
+                    s=s, value=None, method="recursion", error_estimate=math.inf,
+                    near_singular=True, det_magnitude=det,
+                ))
+            else:
+                results.append(EvalResult(
+                    s=s, value=complex(value[j]), method="recursion",
+                    error_estimate=float(err[j]), det_magnitude=det,
+                    truncated=bool(truncated[j]), terms=int(terms[j]) or None,
+                    offset_averaged=bool(averaged[j]),
+                ))
+        return results
+
+
+def _continue(rep, x, ys, levels, m_max, ctx) -> list[EvalResult]:
+    """Validate the descent settings and run one column.  Both public entry
+    points call this, not each other: one evaluation, one public call."""
+    if levels is None:
+        levels = default_levels(complex(x, 0.0))
+    if levels < 0:
+        raise DomainError(f"levels must be >= 0, got {levels}")
+    if m_max < 2:
+        raise DomainError(f"m_max must be >= 2, got {m_max}")
+    if x <= BASE_STRIP_SIGMA - levels:
+        raise DomainError(
+            f"Re s = {x} outside the continued region Re s > "
+            f"{BASE_STRIP_SIGMA - levels} for levels={levels}"
+        )
+    if ctx is None:
+        ctx = ContinuationContext(rep)
+    ys = np.asarray(list(ys), dtype=np.float64)
+    if len(ys) == 0:
+        return []
+    return _ColumnEngine(ctx, x, ys, levels, m_max).run()
 
 
 def continue_via_recursion(
@@ -322,7 +437,6 @@ def continue_via_recursion(
     levels: int | None = None,
     m_max: int = _M_CAP,
     *,
-    offset_h: float = _OFFSET_H,
     ctx: ContinuationContext | None = None,
 ) -> EvalResult:
     """Analytic continuation of the output coordinate's Dirichlet series.
@@ -331,90 +445,22 @@ def continue_via_recursion(
     Re s > 1.25 - levels.  At a candidate pole of the series itself the
     value is refused (near_singular, det_magnitude).  A near-singular
     system met strictly inside the recursion is removable and handled by
-    +-i h offset averaging.
+    +-i h offset averaging.  This is a column of one point.
     """
     s = complex(s)
-    if levels is None:
-        levels = default_levels(s)
-    if levels < 0:
-        raise DomainError(f"levels must be >= 0, got {levels}")
-    if s.real <= BASE_STRIP_SIGMA - levels:
-        raise DomainError(
-            f"s={s} outside the continued region Re s > {BASE_STRIP_SIGMA - levels} "
-            f"for levels={levels}"
-        )
-    if m_max < 2:
-        raise DomainError(f"m_max must be >= 2, got {m_max}")
-    if ctx is None:
-        ctx = ContinuationContext(rep)
-    top_det = _top_det(ctx, s)
-    Q = split_point(rep.k, s.imag)
-
-    def run(at: complex) -> tuple[np.ndarray, float, _EngineState]:
-        state = _EngineState(ctx=ctx, m_max=m_max, cap=_DIRECT_CAP, Q=Q)
-        vec, err = _g_vector(state, at, levels, top=True)
-        return vec + _head_vector(ctx, at, 1, Q), err, state
-
-    try:
-        vec, err, state = run(s)
-        return EvalResult(
-            s=s,
-            value=complex(vec[rep.output_coord]),
-            method="recursion",
-            error_estimate=err,
-            det_magnitude=top_det,
-            truncated=state.truncated,
-            terms=state.max_terms or None,
-        )
-    except _TopSingular as exc:
-        return EvalResult(
-            s=s,
-            value=None,
-            method="recursion",
-            error_estimate=math.inf,
-            near_singular=True,
-            det_magnitude=exc.det,
-        )
-    except _InnerSingular:
-        pass
-    # removable inner singularity: average evaluations offset off the axis
-    acc = 0j
-    worst = 0.0
-    truncated = False
-    terms = 0
-    for off in (1j * offset_h, -1j * offset_h):
-        try:
-            vec, err, state = run(s + off)
-        except (_TopSingular, _InnerSingular) as exc:
-            return EvalResult(
-                s=s,
-                value=None,
-                method="recursion",
-                error_estimate=math.inf,
-                near_singular=True,
-                det_magnitude=getattr(exc, "det", None),
-            )
-        acc += complex(vec[rep.output_coord])
-        worst = max(worst, err)
-        truncated |= state.truncated
-        terms = max(terms, state.max_terms)
-    return EvalResult(
-        s=s,
-        value=acc / 2,
-        method="recursion",
-        error_estimate=worst + offset_h**2,
-        det_magnitude=top_det,
-        truncated=truncated,
-        terms=terms or None,
-        offset_averaged=True,
-    )
+    return _continue(rep, s.real, [s.imag], levels, m_max, ctx)[0]
 
 
-def _top_det(ctx: ContinuationContext, s: complex) -> float:
-    system = (
-        np.eye(ctx.rep.dim, dtype=np.complex128) - ctx.rep.k ** (1 - s) * ctx.abar
-    )
-    return float(abs(np.linalg.det(system)))
+def continue_column(
+    rep: LinearRepresentation,
+    x: float,
+    ys,
+    levels: int | None = None,
+    m_max: int = _M_CAP,
+    ctx: ContinuationContext | None = None,
+) -> list[EvalResult]:
+    """Batched continuation at the points x + i y for every y in ys."""
+    return _continue(rep, x, ys, levels, m_max, ctx)
 
 
 # --- closed forms -----------------------------------------------------------
@@ -481,65 +527,58 @@ class IdentityId:
         return self.tag if self.param is None else f"{self.tag}({self.param})"
 
 
-def _mu_small(limit: int) -> list[int]:
-    mu = [1] * (limit + 1)
-    mu[0] = 0
-    for p in range(2, limit + 1):
-        if all(p % q for q in range(2, int(math.isqrt(p)) + 1)):
-            for x in range(p, limit + 1, p):
-                mu[x] = -mu[x]
-            for x in range(p * p, limit + 1, p * p):
-                mu[x] = 0
-    return mu
+def _table(tag: str, limit: int) -> np.ndarray:
+    return generate(FunctionId(tag), limit, build_factor_table(limit)).values
 
 
-def _phi_small(limit: int) -> list[int]:
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if all(p % q for q in range(2, int(math.isqrt(p)) + 1)):
-            for x in range(p, limit + 1, p):
-                phi[x] -= phi[x] // p
-    return phi
+@cache
+def _small_table(tag: str) -> list[int]:
+    """mu or phi on 0..512, built on first use."""
+    return _table(tag, 512).tolist()
 
 
-_MU_SMALL = _mu_small(512)
-_PHI_SMALL = _phi_small(512)
-
-
-def _log_zeta(w: complex, tol: float) -> complex:
-    # principal branch; callers restrict arguments to Re w >= 2 where
-    # zeta(w) stays in the right half-plane around 1
+def _checked_zeta(w: complex, tol: float) -> complex:
+    """zeta(w), refused within 1e-6 of the pole or of a zero."""
+    w = complex(w)
     if abs(w - 1) < 1e-6:
         raise _NearZetaSingular(w, abs(w - 1))
     val = zeta_em(w, tol).value
     if abs(val) < 1e-6:
         raise _NearZetaSingular(w, abs(val))
-    return cmath.log(val)
+    return val
+
+
+def _log_zeta(w: complex, tol: float) -> complex:
+    # principal branch; callers restrict arguments to Re w >= 2 where
+    # zeta(w) stays in the right half-plane around 1
+    return cmath.log(_checked_zeta(w, tol))
 
 
 def _prime_zeta(s: complex, tol: float) -> complex:
     """P(s) = sum over square-free n of mu(n)/n log zeta(ns)."""
+    mu = _small_table("mu")
     acc = 0j
     sigma = s.real
     for n in range(1, 400):
         envelope = 6.0 * 2.0 ** (-n * sigma) / n
         if envelope < 1e-16:
             break
-        if _MU_SMALL[n] == 0:
+        if mu[n] == 0:
             continue
-        acc += _MU_SMALL[n] / n * _log_zeta(n * s, tol)
+        acc += mu[n] / n * _log_zeta(n * s, tol)
     return acc
 
 
 def _totient_log_series(s: complex, tol: float) -> complex:
     """sum_n phi(n)/n log zeta(ns); terms decay like 2^{-n sigma}."""
+    phi = _small_table("phi")
     acc = 0j
     sigma = s.real
     for n in range(1, 400):
         envelope = 6.0 * 2.0 ** (-n * sigma)
         if envelope < 1e-16:
             break
-        acc += _PHI_SMALL[n] / n * _log_zeta(n * s, tol)
+        acc += phi[n] / n * _log_zeta(n * s, tol)
     return acc
 
 
@@ -577,15 +616,7 @@ def zeta_quotient_eval(
             "or Re s >= 2 (principal-branch region)"
         )
 
-    def z(w: complex) -> complex:
-        w = complex(w)
-        if abs(w - 1) < 1e-6:
-            raise _NearZetaSingular(w, abs(w - 1))
-        val = zeta_em(w, zeta_tol).value
-        if abs(val) < 1e-6:
-            raise _NearZetaSingular(w, abs(val))
-        return val
-
+    z = partial(_checked_zeta, tol=zeta_tol)
     tag = ident.tag
     try:
         if tag == "mu":
@@ -718,237 +749,11 @@ def landau_walfisz_singularities(n_max: int) -> list[Fraction]:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    mu = _mu_small(n_max) if n_max > 512 else _MU_SMALL
+    mu = _table("mu", n_max) if n_max > 512 else _small_table("mu")
     return [Fraction(1, n) for n in range(1, n_max + 1) if mu[n] != 0]
 
 
 # --- grid scanning ----------------------------------------------------------
-
-
-class _ColumnEngine:
-    """Batched continuation along one vertical grid line Re s = x.
-
-    Every node of the scalar recursion becomes an array over the column's
-    imaginary parts: systems are solved with numpy's stacked solver and
-    the base-strip sums become one matmul against a shared n^{-s} matrix.
-    Points whose top system is near-singular are refused; points that hit
-    a near-singular system strictly inside the recursion are recomputed
-    by the scalar engine (offset averaging).  Agreement with the scalar
-    engine is a test invariant, not an assumption.
-    """
-
-    def __init__(self, ctx: ContinuationContext, x: float, ys: np.ndarray,
-                 levels: int, m_max: int):
-        self.ctx = ctx
-        self.x = x
-        self.ys = ys
-        self.s_col = x + 1j * ys
-        self.ny = len(ys)
-        self.levels = levels
-        self.m_max = m_max
-        self.Q = split_point(ctx.rep.k, float(np.abs(ys).max(initial=0.0)))
-        self.memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.inner_bad = np.zeros(self.ny, dtype=bool)
-        self.top_bad = np.zeros(self.ny, dtype=bool)
-        self.top_det = np.full(self.ny, math.nan)
-        self.truncated = False
-        self._e_matrix: np.ndarray | None = None
-        self._e_len = 0
-        self._logn: np.ndarray | None = None
-
-    def _base_n(self, sigma: float) -> tuple[int, float]:
-        C, d = self.ctx.rep.growth
-        if sigma < 1 + d + 0.25:
-            raise DomainError(
-                f"column at Re s = {sigma} is below the direct strip; "
-                "increase levels"
-            )
-        power = sigma - 1 - d
-        need = (C / (_DIRECT_TOL * power)) ** (1 / power)
-        if not math.isfinite(need) or need >= _DIRECT_CAP:
-            N = _DIRECT_CAP
-        else:
-            N = min(_DIRECT_CAP, 1 << max(6, math.ceil(math.log2(need + 1))))
-        tail = C * N ** (-power) / power
-        if N >= _DIRECT_CAP and tail > _DIRECT_TOL:
-            self.truncated = True
-        return N, tail
-
-    def _e(self, N: int) -> np.ndarray:
-        # shared n^{-s_j} matrix, grown on demand
-        if self._e_matrix is None or N > self._e_len:
-            n = np.arange(1, N + 1, dtype=np.float64)
-            self._logn = np.log(n)
-            self._e_matrix = np.exp(np.outer(-self.s_col, self._logn))
-            self._e_len = N
-        return self._e_matrix[:, :N]
-
-    def _base(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        # tail H(s + offset) = sum_{q >= Q} U_q q^{-s-offset}
-        N, tail = self._base_n(self.x + offset)
-        N = max(N, 2 * self.Q)
-        u = self.ctx.vector_values(N)[self.Q :]
-        logn = self._logn_for(N)[self.Q - 1 :]
-        scaled = u * np.exp(-offset * logn)[:, None]
-        vals = self._e(N)[:, self.Q - 1 :] @ scaled
-        mass = float(
-            np.exp(-(self.x + offset) * logn) @ np.abs(u).max(axis=1)
-        )
-        rounding = 1e-15 * math.log2(N + 1) * mass
-        err = np.full(self.ny, tail + rounding)
-        return vals, err
-
-    def _head(self, offset: int, lo: int, hi: int) -> np.ndarray:
-        """sum_{n=lo}^{hi-1} U_n n^{-s-offset} for the whole column."""
-        dim = self.ctx.rep.dim
-        if hi <= lo:
-            return np.zeros((self.ny, dim), dtype=np.complex128)
-        u = self.ctx.vector_values(max(hi - 1, self.ctx.rep.k - 1))[lo:hi]
-        logn = self._logn_for(hi - 1)[lo - 1 :]
-        scaled = u * np.exp(-offset * logn)[:, None]
-        return self._e(hi - 1)[:, lo - 1 :] @ scaled
-
-    def _logn_for(self, N: int) -> np.ndarray:
-        self._e(N)
-        return self._logn[:N]
-
-    def _node(self, offset: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (offset, budget)
-        if key in self.memo:
-            return self.memo[key]
-        if budget == 0:
-            res = self._base(offset)
-            self.memo[key] = res
-            return res
-        ctx = self.ctx
-        rep, k, dim = ctx.rep, ctx.rep.k, ctx.rep.dim
-        s_vec = self.s_col + offset
-        fac = k ** (1 - s_vec)
-        if dim == 1:
-            diag = 1 - fac * ctx.abar[0, 0]
-            det = np.abs(diag)
-            system = None
-        else:
-            system = (
-                np.eye(dim)[None, :, :] - fac[:, None, None] * ctx.abar[None, :, :]
-            )
-            det = np.abs(np.linalg.det(system))
-        singular = det < _NEAR_SINGULAR_DET
-        if offset == 0:
-            self.top_det[:] = det
-            self.top_bad |= singular
-        else:
-            self.inner_bad |= singular
-        if singular.any():
-            if dim == 1:
-                diag = np.where(singular, 1.0, diag)
-            else:
-                system[singular] = np.eye(dim)
-        y_extreme = float(np.abs(self.ys).max(initial=0.0))
-        m_eff = self._m_horizon(complex(self.x + offset, y_extreme))
-        gs = np.empty((m_eff, self.ny, dim), dtype=np.complex128)
-        g_errs = np.empty((m_eff, self.ny))
-        for m in range(1, m_eff + 1):
-            gs[m - 1], g_errs[m - 1] = self._node(offset + m, budget - 1)
-        ms = np.arange(1, m_eff + 1)
-        coefs = np.cumprod((s_vec[:, None] + ms[None, :] - 1) / ms[None, :], axis=1)
-        kpow = k ** (-(s_vec[:, None] + ms[None, :]))
-        # the n < Q head cancels out of the system exactly (see _g_vector)
-        rhs = self._head(offset, self.Q, k * self.Q)
-        g_scale = np.abs(gs).max(axis=2)  # (m_eff, ny)
-        rel_children = g_errs / np.maximum(g_scale, 1e-300)
-        err_rhs = np.zeros(self.ny)
-        for r in range(1, k):
-            w = coefs * np.float_power(-r, ms)[None, :] * kpow  # (ny, m_eff)
-            contrib = np.einsum("ym,myd->yd", w, gs)
-            rhs += contrib @ ctx.mats[r].T
-            mass = np.abs(w) * g_scale.T
-            err_rhs += 4.0 * np.einsum("ym,my->y", mass, rel_children)
-            err_rhs += 4e-16 * mass.sum(axis=1)
-        if dim == 1:
-            sol = rhs / diag[:, None]
-            inv_norm = 1.0 / np.where(singular, 1.0, det)
-        else:
-            sol = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-            inv_norm = np.abs(np.linalg.inv(system)).sum(axis=2).max(axis=1)
-        err = inv_norm * (err_rhs + 1e-16 * np.abs(rhs).max(initial=0.0))
-        res = (sol, err)
-        self.memo[key] = res
-        return res
-
-    def _m_horizon(self, s: complex) -> int:
-        k = self.ctx.rep.k
-        ratio = (k - 1) / (k * self.Q)
-        scale = self.ctx.seed_scale
-        c = 1.0
-        prev_tiny = False
-        for m in range(1, self.m_max + 1):
-            c = c * abs(s + m - 1) / m
-            tiny = c * ratio**m * scale < 1e-16
-            if m >= 4 and tiny and prev_tiny:
-                return m
-            prev_tiny = tiny
-        self.truncated = True
-        return self.m_max
-
-    def run(self) -> list[EvalResult]:
-        vec, err = self._node(0, self.levels)
-        vec = vec + self._head(0, 1, self.Q)
-        out_coord = self.ctx.rep.output_coord
-        results: list[EvalResult] = []
-        for j, s in enumerate(self.s_col):
-            s = complex(s)
-            det = float(self.top_det[j])
-            det = None if math.isnan(det) else det
-            if self.top_bad[j]:
-                results.append(
-                    EvalResult(
-                        s=s, value=None, method="recursion",
-                        error_estimate=math.inf, near_singular=True,
-                        det_magnitude=det,
-                    )
-                )
-            elif self.inner_bad[j]:
-                # removable inner singularity: scalar engine with offsets
-                results.append(
-                    continue_via_recursion(
-                        self.ctx.rep, s, levels=self.levels,
-                        m_max=self.m_max, ctx=self.ctx,
-                    )
-                )
-            else:
-                results.append(
-                    EvalResult(
-                        s=s, value=complex(vec[j, out_coord]),
-                        method="recursion", error_estimate=float(err[j]),
-                        det_magnitude=det,
-                        truncated=self.truncated,
-                    )
-                )
-        return results
-
-
-def continue_column(
-    rep: LinearRepresentation,
-    x: float,
-    ys,
-    levels: int | None = None,
-    m_max: int = _M_CAP,
-    ctx: ContinuationContext | None = None,
-) -> list[EvalResult]:
-    """Batched continuation at the points x + i y for every y in ys."""
-    if levels is None:
-        levels = default_levels(complex(x, 0.0))
-    if x <= BASE_STRIP_SIGMA - levels:
-        raise DomainError(
-            f"Re s = {x} outside the continued region for levels={levels}"
-        )
-    if ctx is None:
-        ctx = ContinuationContext(rep)
-    ys = np.asarray(list(ys), dtype=np.float64)
-    if len(ys) == 0:
-        return []
-    return _ColumnEngine(ctx, x, ys, levels, m_max).run()
 
 
 @dataclass(frozen=True)
@@ -1031,11 +836,6 @@ def pole_scan(
         raise DomainError("need T >= 0 and step > 0")
     if levels is None:
         levels = default_levels(complex(a, 0.0))
-    if a <= BASE_STRIP_SIGMA - levels:
-        raise DomainError(
-            f"rectangle extends left of the continued region "
-            f"Re s > {BASE_STRIP_SIGMA - levels} for levels={levels}"
-        )
     res = np.arange(0, int((b - a) / step + 1e-9) + 1) * step + a
     ims = np.arange(0, int(T / step + 1e-9) + 1) * step
     ctx = ContinuationContext(rep)
@@ -1044,11 +844,10 @@ def pole_scan(
         out = continue_column(rep, float(x), ims, levels=levels, ctx=ctx)
         pts = []
         for ev in out:
-            det = ev.det_magnitude if ev.det_magnitude is not None else math.nan
             absval = math.nan if ev.value is None else abs(ev.value)
             pts.append(
                 ScanPoint(
-                    s=ev.s, abs_value=absval, det_magnitude=det,
+                    s=ev.s, abs_value=absval, det_magnitude=ev.det_magnitude,
                     near_singular=ev.near_singular, flagged=False,
                 )
             )

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from kernelscope.automaton import (
     evaluate,
     pole_lattice,
     rep_from_json,
+    vector_values,
 )
 from kernelscope.errors import DomainError, VerdictError
 
@@ -103,6 +105,27 @@ class TestEvaluate:
     def test_rejects_zero(self, tm_rep):
         with pytest.raises(DomainError):
             evaluate(tm_rep, 0)
+
+
+class TestVectorValues:
+    def test_matches_digit_peeling(self, table, tm_rep):
+        const3 = build_representation(table("const_one", N=2**14), 3, 5, 32)
+        for rep in (tm_rep, const3, identity_regular_rep()):
+            # lengths on, just below and just above digit-length boundaries
+            for N in (1, 2, 3, 8, 9, 10, 26, 27, 28, 1000):
+                u = vector_values(rep, N)
+                assert u.shape == (N + 1, rep.dim)
+                got = u[1:, rep.output_coord].tolist()
+                assert got == [evaluate(rep, n) for n in range(1, N + 1)], N
+
+    def test_float_when_int64_could_wrap(self):
+        # a growth bound C N^d past int64 switches to rounding floats
+        rep = identity_regular_rep()
+        assert vector_values(rep, 2**16).dtype == np.int64
+        steep = replace(rep, growth=(1.0, 4.0))
+        u = vector_values(steep, 2**16)
+        assert u.dtype == np.float64
+        assert np.array_equal(u[1:, 0], np.arange(1, 2**16 + 1))
 
 
 class TestAverageMatrix:

@@ -105,6 +105,34 @@ class TestContinuation:
         with pytest.raises(DomainError):
             continue_via_recursion(const_rep, -3.0, levels=2)
 
+    def test_descent_settings_validated_by_every_entry_point(self, const_rep):
+        from kernelscope.dirichlet import continue_column
+
+        for kwargs in ({"levels": -1}, {"m_max": 0}, {"m_max": 1}):
+            with pytest.raises(DomainError):
+                continue_via_recursion(const_rep, 3.0, **kwargs)
+            with pytest.raises(DomainError):
+                continue_column(const_rep, 3.0, [0.0], **kwargs)
+        with pytest.raises(DomainError):
+            pole_scan(const_rep, 3, 3, 0.1, 0.1, levels=-1)
+        with pytest.raises(DomainError):
+            pole_scan(const_rep, -3.0, -2.9, 0.1, 0.1, levels=2)
+
+    def test_horizon_truncation_bounded(self, const_rep):
+        # a short m horizon drops correction terms; the estimate must cover them
+        for m_max in (2, 3, 5, 8):
+            for s in (0.5, -1.5 + 30j, 0.5 + 60j):
+                res = continue_via_recursion(const_rep, s, m_max=m_max)
+                assert res.truncated
+                err = abs(res.value - complex(mpmath.zeta(s)))
+                assert err <= res.error_estimate, (m_max, s)
+
+    def test_direct_terms_and_det_at_levels_zero(self, const_rep):
+        res = continue_via_recursion(const_rep, 2.0, levels=0)
+        assert res.terms == 2**21
+        assert res.det_magnitude == 0.5
+        assert abs(res.value - float(mpmath.zeta(2))) <= res.error_estimate
+
     def test_base_three_representation_same_function(self, table):
         # the constant sequence in base 3 continues to the same zeta values
         rep3 = build_representation(table("const_one", N=2**14), 3, 5, 32)
@@ -211,6 +239,15 @@ class TestLandauWalfisz:
     def test_n_max_1(self):
         assert [float(f) for f in landau_walfisz_singularities(1)] == [1.0]
 
+    def test_beyond_the_precomputed_table(self):
+        pts = landau_walfisz_singularities(1000)
+        assert len(pts) == 608  # square-free n <= 1000
+
+    def test_over_capacity_refused(self, monkeypatch):
+        monkeypatch.setenv("KERNELSCOPE_MAX_N", "1000")
+        with pytest.raises(CapacityError):
+            landau_walfisz_singularities(2000)
+
     def test_n_max_10_count(self):
         pts = landau_walfisz_singularities(10)
         assert len(pts) == 7
@@ -219,15 +256,23 @@ class TestLandauWalfisz:
 
 
 class TestBatchedColumn:
-    def test_matches_scalar_engine(self, const_rep, tm_rep):
+    def test_batching_invariance(self, const_rep, tm_rep):
         from kernelscope.dirichlet import continue_column
 
         ys = [0.0, 0.3, 1.7, 5.2, 9.9]
         for rep in (const_rep, tm_rep):
             col = continue_column(rep, 0.95, ys, levels=3)
             for ev in col:
-                sc = continue_via_recursion(rep, ev.s, levels=3)
-                assert abs(ev.value - sc.value) < 1e-9
+                alone = continue_via_recursion(rep, ev.s, levels=3)
+                assert abs(ev.value - alone.value) < 1e-9
+
+    def test_inner_singular_point_inside_a_column(self, const_rep):
+        from kernelscope.dirichlet import continue_column
+
+        at0, at1 = continue_column(const_rep, 0.0, [0.0, 1.0])
+        assert at0.offset_averaged and abs(at0.value + 0.5) < 1e-4
+        assert not at1.offset_averaged
+        assert abs(at1.value - complex(mpmath.zeta(1j))) <= at1.error_estimate
 
     def test_high_column_against_zeta(self, const_rep):
         from kernelscope.dirichlet import continue_column
