@@ -29,7 +29,7 @@ from .errors import (
     PrecisionError,
     VerdictError,
 )
-from .kernel import _enumerate_distinct, _classify, kernel_element
+from .kernel import _classify, _distinct_cap, _enumerate_distinct, kernel_element
 from .seqgen import ValueTable
 
 
@@ -119,7 +119,7 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
     if M < k:
         raise DomainError(f"window must cover the seeds: need M >= k = {k}")
     reps, counts = _enumerate_distinct(t, k, L, M)
-    verdict = _classify(counts, L)
+    verdict = _classify(counts, L, _distinct_cap(t, k, L, M))
     if verdict.kind != "saturated":
         raise VerdictError(
             f"kernel profile of {t.id} is {verdict}; a saturated kernel is required"

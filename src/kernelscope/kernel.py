@@ -39,9 +39,12 @@ class KernelElement:
 class Verdict:
     """Outcome of a growth profile.
 
-    kind is one of "saturated" (depth and size set), "growing", or
-    "inconclusive".  Saturation requires two consecutive depths that add
-    nothing new; a single stable depth can be a small-M coincidence.
+    kind is one of "saturated" (depth and size set), "window_capped"
+    (likewise), "growing", or "inconclusive".  Saturation requires two
+    consecutive depths that add nothing new; a single stable depth can be a
+    small-M coincidence.  A profile that stalls at the largest value the
+    window can hold is "window_capped": the window, not the kernel, stopped
+    it.
     """
 
     kind: str
@@ -49,18 +52,21 @@ class Verdict:
     size: int | None = None
 
     def __str__(self):
-        if self.kind == "saturated":
-            return f"saturated_at({self.depth}, size={self.size})"
+        if self.kind in ("saturated", "window_capped"):
+            return f"{self.kind}_at({self.depth}, size={self.size})"
         return self.kind
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "depth": self.depth, "size": self.size}
 
 
-def _classify(counts: list[int], L: int) -> Verdict:
+def _classify(counts: list[int], L: int, cap: int | None) -> Verdict:
+    """Classify a profile; ``cap`` is the largest value it can reach."""
     for d in range(1, L):
         if counts[d] == counts[d - 1] and counts[d + 1] == counts[d]:
-            return Verdict("saturated", depth=d, size=counts[d])
+            capped = cap is not None and counts[d] >= cap
+            kind = "window_capped" if capped else "saturated"
+            return Verdict(kind, depth=d, size=counts[d])
     if all(counts[d] > counts[d - 1] for d in range(1, L + 1)):
         return Verdict("growing")
     return Verdict("inconclusive")
@@ -165,12 +171,21 @@ def _enumerate_distinct(t: ValueTable, k: int, L: int, M: int):
     return rep_list, counts
 
 
+def _distinct_cap(t: ValueTable, k: int, L: int, M: int) -> int | None:
+    """Most distinct windows of width M over the values the profile reads.
+
+    That is |alphabet|^M.  A one-value region gives one window at every
+    width, so no width is to blame for it and there is no cap.
+    """
+    letters = len(np.unique(t.values[1 : k**L * (M + 1)]))
+    return letters**M if letters > 1 else None
+
+
 def kernel_profile(t: ValueTable, k: int, L: int, M: int) -> KernelProfile:
     """Count distinct kernel windows per depth and classify the growth."""
     _, counts = _enumerate_distinct(t, k, L, M)
-    return KernelProfile(
-        k=k, M=M, L=L, distinct_counts=tuple(counts), verdict=_classify(counts, L)
-    )
+    verdict = _classify(counts, L, _distinct_cap(t, k, L, M))
+    return KernelProfile(k=k, M=M, L=L, distinct_counts=tuple(counts), verdict=verdict)
 
 
 class _RationalRowSpace:
@@ -240,7 +255,7 @@ def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
             space.add(el.prefix)
         ranks.append(space.rank)
     return RankProfile(
-        k=k, M=M, L=L, ranks=tuple(ranks), verdict=_classify(ranks, L)
+        k=k, M=M, L=L, ranks=tuple(ranks), verdict=_classify(ranks, L, cap=M)
     )
 
 

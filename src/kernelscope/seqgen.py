@@ -1,9 +1,12 @@
 """Sieve-based generation of arithmetic-function value tables.
 
-Every supported function is generated up to a bound N from one smallest-
-prime-factor sieve.  Values are stored as int64 behind an a-priori exact
-overflow bound, so construction refuses (CapacityError) instead of
-silently wrapping.
+One smallest-prime-factor sieve up to N drives every arithmetic function:
+a single pass splits each n into p = spf(n), the exponent e of p and
+rest = n / p^e, and combines the function's value at p^e with its
+finished value at rest (a product for multiplicative functions, a sum for
+additive ones).  Each function is then just its rule for f(p^e).  Values
+are stored as int64 behind an a-priori exact overflow bound, so
+construction refuses (CapacityError) instead of silently wrapping.
 
 Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
 ``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only.
@@ -243,105 +246,97 @@ def _signature_max(N: int, coef, cap: int) -> int:
 
 _INT64_MAX = 2**63 - 1
 
+# n is tabulated in chunks of at most this many entries
+_CHUNK = 1 << 16
 
-def _multiplicative_table(N: int, primes: np.ndarray, fpe, bound: int) -> np.ndarray:
-    """Tabulate a multiplicative f with f(p^e) = fpe(p, e) for all n <= N.
 
-    ``bound`` must dominate |f| on 1..N (checked by the caller against
-    int64); every intermediate value here is itself a value of f at some
-    divisor, so the bound covers the whole computation.
+def _tabulate(N: int, ft: FactorTable, fpe, additive: bool) -> np.ndarray:
+    """f on 1..N from its prime-power values, in one pass over ``ft.spf``.
+
+    For n >= 2 with p = spf[n], p^e || n and rest = n / p^e, a
+    multiplicative f has f(n) = fpe(p, e) f(rest) and an additive one
+    f(n) = fpe(p, e) + f(rest).  n runs in chunks [a, b) with b <= 2a, so
+    rest <= n / 2 < a is final before its chunk starts.  ``fpe`` is called
+    on an int64 array of primes with e = 1, and on exact ints with e >= 2,
+    where p <= sqrt(N) leaves few prime powers.
     """
+    powers = []
+    for p in ft.primes[ft.primes <= math.isqrt(N)].tolist():
+        q, e = p * p, 2
+        while q <= N:
+            powers.append((q, fpe(p, e)))
+            q, e = q * p, e + 1
+    keys, vals = np.array(sorted(powers), dtype=np.int64).reshape(-1, 2).T
+    out = np.empty(N + 1, dtype=np.int64)
+    out[0], out[1] = 0, 0 if additive else 1
+    a = 2
+    while a <= N:
+        b = min(2 * a, a + _CHUNK, N + 1)
+        p = ft.spf[a:b]
+        pe, rest = p.copy(), np.arange(a, b, dtype=np.int64) // p
+        deep = np.flatnonzero(rest % p == 0)
+        while deep.size:
+            pe[deep] *= p[deep]
+            rest[deep] //= p[deep]
+            deep = deep[rest[deep] % p[deep] == 0]
+        f = np.empty_like(p)
+        f[...] = fpe(p, 1)
+        deep = np.flatnonzero(pe != p)
+        f[deep] = vals[np.searchsorted(keys, pe[deep])]
+        out[a:b] = f + out[rest] if additive else f * out[rest]
+        a = b
+    return out
+
+
+# f(p^e) of the multiplicative functions whose prime-power values depend
+# on e alone; m is the tag's parameter
+_EXPONENT_RULES = {
+    "lambda": lambda e, m: (-1) ** e,
+    "mu": lambda e, m: -1 if e == 1 else 0,
+    "abs_mu": lambda e, m: int(e < 2),
+    "q_m": lambda e, m: int(e < m),
+    "rho": lambda e, m: 2,
+    "r_half_rho": lambda e, m: 2,
+    "tau": lambda e, m: e + 1,
+    "tau_of_square": lambda e, m: 2 * e + 1,
+    "tau_squared": lambda e, m: (e + 1) ** 2,
+    "tau_k": lambda e, m: math.comb(e + m - 1, e),
+}
+
+# g(p^e) of the additive functions; chi_P = [Omega = 1], chi_PP = [omega = 1]
+_ADDITIVE_RULES = {"omega": lambda p, e: 1, "big_omega": lambda p, e: e,
+                   "chi_P": lambda p, e: e, "chi_PP": lambda p, e: 1}
+
+
+def _multiplicative(N: int, ft: FactorTable, tag: str, m: int | None) -> np.ndarray:
+    """Tabulate a multiplicative tag behind its int64 overflow bound.
+
+    ``bound`` must dominate |f| on 1..N; every intermediate of the engine
+    is itself a value of f at some divisor of n (f(p^e) and f(rest)), so
+    the bound covers the whole computation.
+    """
+    if tag == "sigma_m" and m == 0:
+        tag = "tau"
+    if tag in _EXPONENT_RULES:
+        rule = _EXPONENT_RULES[tag]
+        bound = _signature_max(N, lambda e: rule(e, m), _INT64_MAX)
+        fpe = lambda p, e: rule(e, m)
+    elif tag == "phi":
+        bound = N
+        fpe = lambda p, e: p ** (e - 1) * (p - 1)
+    elif tag == "sigma_m":
+        # sigma_m(n) <= n^m * zeta(m) for m >= 2; <= n (1 + ln n) for m = 1.
+        # Summing 1 + p^m + ... + p^(me) keeps every term below the value,
+        # which (p^(m(e+1)) - 1) / (p^m - 1) would not.
+        bound = N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m
+        fpe = lambda p, e: sum(p ** (m * i) for i in range(e + 1))
+    else:
+        raise DomainError(f"unknown function tag {tag!r}")
     if bound > _INT64_MAX:
         raise CapacityError(
             f"values would exceed int64 (max |f| bound {bound} > {_INT64_MAX})"
         )
-    out = np.ones(N + 1, dtype=np.int64)
-    out[0] = 0
-    for p in primes:
-        p = int(p)
-        prev = 1
-        pe, e = p, 1
-        while pe <= N:
-            cur = int(fpe(p, e))
-            if prev == 0:
-                if cur != 0:
-                    raise ConstructionError(
-                        f"fpe({p},{e}) nonzero after fpe({p},{e-1}) == 0"
-                    )
-                break
-            sl = out[pe::pe]
-            if cur == 0:
-                sl[...] = 0
-            else:
-                np.floor_divide(sl, prev, out=sl)
-                sl *= cur
-            prev = cur
-            pe *= p
-            e += 1
-    return out
-
-
-def _omega_table(N: int, primes: np.ndarray) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.int64)
-    for p in primes:
-        out[int(p) :: int(p)] += 1
-    return out
-
-
-def _big_omega_table(N: int, primes: np.ndarray) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.int64)
-    for p in primes:
-        pe = int(p)
-        while pe <= N:
-            out[pe::pe] += 1
-            pe *= int(p)
-    return out
-
-
-def _mu_table(N: int, primes: np.ndarray) -> np.ndarray:
-    out = np.ones(N + 1, dtype=np.int64)
-    out[0] = 0
-    for p in primes:
-        out[int(p) :: int(p)] *= -1
-    for p in primes[primes <= math.isqrt(N)]:
-        sq = int(p) * int(p)
-        out[sq::sq] = 0
-    return out
-
-
-def _phi_table(N: int, primes: np.ndarray) -> np.ndarray:
-    out = np.arange(N + 1, dtype=np.int64)
-    for p in primes:
-        sl = out[int(p) :: int(p)]
-        sl -= sl // int(p)
-    return out
-
-
-def _q_m_table(N: int, primes: np.ndarray, m: int) -> np.ndarray:
-    out = np.ones(N + 1, dtype=np.int64)
-    out[0] = 0
-    for p in primes:
-        pm = int(p) ** m
-        if pm > N:
-            break
-        out[pm::pm] = 0
-    return out
-
-
-def _chi_prime_table(N: int, ft: FactorTable) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.int64)
-    out[2:] = ft.spf[2 : N + 1] == np.arange(2, N + 1, dtype=np.int64)
-    return out
-
-
-def _chi_prime_power_table(N: int, ft: FactorTable) -> np.ndarray:
-    out = _chi_prime_table(N, ft)
-    for p in ft.primes[ft.primes <= math.isqrt(N)]:
-        pe = int(p) * int(p)
-        while pe <= N:
-            out[pe] = 1
-            pe *= int(p)
-    return out
+    return _tabulate(N, ft, fpe, additive=False)
 
 
 def _nth_prime_table(N: int, ft: FactorTable) -> np.ndarray:
@@ -355,16 +350,14 @@ def _nth_prime_table(N: int, ft: FactorTable) -> np.ndarray:
     return out
 
 
-def _binomial(a: int, b: int) -> int:
-    return math.comb(a, b)
-
-
 def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
     """Tabulate the function named by ``fid`` on 1..N from the sieve ``ft``.
 
-    Values come from prime factorizations via the per-prime-power sieves
-    below; completely multiplicative structure is exploited where it
-    exists.  Raises CapacityError when int64 cannot hold the result.
+    Multiplicative and additive functions come from one pass over the
+    smallest prime factors that combines f(p^e) with the finished value at
+    n / p^e; chi_P, chi_PP and r_half_rho are read off Omega, omega and rho.
+    nth_prime and the fixture sequences have closed forms.  Raises
+    CapacityError when int64 cannot hold the result.
     """
     if N < 1:
         raise DomainError(f"table bound must be >= 1, got {N}")
@@ -372,81 +365,28 @@ def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
         raise CapacityError(f"factor table covers 2..{ft.N}, need {N}")
     if fid.modulus is not None:
         raise DomainError("generate() produces unreduced tables; use reduce_mod")
-    primes = ft.primes[ft.primes <= N]
-    tag, m = fid.tag, fid.param
+    tag = fid.tag
 
     if tag == "const_one":
         vals = np.ones(N + 1, dtype=np.int64)
-        vals[0] = 0
     elif tag == "identity_n":
         vals = np.arange(N + 1, dtype=np.int64)
-    elif tag == "thue_morse_pm":
-        bits = np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int64)
-        vals = 1 - 2 * (bits & 1)
-        vals[0] = 0
-    elif tag == "sum_binary_digits":
+    elif tag in ("thue_morse_pm", "sum_binary_digits"):
         vals = np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int64)
-    elif tag == "omega":
-        vals = _omega_table(N, primes)
-    elif tag == "big_omega":
-        vals = _big_omega_table(N, primes)
-    elif tag == "lambda":
-        vals = 1 - 2 * (_big_omega_table(N, primes) & 1)
-        vals[0] = 0
-    elif tag == "mu":
-        vals = _mu_table(N, primes)
-    elif tag == "abs_mu":
-        vals = np.abs(_mu_table(N, primes))
-    elif tag == "phi":
-        vals = _phi_table(N, primes)
-    elif tag == "rho":
-        vals = np.int64(1) << _omega_table(N, primes)
-        vals[0] = 0
-    elif tag == "r_half_rho":
-        # 2 r(n) = rho(n) has no integer solution at n = 1 (rho(1) = 1);
-        # r(1) = 0 keeps (r mod 2) equal to the prime-power indicator.
-        vals = (np.int64(1) << _omega_table(N, primes)) >> 1
-        vals[0] = 0
-    elif tag == "q_m":
-        vals = _q_m_table(N, primes, m)
-    elif tag == "chi_P":
-        vals = _chi_prime_table(N, ft)
-    elif tag == "chi_PP":
-        vals = _chi_prime_power_table(N, ft)
+        if tag == "thue_morse_pm":
+            vals = 1 - 2 * (vals & 1)
     elif tag == "nth_prime":
         vals = _nth_prime_table(N, ft)
-    elif tag == "tau":
-        bound = _signature_max(N, lambda e: e + 1, _INT64_MAX)
-        vals = _multiplicative_table(N, primes, lambda p, e: e + 1, bound)
-    elif tag == "tau_of_square":
-        bound = _signature_max(N, lambda e: 2 * e + 1, _INT64_MAX)
-        vals = _multiplicative_table(N, primes, lambda p, e: 2 * e + 1, bound)
-    elif tag == "tau_squared":
-        bound = _signature_max(N, lambda e: (e + 1) ** 2, _INT64_MAX)
-        vals = _multiplicative_table(N, primes, lambda p, e: (e + 1) ** 2, bound)
-    elif tag == "tau_k":
-        bound = _signature_max(N, lambda e: _binomial(e + m - 1, e), _INT64_MAX)
-        vals = _multiplicative_table(
-            N, primes, lambda p, e: _binomial(e + m - 1, e), bound
-        )
-    elif tag == "sigma_m":
-        if m == 0:
-            bound = _signature_max(N, lambda e: e + 1, _INT64_MAX)
-            vals = _multiplicative_table(N, primes, lambda p, e: e + 1, bound)
-        else:
-            # sigma_m(n) <= n^m * zeta(m) for m >= 2; <= n (1 + ln n) for m = 1
-            if m == 1:
-                bound = N * (2 + math.ceil(math.log(max(N, 2))))
-            else:
-                bound = 2 * N**m
-            vals = _multiplicative_table(
-                N,
-                primes,
-                lambda p, e: (p ** (m * (e + 1)) - 1) // (p**m - 1),
-                bound,
-            )
+    elif tag in _ADDITIVE_RULES:
+        vals = _tabulate(N, ft, _ADDITIVE_RULES[tag], additive=True)
+        if tag in ("chi_P", "chi_PP"):
+            vals = (vals == 1).astype(np.int64)
     else:
-        raise DomainError(f"unknown function tag {tag!r}")
+        vals = _multiplicative(N, ft, tag, fid.param)
+        if tag == "r_half_rho":
+            # 2 r(n) = rho(n) has no integer solution at n = 1 (rho(1) = 1);
+            # r(1) = 0 keeps (r mod 2) equal to the prime-power indicator.
+            vals >>= 1
 
     vals[0] = 0
     return ValueTable(id=fid, N=N, values=vals)

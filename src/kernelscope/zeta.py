@@ -171,6 +171,17 @@ def hardy_z(t: float, target_tol: float = 1e-10) -> float:
     return (cmath.exp(1j * rs_theta(t)) * val).real
 
 
+def _check_height(T: float, farthest: complex) -> None:
+    """Refuse T unless ``farthest``, the point of largest modulus a routine
+    evaluates, passes the same |s| <= WORKING_RADIUS test as zeta_em."""
+    if not (T > 0 and abs(farthest) <= WORKING_RADIUS):
+        limit = math.sqrt(WORKING_RADIUS**2 - farthest.real**2)
+        raise DomainError(
+            f"T must satisfy 0 < T and |{farthest.real:g} + iT| <= {WORKING_RADIUS:g} "
+            f"(T below about {limit:.4f}), got {T}"
+        )
+
+
 @dataclass(frozen=True)
 class ZeroRecord:
     """A located critical-line zero: sign-change bracket plus refinement."""
@@ -189,8 +200,7 @@ def critical_line_zeros(
     missed, which the argument-principle cross-check in zero_count
     detects.
     """
-    if not 0 < T <= WORKING_RADIUS:
-        raise DomainError(f"T must satisfy 0 < T <= {WORKING_RADIUS}, got {T}")
+    _check_height(T, complex(0.5, T))
     zeros: list[ZeroRecord] = []
     t_lo = 1.0
     f_lo = hardy_z(t_lo)
@@ -259,8 +269,7 @@ def zero_count_report(
     trivial zeros lie outside); the sign-change count sees only odd-order
     critical-line zeros.  A discrepancy means a missed or off-line zero.
     """
-    if not 0 < T <= WORKING_RADIUS:
-        raise DomainError(f"T must satisfy 0 < T <= {WORKING_RADIUS}, got {T}")
+    _check_height(T, complex(1.5, T))
     if T < eps:
         raise DomainError(f"T={T} must exceed the bottom edge eps={eps}")
     corners = [
@@ -276,7 +285,8 @@ def zero_count_report(
     for a, b in zip(corners, corners[1:]):
         length = abs(b - a)
         pieces = max(8, int(4 * length))
-        pts = [a + (b - a) * i / pieces for i in range(pieces + 1)]
+        # the corners themselves, not a rounded step, end each edge
+        pts = [a + (b - a) * i / pieces for i in range(pieces)] + [b]
         vals = [zeta_em(z, eval_tol).value for z in pts]
         for (za, zb, fa, fb) in zip(pts, pts[1:], vals, vals[1:]):
             total += _arg_change(za, zb, fa, fb, eval_tol, depth=48)

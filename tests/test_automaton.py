@@ -82,6 +82,11 @@ class TestBuild:
         with pytest.raises(VerdictError):
             build_representation(table("lambda", N=2**14), 2, 6, 64)
 
+    def test_window_capped_kernel_refused(self, table):
+        # lambda's width-2 windows stall at 2^2 = 4 forms; that is no automaton
+        with pytest.raises(VerdictError, match="window_capped"):
+            build_representation(table("lambda", N=2**14), 2, 6, 2)
+
     def test_verified_bound_recorded(self, tm_rep):
         assert tm_rep.verified_to == 128
 

@@ -154,6 +154,31 @@ class TestRankProfile:
             assert prof.ranks[-1] == oracle_rank(t, 2, 4, 24)
 
 
+class TestWindowCap:
+    def test_mu_rank_stalls_at_window_width(self, table):
+        prof = rank_profile(table("mu"), 2, 8, 16)
+        assert prof.ranks[:6] == (1, 3, 5, 9, 16, 16)
+        assert prof.verdict.kind == "window_capped"
+        assert (prof.verdict.depth, prof.verdict.size) == (5, 16)
+        assert str(prof.verdict) == "window_capped_at(5, size=16)"
+
+    def test_identity_rank_below_cap_still_saturated(self, table):
+        prof = rank_profile(table("identity_n"), 2, 6, 32)
+        assert prof.verdict.kind == "saturated"
+        assert prof.verdict.size == 2
+
+    def test_distinct_count_stalls_at_alphabet_power(self, table):
+        # lambda takes two values, so width-2 windows have at most 2^2 forms
+        prof = kernel_profile(table("lambda", N=2**14), 2, 6, 2)
+        assert max(prof.distinct_counts) == 4
+        assert prof.verdict.kind == "window_capped"
+
+    def test_one_value_region_not_capped(self, table):
+        prof = kernel_profile(table("const_one", N=2**13), 2, 5, 1)
+        assert prof.verdict.kind == "saturated"
+        assert prof.verdict.size == 1
+
+
 class TestValueDensity:
     def test_const_density_one(self, table):
         ests = value_density(table("const_one", N=1000), 1, [10, 100, 1000])

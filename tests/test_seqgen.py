@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,3 +287,77 @@ class TestExport:
         assert lines[0] == "n,value"
         assert lines[1] == "1,1"
         assert len(lines) == 6
+
+
+_ORACLE_N = 3000
+_ORACLE_PARAMS = {"tau_k": (3, 4), "sigma_m": (0, 1, 2), "q_m": (2, 3)}
+
+
+@pytest.fixture(scope="module")
+def oracle_data():
+    """Trial factorisations, brute-force divisors and a boolean prime sieve
+    for 1..3000, none of them built from the spf sieve."""
+    facs = {n: trial_factorization(n) for n in range(1, _ORACLE_N + 1)}
+    divs = {n: brute_divisors(n) for n in range(1, _ORACLE_N + 1)}
+    return facs, divs, bool_prime_sieve(30_000)
+
+
+def _tau_k_oracle(divs, k):
+    # tau_k = 1 * 1 * ... * 1 (k factors), by repeated divisor sums
+    t = {n: 1 for n in divs}
+    for _ in range(k - 1):
+        t = {n: sum(t[d] for d in ds) for n, ds in divs.items()}
+    return t
+
+
+def _oracle_value(tag, m, n, fac, divs, is_prime):
+    es = list(fac.values())
+    squarefree = all(e == 1 for e in es)
+    popcount = bin(n).count("1")
+    return {
+        "lambda": lambda: (-1) ** sum(es),
+        "mu": lambda: (-1) ** len(es) if squarefree else 0,
+        "abs_mu": lambda: int(squarefree),
+        "phi": lambda: math.prod(p ** (e - 1) * (p - 1) for p, e in fac.items()),
+        "tau": lambda: len(divs),
+        "omega": lambda: len(es),
+        "big_omega": lambda: sum(es),
+        "rho": lambda: sum(all(e == 1 for e in trial_factorization(d).values())
+                           for d in divs),
+        "r_half_rho": lambda: 2 ** len(es) // 2,
+        "chi_P": lambda: int(is_prime[n]),
+        "chi_PP": lambda: int(len(es) == 1),
+        "nth_prime": lambda: int(np.flatnonzero(is_prime)[n - 1]),
+        "tau_of_square": lambda: math.prod(2 * e + 1 for e in es),
+        "tau_squared": lambda: len(divs) ** 2,
+        "const_one": lambda: 1,
+        "thue_morse_pm": lambda: (-1) ** popcount,
+        "sum_binary_digits": lambda: popcount,
+        "identity_n": lambda: n,
+        "sigma_m": lambda: sum(d**m for d in divs),
+        "q_m": lambda: int(all(e < m for e in es)),
+    }[tag]()
+
+
+class TestOracleEveryTag:
+    @pytest.mark.parametrize(
+        "tag,param",
+        [(tag, m) for tag in ALL_TAGS for m in _ORACLE_PARAMS.get(tag, (None,))],
+    )
+    def test_table_matches_oracle(self, ft_1m, oracle_data, tag, param):
+        facs, divs, is_prime = oracle_data
+        got = generate(FunctionId(tag, param), _ORACLE_N, ft_1m).values
+        assert got.dtype == np.int64 and got[0] == 0
+        if tag == "tau_k":
+            want = _tau_k_oracle(divs, param)
+        else:
+            want = {n: _oracle_value(tag, param, n, facs[n], divs[n], is_prime)
+                    for n in range(1, _ORACLE_N + 1)}
+        assert got[1:].tolist() == [want[n] for n in range(1, _ORACLE_N + 1)]
+
+    @pytest.mark.parametrize("m,N", [(2, 10**6), (3, 10**6), (2, 10**5), (3, 10**5)])
+    def test_sigma_at_largest_primes_is_exact(self, ft_1m, m, N):
+        # 1 + p^m fits int64 where (p^(2m) - 1) / (p^m - 1) would wrap
+        t = generate(FunctionId("sigma_m", m), N, ft_1m)
+        for p in ft_1m.primes[ft_1m.primes < N][-20:].tolist():
+            assert t.value(p) == 1 + p**m

@@ -132,6 +132,28 @@ class TestCriticalLineZeros:
             critical_line_zeros(0)
 
 
+class TestHeightLimit:
+    def test_t_1000_refused_up_front(self, monkeypatch):
+        # 1.5 + 1000i and 0.5 + 1000i lie outside |s| <= 1000
+        def no_eval(*args, **kwargs):
+            raise AssertionError("evaluated before validation")
+
+        monkeypatch.setattr("kernelscope.zeta.zeta_em", no_eval)
+        with pytest.raises(DomainError, match=r"\|1\.5 \+ iT\| <= 1000"):
+            zero_count_report(1000)
+        with pytest.raises(DomainError, match=r"\|0\.5 \+ iT\| <= 1000"):
+            critical_line_zeros(1000)
+
+    def test_largest_accepted_height_evaluates(self):
+        # every contour point, edge ends included, stays inside the radius
+        lo, hi = 999.0, 1000.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if abs(complex(1.5, mid)) <= 1000 else (lo, mid)
+        report = zero_count_report(lo)
+        assert report.agree and report.winding_count == 649
+
+
 class TestZeroCount:
     def test_count_50(self):
         assert zero_count(50) == 10
