@@ -151,24 +151,36 @@ def _enumerate_distinct(t: ValueTable, k: int, L: int, M: int):
     Returns (representatives, counts): representatives holds the
     first-seen (l, r, prefix) of each distinct window in breadth-first
     order; counts[d] is the number of distinct windows at depth <= d.
-    Dict keys are the raw window bytes, so hash collisions still fall
+    Set keys are the raw window bytes, so hash collisions still fall
     back to full content comparison.
     """
     if L < 0:
         raise DomainError(f"max depth must be >= 0, got {L}")
     _validate_geometry(t, k, L, k**L - 1, M)
-    reps: dict[bytes, int] = {}
+    seen: set[bytes] = set()
     rep_list: list[tuple[int, int, np.ndarray]] = []
     counts: list[int] = []
     for l in range(L + 1):
-        for r in range(k**l):
-            el = kernel_element(t, k, l, r, M)
-            key = el.prefix.tobytes()
-            if key not in reps:
-                reps[key] = len(rep_list)
-                rep_list.append((l, r, el.prefix))
+        block = _depth_windows(t, k, l, M)
+        block.flags.writeable = False
+        for r, row in enumerate(block):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                rep_list.append((l, r, row))
         counts.append(len(rep_list))
     return rep_list, counts
+
+
+def _depth_windows(t: ValueTable, k: int, l: int, M: int) -> np.ndarray:
+    """The windows of all kernel elements at depth l, one row each.
+
+    Row r is kernel_element(t, k, l, r, M).prefix: the values at
+    k^l (i+1) + r for i < M, which together fill the contiguous slice
+    values[k^l : k^l (M+1)].  The caller validates the geometry.
+    """
+    s = k**l
+    return np.ascontiguousarray(t.values[s : s * (M + 1)].reshape(M, s).T)
 
 
 def _distinct_cap(t: ValueTable, k: int, L: int, M: int) -> int | None:
@@ -188,72 +200,170 @@ def kernel_profile(t: ValueTable, k: int, L: int, M: int) -> KernelProfile:
     return KernelProfile(k=k, M=M, L=L, distinct_counts=tuple(counts), verdict=verdict)
 
 
-class _RationalRowSpace:
-    """Incremental exact row space over Q with integer arithmetic.
+# Ranks are computed mod this prime, then certified over Q.  Residues stay
+# below 2^31, so a product of two fits in int64 (below 2^62).
+_PRIME = 2**31 - 1
 
-    Rows are kept fraction-free: elimination uses cross-multiplication and
-    each stored row is divided by its content (gcd).  Rank is the verdict
-    here, so no floating point is allowed anywhere.
+
+class _BadPrime(Exception):
+    """A row dependent mod p is independent over Q."""
+
+
+def _prime_below(n: int) -> int:
+    """The largest prime below n, by trial division."""
+    n -= 1
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+def _dot_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p for residues below 2^31, exact in int64.
+
+    y is split into 15- and 16-bit halves, so each product is below 2^47
+    and a sum of 2^15 of them stays below 2^62.
+    """
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    step = 1 << 15
+    for a in range(0, x.shape[1], step):
+        xs, ys = x[:, a : a + step], y[a : a + step]
+        hi = (xs @ (ys >> 16)) % p
+        out = (out + (hi << 16) + xs @ (ys & 0xFFFF)) % p
+    return out
+
+
+def _rational_lift(c: list[int], p: int) -> list[Fraction] | None:
+    """Rationals a/b with |a|, b <= sqrt(p/2) and a = b c mod p, or None."""
+    bound = math.isqrt(p // 2)
+    out = []
+    for x in c:
+        r0, r1, s0, s1 = p, x, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > bound:
+            return None
+        out.append(Fraction(r1, s1))
+    return out
+
+
+def _solve_exact(a: np.ndarray, b: np.ndarray) -> list[Fraction]:
+    """The x with x @ a = b over Q, for a square nonsingular integer a."""
+    n = len(b)
+    m = [[Fraction(int(a[j, i])) for j in range(n)] + [Fraction(int(b[i]))]
+         for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col])
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [x / lead for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
+def _spans(coeffs: list[Fraction], basis: np.ndarray, row: np.ndarray) -> bool:
+    """Exactly whether row = coeffs @ basis over Q."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = [c.numerator * (den // c.denominator) for c in coeffs]
+    big = den * _max_abs(row) + sum(map(abs, num)) * _max_abs(basis) >= 2**63
+    dtype = object if big else np.int64
+    lhs = np.array(num, dtype=dtype) @ basis.astype(dtype)
+    return bool(np.all(lhs == row.astype(dtype) * den))
+
+
+class _ModularRowSpace:
+    """Incremental row space over Q, eliminated mod a prime and certified.
+
+    The basis rows are table rows independent mod p, hence over Q.
+    ``echelon`` is their reduced row echelon form mod p (1 at its own pivot
+    column, 0 at the others) and ``transform`` the T with
+    echelon = T @ basis mod p.  A row that reduces to zero mod p has the
+    coefficients row[pivots] @ T on the basis; lifted to rationals they are
+    checked on the whole integer row, so the rank is exact over Q.  A row
+    that fails the check makes p a bad prime and raises _BadPrime.
     """
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
+    def __init__(self, width: int, p: int):
+        self.p = p
+        self.pivots: list[int] = []
+        self.basis = np.zeros((width, width), dtype=np.int64)
+        self.echelon = np.zeros((width, width), dtype=np.int64)
+        self.transform = np.zeros((width, width), dtype=np.int64)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    @staticmethod
-    def _normalize(row: list[int]) -> list[int]:
-        g = 0
-        for x in row:
-            g = math.gcd(g, x)
-            if g == 1:
-                return row
-        return row if g <= 1 else [x // g for x in row]
+    def add_rows(self, rows: np.ndarray) -> None:
+        """Add the integer rows of ``rows``, stopping at full rank."""
+        p, width, P = self.p, rows.shape[1], self.pivots
+        res = rows % p
+        w = (res - _dot_mod(res[:, P], self.echelon[: self.rank], p)) % p
+        dependent = []
+        for i in range(len(rows)):
+            nz = np.flatnonzero(w[i])
+            if not nz.size:
+                dependent.append(i)
+                continue
+            r, pc = self.rank, int(nz[0])
+            inv = pow(int(w[i, pc]), p - 2, p)
+            e = w[i] * inv % p
+            t = np.zeros(width, dtype=np.int64)
+            t[:r] = -_dot_mod(res[i : i + 1, P], self.transform[:r, :r], p)[0] * inv % p
+            t[r] = inv
+            f = self.echelon[:r, pc : pc + 1].copy()
+            self.echelon[:r] = (self.echelon[:r] - f * e) % p
+            self.transform[:r] = (self.transform[:r] - f * t) % p
+            self.echelon[r], self.transform[r], self.basis[r] = e, t, rows[i]
+            P.append(pc)
+            if self.rank == width:
+                return  # the basis spans Q^width: nothing left to certify
+            w[i + 1 :] = (w[i + 1 :] - w[i + 1 :, pc : pc + 1] * e) % p
+        if dependent:
+            self._certify(rows[dependent], res[dependent])
 
-    def add(self, row) -> bool:
-        """Reduce ``row`` against the basis; returns True if rank grew.
-
-        Every stored row is kept with zeros at all other pivot columns,
-        so one reduction pass suffices for membership testing.
-        """
-        r = [int(x) for x in row]
-        for pc, base in self.rows:
-            if r[pc]:
-                a, b = base[pc], r[pc]
-                r = self._normalize([x * a - y * b for x, y in zip(r, base)])
-        r = self._normalize(r)
-        for pc, x in enumerate(r):
-            if x:
-                for i, (opc, obase) in enumerate(self.rows):
-                    if obase[pc]:
-                        a, b = r[pc], obase[pc]
-                        self.rows[i] = (
-                            opc,
-                            self._normalize(
-                                [y * a - x_ * b for y, x_ in zip(obase, r)]
-                            ),
-                        )
-                self.rows.append((pc, r))
-                self.rows.sort(key=lambda e: e[0])
-                return True
-        return False
+    def _certify(self, rows: np.ndarray, res: np.ndarray) -> None:
+        """Prove each row in the span of the basis over Q."""
+        p, r, P = self.p, self.rank, self.pivots
+        basis = self.basis[:r]
+        coef = _dot_mod(res[:, P], self.transform[:r, :r], p)
+        for row, c in zip(rows, coef.tolist()):
+            coeffs = _rational_lift(c, p)
+            if coeffs is None or not _spans(coeffs, basis, row):
+                coeffs = _solve_exact(basis[:, P], row[P])
+                if not _spans(coeffs, basis, row):
+                    raise _BadPrime
 
 
 def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
-    """Rank over Q of the stacked kernel windows, cumulatively per depth."""
-    if L < 0:
-        raise DomainError(f"max depth must be >= 0, got {L}")
-    _validate_geometry(t, k, L, k**L - 1, M)
-    space = _RationalRowSpace(M)
-    ranks: list[int] = []
-    for l in range(L + 1):
-        for r in range(k**l):
-            el = kernel_element(t, k, l, r, M)
-            space.add(el.prefix)
-        ranks.append(space.rank)
+    """Rank over Q of the stacked kernel windows, cumulatively per depth.
+
+    Equal windows add nothing, so only the distinct ones are eliminated.
+    Elimination runs mod a prime and every dependency it finds is checked
+    exactly over Q; a prime that fails the check is replaced by the next
+    prime below it and the profile starts again.
+    """
+    reps, counts = _enumerate_distinct(t, k, L, M)
+    p = _PRIME
+    while True:
+        space = _ModularRowSpace(M, p)
+        ranks: list[int] = []
+        try:
+            for l in range(L + 1):
+                new = reps[counts[l - 1] if l else 0 : counts[l]]
+                if new and space.rank < M:
+                    space.add_rows(np.array([prefix for _, _, prefix in new]))
+                ranks.append(space.rank)
+            break
+        except _BadPrime:
+            p = _prime_below(p)
     return RankProfile(
         k=k, M=M, L=L, ranks=tuple(ranks), verdict=_classify(ranks, L, cap=M)
     )

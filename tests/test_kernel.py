@@ -7,13 +7,46 @@ from hypothesis import strategies as st
 
 from kernelscope.errors import CapacityError, DomainError
 from kernelscope.kernel import (
+    _depth_windows,
+    _enumerate_distinct,
     kernel_element,
     kernel_profile,
     rank_profile,
     value_density,
 )
+from kernelscope.seqgen import FunctionId, ValueTable
 
 from conftest import squarefree_mask
+
+P31 = 2**31 - 1
+
+
+def oracle_ranks(t, k, L, M):
+    """Rank at every depth by independent Fraction-based elimination over
+    the same rows."""
+    rows = []
+    ends = []
+    for l in range(L + 1):
+        for r in range(k**l):
+            rows.append([Fraction(int(t.values[k**l * n + r])) for n in range(1, M + 1)])
+        ends.append(len(rows))
+    return [_fraction_rank([row[:] for row in rows[:end]], M) for end in ends]
+
+
+def _fraction_rank(rows, M):
+    rank = 0
+    for col in range(M):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][col]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / lead
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 class TestKernelElement:
@@ -126,32 +159,100 @@ class TestRankProfile:
                 assert rp.ranks[d] <= kp.distinct_counts[d]
 
     def test_exact_rank_oracle(self, table):
-        # independent Fraction-based elimination over the same rows
-        def oracle_rank(t, k, L, M):
-            rows = []
-            for l in range(L + 1):
-                for r in range(k**l):
-                    rows.append(
-                        [Fraction(int(t.values[k**l * n + r])) for n in range(1, M + 1)]
-                    )
-            rank = 0
-            for col in range(M):
-                piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-                if piv is None:
-                    continue
-                rows[rank], rows[piv] = rows[piv], rows[rank]
-                lead = rows[rank][col]
-                for i in range(len(rows)):
-                    if i != rank and rows[i][col]:
-                        f = rows[i][col] / lead
-                        rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-                rank += 1
-            return rank
-
         for tag in ("identity_n", "sum_binary_digits", "phi", "tau"):
             t = table(tag, N=2**11)
             prof = rank_profile(t, 2, 4, 24)
-            assert prof.ranks[-1] == oracle_rank(t, 2, 4, 24)
+            assert prof.ranks[-1] == oracle_ranks(t, 2, 4, 24)[-1]
+
+    @pytest.mark.parametrize("k, L", [(2, 5), (3, 3)])
+    @pytest.mark.parametrize(
+        "tag", ["identity_n", "sum_binary_digits", "phi", "tau", "mu"]
+    )
+    def test_every_depth_matches_oracle(self, table, tag, k, L):
+        t = table(tag, N=2**11)
+        assert list(rank_profile(t, k, L, 24).ranks) == oracle_ranks(t, k, L, 24)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_tables_match_oracle(self, data):
+        # negative values, zeros, values past 2^31 (some equal mod 2^31 - 1),
+        # small pools that repeat windows, and tables a + b n with at most
+        # two spikes, whose windows are mostly certified dependencies
+        k = data.draw(st.sampled_from([2, 3]))
+        L = data.draw(st.integers(0, 3))
+        M = data.draw(st.integers(1, 6))
+        N = k**L * (M + 1) - 1
+        pool = [0, 1, -1, 2, -3, P31, P31 + 1, 2 * P31, -P31 + 2, 2**31, 2**62, -(2**63)]
+        kind = data.draw(st.sampled_from(["wide", "small", "affine"]))
+        if kind == "affine":
+            coef = st.one_of(
+                st.sampled_from([0, 1, -2, 3, P31, P31 + 1, -(2**31), 3 * P31]),
+                st.integers(-(2**40), 2**40),
+            )
+            a, b = data.draw(coef), data.draw(coef)
+            vals = [a + b * n for n in range(1, N + 1)]
+            spike = st.tuples(st.integers(0, N - 1), st.sampled_from([1, -5, P31]))
+            for i, v in data.draw(st.lists(spike, max_size=2)):
+                vals[i] += v
+        else:
+            value = (
+                st.one_of(st.sampled_from(pool), st.integers(-(2**63), 2**63 - 1))
+                if kind == "wide"
+                else st.integers(-2, 4)
+            )
+            vals = data.draw(st.lists(value, min_size=N, max_size=N))
+        t = ValueTable(FunctionId("identity_n"), N, np.array([0] + vals, dtype=np.int64))
+        assert list(rank_profile(t, k, L, M).ranks) == oracle_ranks(t, k, L, M)
+
+    def test_bad_prime_restarts(self):
+        # windows (1, 1) and (1, 1 + p) coincide mod p = 2^31 - 1 but not over Q
+        vals = np.array([0, 1, 1, 1, 1, 1 + P31], dtype=np.int64)
+        t = ValueTable(FunctionId("identity_n"), 5, vals)
+        assert rank_profile(t, 2, 1, 2).ranks == (1, 2)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(-3, 7), Fraction(1, 100003)])
+    def test_rational_dependency_certified(self, c):
+        # the depth-1 window (t3, t5) is c times (t1, t2); 100003 is past the
+        # denominators rational reconstruction mod 2^31 - 1 can recover
+        a = c.denominator
+        vals = [0, a, 2 * a, c.numerator, 4 * a, 2 * c.numerator]
+        t = ValueTable(FunctionId("identity_n"), 5, np.array(vals, dtype=np.int64))
+        assert rank_profile(t, 2, 1, 2).ranks == (1, 1)
+
+    def test_phi_benchmark_profile(self, table):
+        # the profile reads only values[1 : 2^9 * 129]
+        prof = rank_profile(table("phi", N=2**17), 2, 9, 128)
+        assert prof.ranks == (1, 3, 5, 9, 17, 33, 65, 128, 128, 128)
+        assert str(prof.verdict) == "window_capped_at(8, size=128)"
+
+
+class TestDepthWindows:
+    @pytest.mark.parametrize("k, L, M", [(2, 6, 24), (3, 4, 17)])
+    @pytest.mark.parametrize("tag", ["tau", "thue_morse_pm"])
+    def test_block_rows_are_kernel_elements(self, table, tag, k, L, M):
+        t = table(tag, N=2**13)
+        for l in range(L + 1):
+            block = _depth_windows(t, k, l, M)
+            assert block.shape == (k**l, M)
+            for r in range(k**l):
+                assert np.array_equal(block[r], kernel_element(t, k, l, r, M).prefix)
+
+    @pytest.mark.parametrize("k, L, M", [(2, 6, 24), (3, 4, 17), (2, 5, 2)])
+    @pytest.mark.parametrize("tag", ["tau", "thue_morse_pm", "lambda"])
+    def test_enumerate_matches_element_loop(self, table, tag, k, L, M):
+        t = table(tag, N=2**13)
+        first: dict[bytes, tuple] = {}
+        counts = []
+        for l in range(L + 1):
+            for r in range(k**l):
+                prefix = kernel_element(t, k, l, r, M).prefix
+                first.setdefault(prefix.tobytes(), (l, r, prefix))
+            counts.append(len(first))
+        reps, got_counts = _enumerate_distinct(t, k, L, M)
+        assert got_counts == counts
+        assert [(l, r) for l, r, _ in reps] == [(l, r) for l, r, _ in first.values()]
+        for (_, _, got), (_, _, want) in zip(reps, first.values()):
+            assert np.array_equal(got, want)
 
 
 class TestWindowCap:
