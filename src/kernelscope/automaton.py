@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
     if M < k:
         raise DomainError(f"window must cover the seeds: need M >= k = {k}")
     reps, counts = _enumerate_distinct(t, k, L, M)
-    verdict = _classify(counts, L, _distinct_cap(t, k, L, M))
+    verdict = _classify(counts, L, partial(_distinct_cap, t, k, L, M))
     if verdict.kind != "saturated":
         raise VerdictError(
             f"kernel profile of {t.id} is {verdict}; a saturated kernel is required"

@@ -159,6 +159,42 @@ def default_levels(s: complex) -> int:
     return max(2, math.ceil(3.5 - complex(s).real))
 
 
+class _Level:
+    """The solved nodes of one descent budget: tails H(s + offset), their
+    errors and their scales |H|_inf per point, at offsets lo, lo + 1, ...
+
+    A parent at offset o asks its budget's children for the offsets
+    o + 1 .. o + m_eff, and parents are solved in rising offset order, so
+    every budget solves one unbroken run of offsets.  Rows grow by
+    doubling; a parent reads its children as one slice.
+    """
+
+    def __init__(self, lo: int, ny: int, dim: int):
+        self.lo = lo
+        self.n = 0
+        self.vec = np.empty((4, ny, dim), dtype=np.complex128)
+        self.err = np.empty((4, ny))
+        self.scale = np.empty((4, ny))
+
+    @property
+    def end(self) -> int:
+        """One past the last solved offset: the next one to solve."""
+        return self.lo + self.n
+
+    def append(self, vec: np.ndarray, err: np.ndarray) -> None:
+        if self.n == len(self.err):
+            self.vec, self.err, self.scale = (
+                np.concatenate([a, np.empty_like(a)]) for a in (self.vec, self.err, self.scale))
+        self.vec[self.n] = vec
+        self.err[self.n] = err
+        self.scale[self.n] = np.abs(vec).max(axis=1)
+        self.n += 1
+
+    def rows(self, first: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        i = first - self.lo
+        return self.vec[i : i + m], self.err[i : i + m], self.scale[i : i + m]
+
+
 class _ColumnEngine:
     """The continuation at every point x + i y, y in ys, at once.
 
@@ -182,7 +218,11 @@ class _ColumnEngine:
         self.m_max = m_max
         self.y_extreme = float(np.abs(ys).max(initial=0.0))
         self.Q = split_point(ctx.rep.k, self.y_extreme) if Q is None else Q
-        self.memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # memo[b]: the nodes of budget b; the top node (offset 0) has budget
+        # levels and every step down adds at least 1 to the offset
+        self.memo = [_Level(levels - b, self.ny, ctx.rep.dim) for b in range(levels + 1)]
+        # k^{-s} per point: a node's k^{-(s+offset+m)} is this times a real power
+        self.k_pow_s = float(ctx.rep.k) ** -self.s_col
         self.inner_bad = np.zeros(self.ny, dtype=bool)
         self.top_bad = np.zeros(self.ny, dtype=bool)
         self.top_det: np.ndarray | None = None
@@ -267,16 +307,26 @@ class _ColumnEngine:
         system = np.eye(dim)[None, :, :] - fac[:, None, None] * ctx.abar[None, :, :]
         return system, np.abs(np.linalg.det(system))
 
-    def _node(self, offset: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tail vectors H(s + offset) and their errors; the caller adds the
-        head back."""
-        key = (offset, budget)
-        if key in self.memo:
-            return self.memo[key]
+    @property
+    def nodes(self) -> int:
+        """Nodes solved so far."""
+        return sum(level.n for level in self.memo)
+
+    def _tails(self, first: int, m: int, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tails H(s + offset) for offsets first .. first + m - 1 at this
+        budget, with their errors and scales, solving those not yet solved;
+        the caller adds the head back."""
+        level = self.memo[budget]
+        while level.end < first + m:
+            self._solve_node(level, budget)
+        return level.rows(first, m)
+
+    def _solve_node(self, level: _Level, budget: int) -> None:
+        """Solve the next node of a budget and store it."""
+        offset = level.end
         if budget == 0:
-            res = self._base(offset)
-            self.memo[key] = res
-            return res
+            level.append(*self._base(offset))
+            return
         ctx = self.ctx
         k, dim = ctx.rep.k, ctx.rep.dim
         s_vec = self.s_col + offset
@@ -290,23 +340,24 @@ class _ColumnEngine:
         if singular.any():
             system[singular] = 1.0 if dim == 1 else np.eye(dim)
         m_eff, horizon = self._m_horizon(complex(self.x + offset, self.y_extreme))
-        gs = np.empty((m_eff, self.ny, dim), dtype=np.complex128)
-        g_errs = np.empty((m_eff, self.ny))
-        for m in range(1, m_eff + 1):
-            gs[m - 1], g_errs[m - 1] = self._node(offset + m, budget - 1)
+        # (m_eff, ny, dim), (m_eff, ny) and (m_eff, ny)
+        gs, g_errs, g_scale = self._tails(offset + 1, m_eff, budget - 1)
         ms = np.arange(1, m_eff + 1)
-        coefs = np.cumprod((s_vec[:, None] + ms[None, :] - 1) / ms[None, :], axis=1)
-        kpow = k ** (-(s_vec[:, None] + ms[None, :]))
+        # C(s+m-1, m) k^{-(s+m)} as one running product that starts from
+        # k^{-s_col} k^{-offset}: every partial product stays near the term
+        # it weighs, where C(s+m-1, m) alone overflows at deep nodes
+        steps = (s_vec[:, None] + ms[None, :] - 1) / (k * ms[None, :])
+        steps[:, 0] *= self.k_pow_s * float(k) ** -offset
+        ck = np.cumprod(steps, axis=1)
         # the n < Q head cancels out of the system exactly, so the right-hand
         # side and the solution stay on the tail's scale (no lost precision)
         rhs = self._strip(offset, self.Q, k * self.Q)[0]
         # error propagation is relative: a child's absolute error only matters
         # at the scale its term actually contributes to the right-hand side
-        g_scale = np.abs(gs).max(axis=2)  # (m_eff, ny)
         rel_children = g_errs / np.maximum(g_scale, 1e-300)
         err_rhs = np.zeros(self.ny)
         for r in range(1, k):
-            w = coefs * np.float_power(-r, ms)[None, :] * kpow  # (ny, m_eff)
+            w = ck * np.float_power(-r, ms)[None, :]  # (ny, m_eff)
             contrib = np.einsum("ym,myd->yd", w, gs)
             rhs += contrib @ ctx.mats[r].T
             mass = np.abs(w) * g_scale.T
@@ -324,35 +375,35 @@ class _ColumnEngine:
             sol = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
             inv_norm = np.abs(np.linalg.inv(system)).sum(axis=2).max(axis=1)
         err = inv_norm * (err_rhs + 1e-16 * np.abs(rhs).max(axis=1))
-        res = (sol, err)
-        self.memo[key] = res
-        return res
+        level.append(sol, err)
 
     def _m_horizon(self, s: complex) -> tuple[int, float]:
-        """Cut the correction series where its coefficient envelope dies.
+        """Cut the correction series where its terms stop mattering.
 
-        The m-th term is bounded by |C(s+m-1, m)| ((k-1)/(k Q))^m k^{-sigma}
+        The m-th term is bounded by k^{-sigma} |C(s+m-1, m)| ((k-1)/(k Q))^m
         times a bounded tail value; the envelope uses the same recurrence as
         the coefficients, so an exactly-zero coefficient factor (s at a
-        nonpositive integer) zeroes the envelope too.
+        nonpositive integer) zeroes the envelope too.  Each step
+        |s+m|/(m+1) ratio is at most ratio (1 + |s-1|/(m+1)), which falls
+        with m, so once that step bound is below 1 every later term is
+        below the last kept one times a geometric series.
 
-        Returns the cut and the terms it drops as a multiple of the last
-        kept one: 0 when the envelope died, else the envelope's sum past
-        m_max over its value there.  Each step |s+m|/(m+1) ratio is at most
-        ratio (1 + |s-1|/(m+1)), which falls with m, so once that is below
-        1 the rest is geometric; while it is not, the recurrence runs on.
+        The series is cut at the first m where the envelope is below 1e-16
+        and that step bound is below 1; an envelope that is tiny while still
+        rising (Q = 1 at large sigma) can climb back to O(1), so it is not
+        cut there.  Returns the cut and the terms it drops as a multiple of
+        the last kept one: the geometric tail at such a cut, else the
+        envelope's sum past m_max over its value there, the recurrence run
+        on while the step bound is not yet below 1.
         """
         k = self.ctx.rep.k
         ratio = (k - 1) / (k * self.Q)
-        scale = self.ctx.seed_scale
-        c = 1.0
-        prev_tiny = False
+        envelope = self.ctx.seed_scale * float(k) ** -s.real
         for m in range(1, self.m_max + 1):
-            c = c * abs(s + m - 1) / m
-            tiny = c * ratio**m * scale < 1e-16
-            if m >= 4 and tiny and prev_tiny:
-                return m, 0.0
-            prev_tiny = tiny
+            envelope *= ratio * abs(s + m - 1) / m
+            step_max = ratio * (1 + abs(s - 1) / (m + 1))
+            if envelope < 1e-16 and step_max < 1:
+                return m, step_max / (1 - step_max)
         self.truncated = True
         term, dropped, m = 1.0, 0.0, self.m_max
         while math.isfinite(dropped):
@@ -366,7 +417,8 @@ class _ColumnEngine:
 
     def _solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Output-coordinate values and errors over the column."""
-        vec, err = self._node(0, self.levels)
+        vec, err, _ = self._tails(0, 1, self.levels)
+        vec, err = vec[0], err[0].copy()  # run() rewrites err in place
         if self.levels == 0:
             self.top_det = self._system(0)[1]
         vec = vec + self._strip(0, 1, self.Q)[0]

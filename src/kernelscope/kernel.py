@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -60,11 +62,13 @@ class Verdict:
         return {"kind": self.kind, "depth": self.depth, "size": self.size}
 
 
-def _classify(counts: list[int], L: int, cap: int | None) -> Verdict:
-    """Classify a profile; ``cap`` is the largest value it can reach."""
+def _classify(counts: list[int], L: int, cap: Callable[[], int | None]) -> Verdict:
+    """Classify a profile; ``cap()`` is the largest value it can reach,
+    asked for only when the counts stall."""
     for d in range(1, L):
         if counts[d] == counts[d - 1] and counts[d + 1] == counts[d]:
-            capped = cap is not None and counts[d] >= cap
+            limit = cap()
+            capped = limit is not None and counts[d] >= limit
             kind = "window_capped" if capped else "saturated"
             return Verdict(kind, depth=d, size=counts[d])
     if all(counts[d] > counts[d - 1] for d in range(1, L + 1)):
@@ -196,7 +200,7 @@ def _distinct_cap(t: ValueTable, k: int, L: int, M: int) -> int | None:
 def kernel_profile(t: ValueTable, k: int, L: int, M: int) -> KernelProfile:
     """Count distinct kernel windows per depth and classify the growth."""
     _, counts = _enumerate_distinct(t, k, L, M)
-    verdict = _classify(counts, L, _distinct_cap(t, k, L, M))
+    verdict = _classify(counts, L, partial(_distinct_cap, t, k, L, M))
     return KernelProfile(k=k, M=M, L=L, distinct_counts=tuple(counts), verdict=verdict)
 
 
@@ -365,7 +369,7 @@ def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
         except _BadPrime:
             p = _prime_below(p)
     return RankProfile(
-        k=k, M=M, L=L, ranks=tuple(ranks), verdict=_classify(ranks, L, cap=M)
+        k=k, M=M, L=L, ranks=tuple(ranks), verdict=_classify(ranks, L, cap=lambda: M)
     )
 
 

@@ -1,12 +1,15 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from kernelscope.automaton import build_representation
 from kernelscope.dirichlet import (
     IDENTITY_TAGS,
+    ContinuationContext,
     IdentityId,
+    _ColumnEngine,
     continue_via_recursion,
     direct_sum,
     landau_walfisz_singularities,
@@ -155,6 +158,54 @@ class TestContinuation:
         for pole in (2.0, 1.0):
             res = continue_via_recursion(rep, pole)
             assert res.near_singular and res.value is None, pole
+
+
+class TestErrorCalibration:
+    @pytest.mark.parametrize("k, L, M", [(2, 6, 64), (3, 5, 32)])
+    def test_estimate_covers_mpmath_at_default_m_max(self, table, k, L, M):
+        # the grid reaches Q = 1 real-axis points and Q > 1 points at height,
+        # so it crosses horizon cuts at every depth of the recursion
+        rep = build_representation(table("const_one", N=2**14), k, L, M)
+        for x in (-1.5, -0.5, 0.0, 0.5, 0.86, 1.5):
+            for y in (0.0, 5.0, 30.0, 80.0):
+                s = complex(x, y)
+                if abs(s - 1) < 1e-6:
+                    continue
+                res = continue_via_recursion(rep, s)
+                err = abs(res.value - complex(mpmath.zeta(s)))
+                assert err <= res.error_estimate, (k, s, err, res.error_estimate)
+
+
+class TestHorizon:
+    def test_q1_cuts_only_on_falling_envelope(self, const_rep):
+        # at Q = 1 the k^{-sigma}-weighted envelope is below 1e-16 within a
+        # few terms of a deep node but climbs back to O(sigma^{-1/2}) near
+        # m ~ sigma, so a cut there would bound nothing
+        engine = _ColumnEngine(ContinuationContext(const_rep), 80.0, np.zeros(1), 2, 200, Q=1)
+        ratio = 1 / 2  # (k - 1) / (k Q)
+        for sigma in (0.5, 2.0, 10.0, 40.0, 80.0, 160.0):
+            m, dropped = engine._m_horizon(complex(sigma, 0.0))
+            assert m == 200 or ratio * (1 + abs(sigma - 1) / (m + 1)) < 1, sigma
+            assert dropped > 0, sigma
+        res = continue_via_recursion(const_rep, 0.0)
+        assert res.truncated
+        assert abs(res.value - complex(mpmath.zeta(0))) <= res.error_estimate
+
+    def test_long_horizon_stays_finite(self, const_rep, table):
+        # C(s+m-1, m) alone overflows at the deep real-axis nodes a long
+        # horizon reaches; the weighted coefficients it scales do not
+        rep3 = build_representation(table("const_one", N=2**14), 3, 5, 32)
+        truth = complex(mpmath.zeta(-1.5))
+        for rep, m_max in ((const_rep, 400), (rep3, 250)):
+            res = continue_via_recursion(rep, -1.5, m_max=m_max)
+            assert abs(res.value - truth) <= res.error_estimate, m_max
+
+    def test_column_work_count(self, tm_rep):
+        # a pole-scan column; an envelope without k^{-sigma} solves 268 nodes
+        ys = np.arange(201) * 0.05
+        engine = _ColumnEngine(ContinuationContext(tm_rep), 0.86, ys, 3, 200)
+        engine.run()
+        assert engine.nodes <= 200
 
 
 class TestZetaQuotientEval:

@@ -279,6 +279,23 @@ class TestWindowCap:
         assert prof.verdict.kind == "saturated"
         assert prof.verdict.size == 1
 
+    def test_cap_computed_only_on_a_stall(self, table, monkeypatch):
+        from kernelscope import automaton, kernel
+        from kernelscope.errors import VerdictError
+
+        calls = []
+        for module in (kernel, automaton):
+            real = module._distinct_cap
+            monkeypatch.setattr(module, "_distinct_cap",
+                                lambda *a, real=real: calls.append(a) or real(*a))
+        lam = table("lambda", N=2**17)
+        assert kernel_profile(lam, 2, 8, 256).verdict.kind == "growing"
+        with pytest.raises(VerdictError):
+            automaton.build_representation(lam, 2, 8, 256)
+        assert calls == []
+        assert kernel_profile(table("lambda", N=2**14), 2, 6, 2).verdict.kind == "window_capped"
+        assert len(calls) == 1
+
 
 class TestValueDensity:
     def test_const_density_one(self, table):
