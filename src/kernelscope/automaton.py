@@ -231,27 +231,41 @@ def average_matrix(rep: LinearRepresentation) -> list[list[Fraction]]:
     ]
 
 
-def char_poly(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Coefficients c_0..c_n of det(xI - A), exact over Q.
+def adjugate_poly(
+    mat: list[list[Fraction]],
+) -> tuple[list[Fraction], list[list[list[Fraction]]]]:
+    """det(xI - A) and adj(xI - A) as polynomials in x, exact over Q.
 
-    Faddeev-LeVerrier recursion; divisions are by integers only, so
-    Fraction arithmetic stays exact.
+    Returns the coefficients a_0..a_n of det(xI - A) = sum_j a_j x^j and
+    the matrices M_1..M_n of adj(xI - A) = sum_j M_j x^{n-j}.  Both come
+    from one Faddeev-LeVerrier recursion, M_1 = I and
+    M_{j+1} = A M_j + a_{n-j} I with a_{n-j} = -tr(A M_j) / j; divisions
+    are by integers only, so Fraction arithmetic stays exact.
     """
     n = len(mat)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     m_cur = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    # averaged digit matrices are sparse: products skip the zero entries of A
+    nonzero = [[(l, a) for l, a in enumerate(row) if a] for row in mat]
+    adj = []
     for step in range(1, n + 1):
+        adj.append(m_cur)
         am = [
-            [sum(mat[i][l] * m_cur[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
+            [sum((a * m_cur[l][j] for l, a in row), Fraction(0)) for j in range(n)]
+            for row in nonzero
         ]
         c = -sum(am[i][i] for i in range(n)) / step
         coeffs[n - step] = c
         m_cur = [
             [am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
         ]
-    return coeffs
+    return coeffs, adj
+
+
+def char_poly(mat: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients c_0..c_n of det(xI - A), exact over Q."""
+    return adjugate_poly(mat)[0]
 
 
 def eval_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:

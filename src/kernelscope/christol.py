@@ -122,11 +122,14 @@ class OrbitReport:
         }
 
 
-def _match(a: FpSeries, b: FpSeries, min_window: int) -> bool | None:
-    """Equality on the common reliable window; None when it is too short."""
+def _match(a: FpSeries, b: FpSeries) -> bool:
+    """Equality on the common reliable window.
+
+    Inside ``orbit_explore`` that window is never below ``min_window``:
+    the start series holds ``min_window * p`` reliable coefficients and
+    ``cartier_section`` refuses any child with fewer than ``min_window``.
+    """
     w = min(a.reliable_len, b.reliable_len)
-    if w < min_window:
-        return None
     return bool(np.array_equal(a.coeffs[:w], b.coeffs[:w]))
 
 
@@ -167,18 +170,10 @@ def orbit_explore(
             explored += 1
             new = True
             for rep in reps:
-                eq = _match(child, rep, min_window)
-                if eq is None:
-                    return OrbitReport(
-                        verdict="inconclusive", p=S.p, budget=budget,
-                        size=len(reps), depth=depth + 1,
-                        window=min(child.reliable_len, rep.reliable_len),
-                        explored=explored,
-                    )
                 smallest_window = min(
                     smallest_window, child.reliable_len, rep.reliable_len
                 )
-                if eq:
+                if _match(child, rep):
                     new = False
                     break
             if new:

@@ -25,16 +25,16 @@ accurate for an analytic target.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cache, partial
 
 import numpy as np
 
-from .automaton import LinearRepresentation, average_matrix, pole_lattice, vector_values
+from .automaton import (LinearRepresentation, adjugate_poly, average_matrix, pole_lattice,
+                        vector_values)
 from .errors import CapacityError, DomainError
 from .seqgen import FunctionId, ValueTable, build_factor_table, generate
 from .zeta import zeta_em
@@ -46,6 +46,8 @@ _CHUNK = 1 << 19  # terms per block of a long direct sum
 _NEAR_SINGULAR_DET = 1e-8
 _OFFSET_H = 1e-4
 _M_CAP = 200
+_EPS = 2.0**-53  # unit roundoff of float64
+_SHARED_BYTES = 1 << 20  # per engine, for the inverses _node_terms keeps
 
 
 @dataclass(frozen=True)
@@ -67,17 +69,10 @@ class EvalResult:
     offset_averaged: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "s": [self.s.real, self.s.imag],
-            "value": None if self.value is None else [self.value.real, self.value.imag],
-            "method": self.method,
-            "error_estimate": self.error_estimate,
-            "near_singular": self.near_singular,
-            "det_magnitude": self.det_magnitude,
-            "truncated": self.truncated,
-            "terms": self.terms,
-            "offset_averaged": self.offset_averaged,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["s"] = [self.s.real, self.s.imag]
+        doc["value"] = None if self.value is None else [self.value.real, self.value.imag]
+        return doc
 
 
 def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
@@ -120,19 +115,51 @@ def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
 class ContinuationContext:
     """s-independent precomputation shared across evaluations of one rep.
 
-    Holds float copies of the digit matrices, the averaged matrix and the
+    Holds float copies of the digit matrices, of the exact resolvent
+    polynomials of the averaged matrix Abar (the coefficients a_j of
+    det(xI - Abar) and the matrices M_j of adj(xI - Abar)) and of the
     vectors U_n (the longest prefix asked for so far); grid scans reuse
     one context for every column.
     """
 
     def __init__(self, rep: LinearRepresentation):
         self.rep = rep
-        abar_fr = average_matrix(rep)
-        self.abar = np.array([[float(x) for x in row] for row in abar_fr])
+        coeffs, adj = adjugate_poly(average_matrix(rep))
+        d = rep.dim
+        # row i holds what multiplies c^i: a_{d-i}, then M_{i+1} row by row (zero at i = d)
+        self.poly = np.zeros((d + 1, 1 + d * d))
+        self.poly[:, 0] = [float(a) for a in reversed(coeffs)]
+        self.poly[:d, 1:] = [[float(x) for row in m for x in row] for m in adj]
+        # |M_{i+1}|_inf and |a_{d-i}|, times the 2 (d+1) eps of the rounding bound
+        adj_norms = np.abs(self.poly[:, 1:]).reshape(d + 1, d, d).sum(axis=2).max(axis=1)
+        self.poly_mass = 2 * (d + 1) * _EPS * np.stack([adj_norms, np.abs(self.poly[:, 0])], 1)
         self.mats = [np.asarray(a, dtype=np.float64) for a in rep.matrices]
         self.mat_norms = [float(np.abs(a).sum(axis=1).max()) for a in self.mats]
         self.seed_scale = max(1.0, float(np.abs(rep.seeds).max()))
         self._u = np.zeros((1, rep.dim))
+
+    def resolvent(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(I - c Abar)^{-1} = adj / det at c = k^{1-s} for every s, from
+        det(I - c Abar) = sum_j a_j c^{d-j} and adj(I - c Abar) = sum_j c^{j-1} M_j.
+
+        Returns |det|, the inverse (adj / 1 where |det| is below the
+        near-singular threshold: callers refuse or re-evaluate those points),
+        its inf-norm, and the first-order bound on its rounding in that norm,
+        2 (d+1) eps (sum_j |c|^{j-1} |M_j|_inf + |inv| sum_j |a_j| |c|^{d-j}) / |det|.
+        """
+        d = self.rep.dim
+        powers = np.empty((len(s), d + 1), dtype=np.complex128)  # c^0 .. c^d
+        powers[:, 0] = 1.0
+        powers[:, 1:] = (self.rep.k ** (1 - s))[:, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        poly = powers @ self.poly  # det, then adj row by row
+        abs_det = np.abs(poly[:, 0])
+        singular = abs_det < _NEAR_SINGULAR_DET
+        inv = poly[:, 1:].reshape(-1, d, d) / np.where(singular, 1.0, poly[:, 0])[:, None, None]
+        inv_norm = np.abs(inv).sum(axis=2).max(axis=1)
+        adj_mass, det_mass = (np.abs(powers) @ self.poly_mass).T
+        rounding = (adj_mass + inv_norm * det_mass) / np.where(singular, 1.0, abs_det)
+        return abs_det, inv, inv_norm, rounding
 
     def u(self, N: int) -> np.ndarray:
         """U_0..U_N as floats (row 0 unused)."""
@@ -199,10 +226,10 @@ class _ColumnEngine:
     """The continuation at every point x + i y, y in ys, at once.
 
     Every node of the recursion is an array over the column's imaginary
-    parts: systems are solved with numpy's stacked solver and the strip
-    sums are products against the n^{-s} row of each point.  Points whose
-    top system is near-singular are refused; points that meet a
-    near-singular system strictly inside the recursion are evaluated
+    parts: systems are solved through the context's resolvent polynomials
+    and the strip sums are products against the n^{-s} row of each point.
+    Points whose top system is near-singular are refused; points that meet
+    a near-singular system strictly inside the recursion are evaluated
     again as one column at y +- h and averaged.  ``Q`` defaults to the
     split point of the column's largest height.
     """
@@ -223,6 +250,7 @@ class _ColumnEngine:
         self.memo = [_Level(levels - b, self.ny, ctx.rep.dim) for b in range(levels + 1)]
         # k^{-s} per point: a node's k^{-(s+offset+m)} is this times a real power
         self.k_pow_s = float(ctx.rep.k) ** -self.s_col
+        self.shared: dict[int, tuple] = {}  # _node_terms by offset, oldest first
         self.inner_bad = np.zeros(self.ny, dtype=bool)
         self.top_bad = np.zeros(self.ny, dtype=bool)
         self.top_det: np.ndarray | None = None
@@ -295,18 +323,6 @@ class _ColumnEngine:
             mass += float(np.exp(-(self.x + offset) * logn) @ np.abs(u[a:b]).max(axis=1))
         return vals, mass
 
-    def _system(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        """I - k^{1-s} Abar at s + offset for every point (its one entry
-        when dim = 1), with |det|."""
-        ctx = self.ctx
-        fac = ctx.rep.k ** (1 - (self.s_col + offset))
-        if ctx.rep.dim == 1:
-            system = 1 - fac * ctx.abar[0, 0]
-            return system, np.abs(system)
-        dim = ctx.rep.dim
-        system = np.eye(dim)[None, :, :] - fac[:, None, None] * ctx.abar[None, :, :]
-        return system, np.abs(np.linalg.det(system))
-
     @property
     def nodes(self) -> int:
         """Nodes solved so far."""
@@ -328,18 +344,15 @@ class _ColumnEngine:
             level.append(*self._base(offset))
             return
         ctx = self.ctx
-        k, dim = ctx.rep.k, ctx.rep.dim
+        k = ctx.rep.k
         s_vec = self.s_col + offset
-        system, det = self._system(offset)
+        m_eff, horizon, strip, (det, inv, inv_norm, inv_rounding) = self._node_terms(offset)
         singular = det < _NEAR_SINGULAR_DET
         if offset == 0:
             self.top_det = det
             self.top_bad |= singular
         else:
             self.inner_bad |= singular
-        if singular.any():
-            system[singular] = 1.0 if dim == 1 else np.eye(dim)
-        m_eff, horizon = self._m_horizon(complex(self.x + offset, self.y_extreme))
         # (m_eff, ny, dim), (m_eff, ny) and (m_eff, ny)
         gs, g_errs, g_scale = self._tails(offset + 1, m_eff, budget - 1)
         ms = np.arange(1, m_eff + 1)
@@ -349,9 +362,7 @@ class _ColumnEngine:
         steps = (s_vec[:, None] + ms[None, :] - 1) / (k * ms[None, :])
         steps[:, 0] *= self.k_pow_s * float(k) ** -offset
         ck = np.cumprod(steps, axis=1)
-        # the n < Q head cancels out of the system exactly, so the right-hand
-        # side and the solution stay on the tail's scale (no lost precision)
-        rhs = self._strip(offset, self.Q, k * self.Q)[0]
+        rhs = strip.copy()
         # error propagation is relative: a child's absolute error only matters
         # at the scale its term actually contributes to the right-hand side
         rel_children = g_errs / np.maximum(g_scale, 1e-300)
@@ -368,14 +379,27 @@ class _ColumnEngine:
                 last = ctx.mat_norms[r] * mass[:, -1]
                 err_rhs += last * horizon if math.isfinite(horizon) else np.where(
                     last > 0, math.inf, 0.0)
-        if dim == 1:
-            sol = rhs / system[:, None]
-            inv_norm = 1.0 / np.abs(system)
-        else:
-            sol = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-            inv_norm = np.abs(np.linalg.inv(system)).sum(axis=2).max(axis=1)
-        err = inv_norm * (err_rhs + 1e-16 * np.abs(rhs).max(axis=1))
+        sol = (inv @ rhs[:, :, None])[:, :, 0]
+        err = inv_norm * err_rhs + inv_rounding * np.abs(rhs).max(axis=1)
         level.append(sol, err)
+
+    def _node_terms(self, offset: int) -> tuple:
+        """The parts of a node that are the same at every budget: the cut
+        m_eff with its dropped-tail factor (see _m_horizon), the strip
+        sum_{Q <= n < kQ} U_n n^{-s-offset} and the resolvent at s + offset.
+        About half of an evaluation's nodes repeat an offset, so these are
+        kept; past _SHARED_BYTES of inverses the oldest offset is dropped."""
+        terms = self.shared.get(offset)
+        if terms is None:
+            m_eff, horizon = self._m_horizon(complex(self.x + offset, self.y_extreme))
+            # the n < Q head cancels out of the system exactly, so the right-hand
+            # side and the solution stay on the tail's scale (no lost precision)
+            strip = self._strip(offset, self.Q, self.ctx.rep.k * self.Q)[0]
+            resolvent = self.ctx.resolvent(self.s_col + offset)
+            terms = self.shared[offset] = m_eff, horizon, strip, resolvent
+            if len(self.shared) * resolvent[1].nbytes > _SHARED_BYTES:
+                del self.shared[next(iter(self.shared))]
+        return terms
 
     def _m_horizon(self, s: complex) -> tuple[int, float]:
         """Cut the correction series where its terms stop mattering.
@@ -420,7 +444,7 @@ class _ColumnEngine:
         vec, err, _ = self._tails(0, 1, self.levels)
         vec, err = vec[0], err[0].copy()  # run() rewrites err in place
         if self.levels == 0:
-            self.top_det = self._system(0)[1]
+            self.top_det = self.ctx.resolvent(self.s_col)[0]
         vec = vec + self._strip(0, 1, self.Q)[0]
         return vec[:, self.ctx.rep.output_coord], err
 
@@ -694,18 +718,10 @@ def zeta_quotient_eval(
         else:  # big_omega
             value = z(s) * _totient_log_series(s, zeta_tol)
     except _NearZetaSingular as exc:
-        return EvalResult(
-            s=s,
-            value=None,
-            method="zeta_quotient",
-            error_estimate=math.inf,
-            near_singular=True,
-            det_magnitude=exc.distance,
-        )
-    est = 1e-10 * (1 + abs(value))
-    return EvalResult(
-        s=s, value=value, method="zeta_quotient", error_estimate=est
-    )
+        return EvalResult(s=s, value=None, method="zeta_quotient", error_estimate=math.inf,
+                          near_singular=True, det_magnitude=exc.distance)
+    return EvalResult(s=s, value=value, method="zeta_quotient",
+                      error_estimate=1e-10 * (1 + abs(value)))
 
 
 class _NearZetaSingular(Exception):
@@ -836,23 +852,13 @@ class ScanResult:
         return len(self.predicted)
 
     def write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["re", "im", "abs_value", "det_magnitude", "flags"])
+        # every field is a float repr or a flag name: none needs CSV quoting
+        fh.write("re,im,abs_value,det_magnitude,flags\n")
         for p in self.points:
-            flags = []
-            if p.near_singular:
-                flags.append("near_singular")
-            if p.flagged:
-                flags.append("cluster_candidate")
-            w.writerow(
-                [
-                    repr(p.s.real),
-                    repr(p.s.imag),
-                    "nan" if math.isnan(p.abs_value) else repr(p.abs_value),
-                    repr(p.det_magnitude),
-                    "|".join(flags),
-                ]
-            )
+            flags = "|".join(name for name, on in (("near_singular", p.near_singular),
+                                                   ("cluster_candidate", p.flagged)) if on)
+            absval = "nan" if math.isnan(p.abs_value) else repr(p.abs_value)
+            fh.write(f"{p.s.real!r},{p.s.imag!r},{absval},{p.det_magnitude!r},{flags}\n")
 
     def to_json(self) -> dict:
         return {
@@ -893,17 +899,10 @@ def pole_scan(
     ctx = ContinuationContext(rep)
 
     def probe_column(x: float) -> list[ScanPoint]:
-        out = continue_column(rep, float(x), ims, levels=levels, ctx=ctx)
-        pts = []
-        for ev in out:
-            absval = math.nan if ev.value is None else abs(ev.value)
-            pts.append(
-                ScanPoint(
-                    s=ev.s, abs_value=absval, det_magnitude=ev.det_magnitude,
-                    near_singular=ev.near_singular, flagged=False,
-                )
-            )
-        return pts
+        return [ScanPoint(s=ev.s, abs_value=math.nan if ev.value is None else abs(ev.value),
+                          det_magnitude=ev.det_magnitude, near_singular=ev.near_singular,
+                          flagged=False)
+                for ev in continue_column(rep, float(x), ims, levels=levels, ctx=ctx)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -15,7 +15,6 @@ Sequences are indexed from 1; there is no f(0).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -204,10 +203,12 @@ class ValueTable:
         }
 
     def write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "value"])
-        for n in range(1, self.N + 1):
-            w.writerow([n, int(self.values[n])])
+        fh.write("n,value\n")
+        # one joined write per block: a single join over all N values would
+        # hold every value as a Python int at once (over 1 GiB at N = 10^7)
+        for lo in range(1, self.N + 1, 1 << 16):
+            block = self.values[lo : lo + (1 << 16)].tolist()
+            fh.write("".join(f"{n},{v}\n" for n, v in enumerate(block, lo)))
 
 
 def _signature_max(N: int, coef, cap: int) -> int:

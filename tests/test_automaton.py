@@ -8,6 +8,7 @@ import pytest
 
 from kernelscope.automaton import (
     LinearRepresentation,
+    adjugate_poly,
     average_matrix,
     build_representation,
     char_poly,
@@ -154,6 +155,68 @@ class TestAverageMatrix:
         coeffs = char_poly(average_matrix(tm_rep))
         assert coeffs == [Fraction(0), Fraction(-1), Fraction(1)]  # x^2 - x
         assert eval_poly(coeffs, Fraction(1)) == 0
+
+
+def _exact_det(mat):
+    """Determinant over Q by plain Fraction elimination (independent of
+    the Faddeev-LeVerrier recursion)."""
+    rows = [row[:] for row in mat]
+    n, det = len(rows), Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, n):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return det
+
+
+def _mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+class TestAdjugatePolynomial:
+    @pytest.mark.parametrize("tag, mod", [
+        ("thue_morse_pm", None), ("sum_binary_digits", 3), ("identity_n", 3)])
+    def test_adjugate_times_matrix_is_det(self, table, tag, mod):
+        # (xI - A) sum_j M_j x^{d-j} = det(xI - A) I, coefficient by coefficient
+        rep = build_representation(table(tag, mod=mod, N=2**14), 2, 6, 64)
+        a = average_matrix(rep)
+        coeffs, adj = adjugate_poly(a)
+        d = rep.dim
+        assert d >= 2 and len(coeffs) == d + 1 and len(adj) == d
+        eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        neg_a = [[-x for x in row] for row in a]
+        lhs = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d + 1)]
+        for j, m in enumerate(adj, 1):  # M_j multiplies x^{d-j}
+            for power, factor in ((d - j + 1, eye), (d - j, neg_a)):
+                prod = _mat_mul(factor, m)
+                lhs[power] = [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(lhs[power], prod)]
+        for power in range(d + 1):
+            assert lhs[power] == [[coeffs[power] * x for x in row] for row in eye], power
+
+    @pytest.mark.parametrize("tag, mod", [
+        ("thue_morse_pm", None), ("sum_binary_digits", 3), ("identity_n", 3)])
+    def test_char_poly_is_the_determinant(self, table, tag, mod):
+        # a monic degree-d polynomial is fixed by its values at d + 1 points
+        rep = build_representation(table(tag, mod=mod, N=2**14), 2, 6, 64)
+        a = average_matrix(rep)
+        coeffs = char_poly(a)
+        assert coeffs == adjugate_poly(a)[0] and coeffs[-1] == 1
+        for x in range(-1, rep.dim + 1):
+            shifted = [[Fraction(x) * (i == j) - a[i][j] for j in range(rep.dim)]
+                       for i in range(rep.dim)]
+            assert eval_poly(coeffs, Fraction(x)) == _exact_det(shifted)
+
+    def test_dim_one(self, const_rep):
+        assert adjugate_poly(average_matrix(const_rep)) == (
+            [Fraction(-1), Fraction(1)], [[[Fraction(1)]]])
 
 
 class TestPoleLattice:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kernelscope.automaton import build_representation
+from kernelscope.automaton import average_matrix, build_representation
 from kernelscope.dirichlet import (
     IDENTITY_TAGS,
     ContinuationContext,
@@ -174,6 +174,44 @@ class TestErrorCalibration:
                 res = continue_via_recursion(rep, s)
                 err = abs(res.value - complex(mpmath.zeta(s)))
                 assert err <= res.error_estimate, (k, s, err, res.error_estimate)
+
+
+def _mp_inverse(abar, c):
+    """(I - c Abar)^{-1} at 40 digits: Abar exact, c the engine's float."""
+    d = len(abar)
+    a = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in abar])
+    return (mpmath.eye(d) - mpmath.mpc(c.real, c.imag) * a) ** -1
+
+
+class TestResolvent:
+    @pytest.mark.parametrize("tag, mod, k, L, M, dim, y_step", [
+        ("const_one", None, 3, 5, 32, 1, 0.5),
+        ("thue_morse_pm", None, 2, 6, 64, 2, 0.5),
+        ("sum_binary_digits", 3, 2, 6, 64, 3, 0.5),
+        ("sum_binary_digits", 7, 2, 8, 128, 7, 0.5),
+        ("identity_n", 7, 2, 8, 128, 21, 5.0),  # a 40-digit inverse costs ~0.1 s here
+    ])
+    def test_inverse_within_rounding_bound(self, table, tag, mod, k, L, M, dim, y_step):
+        # adj / det from the float resolvent polynomials against a 40-digit
+        # inverse of the same matrix, in the inf-norm
+        rep = build_representation(table(tag, mod=mod, N=2**16), k, L, M)
+        assert rep.dim == dim
+        ctx = ContinuationContext(rep)
+        abar = average_matrix(rep)
+        checked = 0
+        with mpmath.workdps(40):
+            for x in (1.16, 0.86, 0.5, -0.5, -1.5):
+                s = x + 1j * np.arange(0.0, 30.0, y_step)
+                det, inv, _, bound = ctx.resolvent(s)
+                for j, c in enumerate((k ** (1 - s)).tolist()):
+                    if det[j] < 1e-8:
+                        continue
+                    ref = _mp_inverse(abar, c)
+                    err = max(sum(abs(complex(inv[j, a, b]) - ref[a, b]) for b in range(dim))
+                              for a in range(dim))
+                    assert err <= bound[j], (s[j], err, bound[j])
+                    checked += 1
+        assert checked >= 0.9 * 5 * len(np.arange(0.0, 30.0, y_step))
 
 
 class TestHorizon:

@@ -14,7 +14,7 @@ from kernelscope.kernel import (
     rank_profile,
     value_density,
 )
-from kernelscope.seqgen import FunctionId, ValueTable
+from kernelscope.seqgen import FunctionId, ValueTable, reduce_mod
 
 from conftest import squarefree_mask
 
@@ -89,6 +89,22 @@ class TestKernelElement:
         parent = kernel_element(t, k, l, r, 2 * 16 + k)
         child = kernel_element(t, k, l + 1, r + j * k**l, 16)
         assert parent.prefix[k * n + j - 1] == child.prefix[n - 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_reduce_mod_commutes_with_extraction(self, table, data):
+        # reducing the table then extracting equals extracting then reducing,
+        # negative values included (least non-negative residues both ways)
+        tag = data.draw(st.sampled_from(["mu", "lambda", "thue_morse_pm", "phi", "tau"]))
+        k = data.draw(st.integers(2, 4))
+        l = data.draw(st.integers(0, 3))
+        r = data.draw(st.integers(0, k**l - 1))
+        M = data.draw(st.integers(1, 40))
+        m = data.draw(st.integers(2, 12))
+        t = table(tag, N=4096)
+        got = kernel_element(reduce_mod(t, m), k, l, r, M).prefix
+        want = np.mod(kernel_element(t, k, l, r, M).prefix, m)
+        assert np.array_equal(got, want)
 
 
 class TestKernelProfile:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -287,6 +289,19 @@ class TestExport:
         assert lines[0] == "n,value"
         assert lines[1] == "1,1"
         assert len(lines) == 6
+
+    def test_csv_matches_row_writer_across_blocks(self, table):
+        # the joined block writes against one csv.writer row per entry,
+        # on a table that ends just past a 2^16-entry block
+        t = table("lambda", N=2**16 + 5)
+        want = io.StringIO()
+        w = csv.writer(want, lineterminator="\n")
+        w.writerow(["n", "value"])
+        for n in range(1, t.N + 1):
+            w.writerow([n, int(t.values[n])])
+        got = io.StringIO()
+        t.write_csv(got)
+        assert got.getvalue() == want.getvalue()
 
 
 _ORACLE_N = 3000
