@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +31,8 @@ from .errors import (
 )
 from .kernel import _classify, _distinct_cap, _enumerate_distinct, kernel_element
 from .seqgen import ValueTable
+
+LATTICE_ZERO_TOL = 1e-10  # eigenvalues of Abar this small give no lattice points
 
 
 @dataclass(frozen=True)
@@ -335,9 +336,7 @@ class PoleLattice:
         }
 
 
-def pole_lattice(
-    rep: LinearRepresentation, m_max: int, l_max: int, zero_tol: float = 1e-10
-) -> PoleLattice:
+def pole_lattice(rep: LinearRepresentation, m_max: int, l_max: int) -> PoleLattice:
     """Enumerate candidate poles from eigenvalues of the averaged matrix."""
     if m_max < 0 or l_max < 0:
         raise DomainError("m_max and l_max must be >= 0")
@@ -357,7 +356,7 @@ def pole_lattice(
     points = []
     skipped = []
     for idx, alpha in enumerate(eigs):
-        if abs(alpha) <= zero_tol:
+        if abs(alpha) <= LATTICE_ZERO_TOL:
             skipped.append(idx)
             continue
         base = cmath.log(alpha) / logk + 1
@@ -374,7 +373,3 @@ def pole_lattice(
         l_max=l_max,
         char_coeffs=tuple(coeffs),
     )
-
-
-def rep_to_json_str(rep: LinearRepresentation) -> str:
-    return json.dumps(rep.to_json(), indent=2)

@@ -14,7 +14,6 @@ Coefficient index 0 is always 0: the source tables start at n = 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,9 +46,6 @@ class FpSeries:
             raise DomainError("reliable_len must be >= 1 and within the data")
         self.coeffs.flags.writeable = False
 
-    def window(self, length: int) -> np.ndarray:
-        return self.coeffs[:length]
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -72,7 +68,7 @@ def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
     return FpSeries(p=p, coeffs=coeffs, reliable_len=N)
 
 
-def cartier_section(S: FpSeries, r: int, min_window: int = MIN_WINDOW) -> FpSeries:
+def cartier_section(S: FpSeries, r: int) -> FpSeries:
     """coeffs'[n] = coeffs[p n + r]; the reliable window shrinks by 1/p."""
     if not 0 <= r < S.p:
         raise DomainError(f"section residue must satisfy 0 <= r < {S.p}, got {r}")
@@ -82,10 +78,10 @@ def cartier_section(S: FpSeries, r: int, min_window: int = MIN_WINDOW) -> FpSeri
             f"by p = {S.p}"
         )
     new_len = (S.reliable_len - r) // S.p
-    if new_len < min_window:
+    if new_len < MIN_WINDOW:
         raise ExhaustionError(
             f"section would leave {new_len} reliable coefficients, below the "
-            f"minimum comparison window {min_window}"
+            f"minimum comparison window {MIN_WINDOW}"
         )
     coeffs = S.coeffs[r : r + S.p * new_len : S.p].copy()
     return FpSeries(p=S.p, coeffs=coeffs, reliable_len=new_len)
@@ -125,9 +121,9 @@ class OrbitReport:
 def _match(a: FpSeries, b: FpSeries) -> bool:
     """Equality on the common reliable window.
 
-    Inside ``orbit_explore`` that window is never below ``min_window``:
-    the start series holds ``min_window * p`` reliable coefficients and
-    ``cartier_section`` refuses any child with fewer than ``min_window``.
+    Inside ``orbit_explore`` that window is never below MIN_WINDOW: the
+    start series holds MIN_WINDOW * p reliable coefficients and
+    ``cartier_section`` refuses any child with fewer than MIN_WINDOW.
     """
     w = min(a.reliable_len, b.reliable_len)
     return bool(np.array_equal(a.coeffs[:w], b.coeffs[:w]))
@@ -136,15 +132,14 @@ def _match(a: FpSeries, b: FpSeries) -> bool:
 def orbit_explore(
     S: FpSeries,
     budget: int,
-    min_window: int = MIN_WINDOW,
     reverse_sections: bool = False,
 ) -> OrbitReport:
     """Close {S} under the p sections, within a budget of distinct elements."""
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    if S.reliable_len < min_window * S.p:
+    if S.reliable_len < MIN_WINDOW * S.p:
         raise DomainError(
-            f"need reliable length >= {min_window * S.p} for at least one "
+            f"need reliable length >= {MIN_WINDOW * S.p} for at least one "
             f"section level, got {S.reliable_len}"
         )
     residues = list(range(S.p))
@@ -160,7 +155,7 @@ def orbit_explore(
         max_depth = max(max_depth, depth)
         for r in residues:
             try:
-                child = cartier_section(cur, r, min_window)
+                child = cartier_section(cur, r)
             except ExhaustionError:
                 return OrbitReport(
                     verdict="inconclusive", p=S.p, budget=budget,
@@ -245,7 +240,3 @@ def algebraicity_verdict(report: OrbitReport) -> AlgebraicityVerdict:
             f"{report.depth}; no verdict"
         ),
     )
-
-
-def series_to_json_str(S: FpSeries) -> str:
-    return json.dumps(S.to_json())

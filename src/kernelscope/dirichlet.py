@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -541,66 +542,8 @@ def continue_column(
 
 # --- closed forms -----------------------------------------------------------
 
-IDENTITY_TAGS = (
-    "mu",
-    "lambda",
-    "q_m",
-    "phi",
-    "rho",
-    "tau_of_square",
-    "tau_squared",
-    "chi_P",
-    "chi_PP",
-    "omega",
-    "big_omega",
-)
-
-_IDENTITY_FORMS = {
-    "mu": "1/zeta(s)",
-    "lambda": "zeta(2s)/zeta(s)",
-    "q_m": "zeta(s)/zeta(ms)",
-    "phi": "zeta(s-1)/zeta(s)",
-    "rho": "zeta(s)^2/zeta(2s)",
-    "tau_of_square": "zeta(s)^3/zeta(2s)",
-    "tau_squared": "zeta(s)^4/zeta(2s)",
-    "chi_P": "sum_n mu(n)/n log zeta(ns)",
-    "chi_PP": "sum_j sum_n mu(n)/n log zeta(jns)",
-    "omega": "zeta(s) sum_n mu(n)/n log zeta(ns)",
-    "big_omega": "zeta(s) sum_n phi(n)/n log zeta(ns)",
-}
-
-_LOG_SERIES_TAGS = {"chi_P", "chi_PP", "omega", "big_omega"}
-
-
-@dataclass(frozen=True)
-class IdentityId:
-    """One closed-form identity, with its half-plane of validity."""
-
-    tag: str
-    param: int | None = None
-
-    def __post_init__(self):
-        if self.tag not in IDENTITY_TAGS:
-            raise DomainError(f"unknown identity tag {self.tag!r}")
-        if self.tag == "q_m":
-            if self.param is None or self.param < 2:
-                raise DomainError("q_m requires a parameter m >= 2")
-        elif self.param is not None:
-            raise DomainError(f"{self.tag} takes no parameter")
-
-    @property
-    def sigma_min(self) -> float:
-        return 2.0 if self.tag == "phi" else 1.0
-
-    @property
-    def form(self) -> str:
-        return _IDENTITY_FORMS[self.tag]
-
-    def function_id(self) -> FunctionId:
-        return FunctionId(self.tag, self.param)
-
-    def __str__(self):
-        return self.tag if self.param is None else f"{self.tag}({self.param})"
+ZETA_TOL = 1e-12  # target error of every zeta value a closed form uses
+IDENTITY_SLACK = 1e-9  # added to the truncation bound of a verified sum
 
 
 def _table(tag: str, limit: int) -> np.ndarray:
@@ -613,66 +556,106 @@ def _small_table(tag: str) -> list[int]:
     return _table(tag, 512).tolist()
 
 
-def _checked_zeta(w: complex, tol: float) -> complex:
+def _checked_zeta(w: complex) -> complex:
     """zeta(w), refused within 1e-6 of the pole or of a zero."""
     w = complex(w)
     if abs(w - 1) < 1e-6:
         raise _NearZetaSingular(w, abs(w - 1))
-    val = zeta_em(w, tol).value
+    val = zeta_em(w, ZETA_TOL).value
     if abs(val) < 1e-6:
         raise _NearZetaSingular(w, abs(val))
     return val
 
 
-def _log_zeta(w: complex, tol: float) -> complex:
-    # principal branch; callers restrict arguments to Re w >= 2 where
-    # zeta(w) stays in the right half-plane around 1
-    return cmath.log(_checked_zeta(w, tol))
+def _log_series(z: Callable[[complex], complex], s: complex, weights: str) -> complex:
+    """sum_n w(n)/n log zeta(ns) for w = mu or phi.
 
-
-def _prime_zeta(s: complex, tol: float) -> complex:
-    """P(s) = sum over square-free n of mu(n)/n log zeta(ns)."""
-    mu = _small_table("mu")
+    With |w(n)| <= C n^d and log zeta(w) ~ 2^{-w}, the terms fall off like
+    C n^{d-1} 2^{-n sigma}; the sum stops where six times that is below
+    1e-16.  Principal branch: callers keep s real or Re s >= 2, where every
+    zeta(ns) stays in the right half-plane around 1.
+    """
+    w = _small_table(weights)
+    C, d = FunctionId(weights).growth_bound()
     acc = 0j
-    sigma = s.real
     for n in range(1, 400):
-        envelope = 6.0 * 2.0 ** (-n * sigma) / n
-        if envelope < 1e-16:
+        if 6.0 * C * 2.0 ** (-n * s.real) / n ** (1 - d) < 1e-16:
             break
-        if mu[n] == 0:
-            continue
-        acc += mu[n] / n * _log_zeta(n * s, tol)
+        if w[n]:
+            acc += w[n] / n * cmath.log(z(n * s))
     return acc
 
 
-def _totient_log_series(s: complex, tol: float) -> complex:
-    """sum_n phi(n)/n log zeta(ns); terms decay like 2^{-n sigma}."""
-    phi = _small_table("phi")
+def _prime_power_zeta(z: Callable[[complex], complex], s: complex) -> complex:
+    """sum_{j>=1} P(js), P the mu-weighted log series."""
     acc = 0j
-    sigma = s.real
-    for n in range(1, 400):
-        envelope = 6.0 * 2.0 ** (-n * sigma)
-        if envelope < 1e-16:
-            break
-        acc += phi[n] / n * _log_zeta(n * s, tol)
-    return acc
-
-
-def _prime_power_zeta(s: complex, tol: float) -> complex:
-    """sum_{j>=1} sum_n mu(n)/n log zeta(jns)."""
-    acc = 0j
-    sigma = s.real
     for j in range(1, 400):
-        envelope = 6.0 * 2.0 ** (-j * sigma)
-        if envelope < 1e-16:
+        if 6.0 * 2.0 ** (-j * s.real) < 1e-16:
             break
-        acc += _prime_zeta(j * s, tol)
+        acc += _log_series(z, j * s, "mu")
     return acc
 
 
-def zeta_quotient_eval(
-    ident: IdentityId, s: complex, zeta_tol: float = 1e-12
-) -> EvalResult:
+@dataclass(frozen=True)
+class _Identity:
+    """sum f(n) n^{-s} = evaluate(z, s, m) for Re s > sigma_min, with z
+    the checked zeta and m the parameter of q_m."""
+
+    form: str
+    evaluate: Callable[[Callable, complex, int | None], complex]
+    sigma_min: float = 1.0
+    log_series: bool = False
+
+
+_IDENTITIES = {
+    "mu": _Identity("1/zeta(s)", lambda z, s, m: 1 / z(s)),
+    "lambda": _Identity("zeta(2s)/zeta(s)", lambda z, s, m: z(2 * s) / z(s)),
+    "q_m": _Identity("zeta(s)/zeta(ms)", lambda z, s, m: z(s) / z(m * s)),
+    "phi": _Identity("zeta(s-1)/zeta(s)", lambda z, s, m: z(s - 1) / z(s), sigma_min=2.0),
+    "rho": _Identity("zeta(s)^2/zeta(2s)", lambda z, s, m: z(s) ** 2 / z(2 * s)),
+    "tau_of_square": _Identity("zeta(s)^3/zeta(2s)", lambda z, s, m: z(s) ** 3 / z(2 * s)),
+    "tau_squared": _Identity("zeta(s)^4/zeta(2s)", lambda z, s, m: z(s) ** 4 / z(2 * s)),
+    "chi_P": _Identity("sum_n mu(n)/n log zeta(ns)",
+                       lambda z, s, m: _log_series(z, s, "mu"), log_series=True),
+    "chi_PP": _Identity("sum_j sum_n mu(n)/n log zeta(jns)",
+                        lambda z, s, m: _prime_power_zeta(z, s), log_series=True),
+    "omega": _Identity("zeta(s) sum_n mu(n)/n log zeta(ns)",
+                       lambda z, s, m: z(s) * _log_series(z, s, "mu"), log_series=True),
+    "big_omega": _Identity("zeta(s) sum_n phi(n)/n log zeta(ns)",
+                           lambda z, s, m: z(s) * _log_series(z, s, "phi"), log_series=True),
+}
+
+IDENTITY_TAGS = tuple(_IDENTITIES)
+
+
+@dataclass(frozen=True)
+class IdentityId:
+    """One closed-form identity: a row of _IDENTITIES and its parameter."""
+
+    tag: str
+    param: int | None = None
+
+    def __post_init__(self):
+        if self.tag not in _IDENTITIES:
+            raise DomainError(f"unknown identity tag {self.tag!r}")
+        if self.tag == "q_m":
+            if self.param is None or self.param < 2:
+                raise DomainError("q_m requires a parameter m >= 2")
+        elif self.param is not None:
+            raise DomainError(f"{self.tag} takes no parameter")
+
+    @property
+    def form(self) -> str:
+        return _IDENTITIES[self.tag].form
+
+    def function_id(self) -> FunctionId:
+        return FunctionId(self.tag, self.param)
+
+    def __str__(self):
+        return self.tag if self.param is None else f"{self.tag}({self.param})"
+
+
+def zeta_quotient_eval(ident: IdentityId, s: complex) -> EvalResult:
     """Evaluate the closed form of one identity at s.
 
     Validity: Re s > 1 (phi: Re s > 2).  The log-zeta series forms are
@@ -682,41 +665,16 @@ def zeta_quotient_eval(
     or a zeta zero are refused as near-singular.
     """
     s = complex(s)
-    if s.real <= ident.sigma_min:
-        raise DomainError(
-            f"identity {ident} is valid for Re s > {ident.sigma_min}, got {s}"
-        )
-    if ident.tag in _LOG_SERIES_TAGS and s.imag != 0 and s.real < 2:
+    row = _IDENTITIES[ident.tag]
+    if s.real <= row.sigma_min:
+        raise DomainError(f"identity {ident} is valid for Re s > {row.sigma_min}, got {s}")
+    if row.log_series and s.imag != 0 and s.real < 2:
         raise DomainError(
             f"the log-zeta series for {ident} is evaluated only at real s > 1 "
             "or Re s >= 2 (principal-branch region)"
         )
-
-    z = partial(_checked_zeta, tol=zeta_tol)
-    tag = ident.tag
     try:
-        if tag == "mu":
-            value = 1 / z(s)
-        elif tag == "lambda":
-            value = z(2 * s) / z(s)
-        elif tag == "q_m":
-            value = z(s) / z(ident.param * s)
-        elif tag == "phi":
-            value = z(s - 1) / z(s)
-        elif tag == "rho":
-            value = z(s) ** 2 / z(2 * s)
-        elif tag == "tau_of_square":
-            value = z(s) ** 3 / z(2 * s)
-        elif tag == "tau_squared":
-            value = z(s) ** 4 / z(2 * s)
-        elif tag == "chi_P":
-            value = _prime_zeta(s, zeta_tol)
-        elif tag == "chi_PP":
-            value = _prime_power_zeta(s, zeta_tol)
-        elif tag == "omega":
-            value = z(s) * _prime_zeta(s, zeta_tol)
-        else:  # big_omega
-            value = z(s) * _totient_log_series(s, zeta_tol)
+        value = row.evaluate(_checked_zeta, s, ident.param)
     except _NearZetaSingular as exc:
         return EvalResult(s=s, value=None, method="zeta_quotient", error_estimate=math.inf,
                           near_singular=True, det_magnitude=exc.distance)
@@ -776,9 +734,8 @@ def verify_identity(
     t: ValueTable,
     s_samples: list[complex],
     N_terms: int,
-    slack: float = 1e-9,
 ) -> IdentityReport:
-    """Truncated sum vs closed form; PASS iff residual <= tail bound + slack."""
+    """Truncated sum vs closed form; PASS iff residual <= tail bound + IDENTITY_SLACK."""
     want = ident.function_id()
     if (t.id.tag, t.id.param, t.id.modulus) != (want.tag, want.param, None):
         raise DomainError(
@@ -793,7 +750,7 @@ def verify_identity(
                 f"closed form for {ident} is near-singular at s={s}"
             )
         residual = abs(lhs.value - rhs.value)
-        bound = lhs.error_estimate + slack
+        bound = lhs.error_estimate + IDENTITY_SLACK
         samples.append(
             IdentitySample(
                 s=complex(s),

@@ -12,7 +12,6 @@ not proof.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -64,7 +63,10 @@ class Verdict:
 
 def _classify(counts: list[int], L: int, cap: Callable[[], int | None]) -> Verdict:
     """Classify a profile; ``cap()`` is the largest value it can reach,
-    asked for only when the counts stall."""
+    asked for only when the counts stall.  A single depth (L = 0) shows
+    neither growth nor a stall."""
+    if L == 0:
+        return Verdict("inconclusive")
     for d in range(1, L):
         if counts[d] == counts[d - 1] and counts[d + 1] == counts[d]:
             limit = cap()
@@ -373,6 +375,9 @@ def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
     )
 
 
+DENSITY_MAX_DENOMINATOR = 64  # largest denominator of a density's rational approximation
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     """Occurrence frequency of one value on a prefix, with the best
@@ -395,9 +400,7 @@ class DensityEstimate:
         }
 
 
-def value_density(
-    t: ValueTable, v: int, prefix_lengths: list[int], max_denominator: int = 64
-) -> list[DensityEstimate]:
+def value_density(t: ValueTable, v: int, prefix_lengths: list[int]) -> list[DensityEstimate]:
     """#{n <= X : t(n) = v} / X for each X, with a rational approximation."""
     out = []
     for X in prefix_lengths:
@@ -405,7 +408,7 @@ def value_density(
             raise CapacityError(f"prefix length {X} outside table range 1..{t.N}")
         count = int(np.count_nonzero(t.values[1 : X + 1] == v))
         exact = Fraction(count, X)
-        approx = exact.limit_denominator(max_denominator)
+        approx = exact.limit_denominator(DENSITY_MAX_DENOMINATOR)
         out.append(
             DensityEstimate(
                 X=X,
@@ -416,7 +419,3 @@ def value_density(
             )
         )
     return out
-
-
-def profile_to_json_str(profile) -> str:
-    return json.dumps(profile.to_json(), indent=2)

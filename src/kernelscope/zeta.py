@@ -27,6 +27,11 @@ from scipy.special import loggamma
 from .errors import ContourError, DomainError, PoleError, PrecisionError
 
 WORKING_RADIUS = 1000.0
+HARDY_Z_TOL = 1e-10  # zeta error behind each critical-line sample
+ZERO_GRID_STEP = 0.1  # spacing of the sign-change scan along the critical line
+ZERO_REFINE_TOL = 1e-6  # bisection stops at this bracket width
+COUNT_BOTTOM = 0.1  # bottom edge Im s of the zero-counting rectangle
+COUNT_EVAL_TOL = 1e-10  # zeta error along the zero-counting contour
 _EM_N_CAP = 1 << 22
 _BERNOULLI_ORDER_CAP = 30
 
@@ -157,17 +162,13 @@ def zeta_em(s: complex, target_tol: float = 1e-12) -> ZetaEval:
     )
 
 
-def zeta(s: complex, target_tol: float = 1e-12) -> complex:
-    return zeta_em(s, target_tol).value
-
-
 def rs_theta(t: float) -> float:
     """Phase correction making exp(i theta(t)) zeta(1/2 + it) real."""
     return float(loggamma(complex(0.25, t / 2)).imag) - (t / 2) * math.log(math.pi)
 
 
-def hardy_z(t: float, target_tol: float = 1e-10) -> float:
-    val = zeta_em(complex(0.5, t), target_tol).value
+def hardy_z(t: float) -> float:
+    val = zeta_em(complex(0.5, t), HARDY_Z_TOL).value
     return (cmath.exp(1j * rs_theta(t)) * val).real
 
 
@@ -184,16 +185,14 @@ def _check_height(T: float, farthest: complex) -> None:
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A located critical-line zero: sign-change bracket plus refinement."""
+    """A located critical-line zero: its sign-change bracket and the
+    midpoint of that bracket bisected to ZERO_REFINE_TOL."""
 
     ordinate: float
     bracket: tuple[float, float]
-    refined_to: float
 
 
-def critical_line_zeros(
-    T: float, grid_step: float = 0.1, refine_tol: float = 1e-6
-) -> list[ZeroRecord]:
+def critical_line_zeros(T: float) -> list[ZeroRecord]:
     """All sign-change zeros of the critical-line restriction up to height T.
 
     Bisection only; a same-sign double zero inside one grid cell would be
@@ -206,13 +205,13 @@ def critical_line_zeros(
     f_lo = hardy_z(t_lo)
     t = t_lo
     while t < T:
-        t_hi = min(t + grid_step, T)
+        t_hi = min(t + ZERO_GRID_STEP, T)
         f_hi = hardy_z(t_hi)
         if f_lo == 0.0:
-            zeros.append(ZeroRecord(t, (t, t), 0.0))
+            zeros.append(ZeroRecord(t, (t, t)))
         elif f_lo * f_hi < 0:
             a, b, fa = t, t_hi, f_lo
-            while b - a > refine_tol:
+            while b - a > ZERO_REFINE_TOL:
                 mid = 0.5 * (a + b)
                 fm = hardy_z(mid)
                 if fm == 0.0:
@@ -222,17 +221,12 @@ def critical_line_zeros(
                     b = mid
                 else:
                     a, fa = mid, fm
-            zeros.append(
-                ZeroRecord(ordinate=0.5 * (a + b), bracket=(t, t_hi),
-                           refined_to=refine_tol)
-            )
+            zeros.append(ZeroRecord(ordinate=0.5 * (a + b), bracket=(t, t_hi)))
         t, f_lo = t_hi, f_hi
     return zeros
 
 
-def _arg_change(
-    za: complex, zb: complex, fa: complex, fb: complex, tol: float, depth: int
-) -> float:
+def _arg_change(za: complex, zb: complex, fa: complex, fb: complex, depth: int) -> float:
     d = cmath.phase(fb / fa)
     if abs(d) < math.pi / 2:
         return d
@@ -242,9 +236,9 @@ def _arg_change(
             "passes too close to a zero -- retry with a shifted height"
         )
     zm = 0.5 * (za + zb)
-    fm = zeta_em(zm, tol).value
-    return _arg_change(za, zm, fa, fm, tol, depth - 1) + _arg_change(
-        zm, zb, fm, fb, tol, depth - 1
+    fm = zeta_em(zm, COUNT_EVAL_TOL).value
+    return _arg_change(za, zm, fa, fm, depth - 1) + _arg_change(
+        zm, zb, fm, fb, depth - 1
     )
 
 
@@ -259,25 +253,23 @@ class ZeroCountReport:
         return self.winding_count == self.sign_change_count
 
 
-def zero_count_report(
-    T: float, eps: float = 0.1, eval_tol: float = 1e-10
-) -> ZeroCountReport:
+def zero_count_report(T: float) -> ZeroCountReport:
     """Count zeros with 0 < Im s <= T two independent ways.
 
-    The winding of zeta around the rectangle (-0.5, 1.5) x (eps, T)
+    The winding of zeta around the rectangle (-0.5, 1.5) x (COUNT_BOTTOM, T)
     counts all strip zeros with multiplicity (the pole at 1 and the
     trivial zeros lie outside); the sign-change count sees only odd-order
     critical-line zeros.  A discrepancy means a missed or off-line zero.
     """
     _check_height(T, complex(1.5, T))
-    if T < eps:
-        raise DomainError(f"T={T} must exceed the bottom edge eps={eps}")
+    if T < COUNT_BOTTOM:
+        raise DomainError(f"T={T} must exceed the bottom edge {COUNT_BOTTOM}")
     corners = [
-        complex(1.5, eps),
+        complex(1.5, COUNT_BOTTOM),
         complex(1.5, T),
         complex(-0.5, T),
-        complex(-0.5, eps),
-        complex(1.5, eps),
+        complex(-0.5, COUNT_BOTTOM),
+        complex(1.5, COUNT_BOTTOM),
     ]
     # seed each edge with enough samples that the adaptive splitter
     # starts near the expected winding density
@@ -287,9 +279,9 @@ def zero_count_report(
         pieces = max(8, int(4 * length))
         # the corners themselves, not a rounded step, end each edge
         pts = [a + (b - a) * i / pieces for i in range(pieces)] + [b]
-        vals = [zeta_em(z, eval_tol).value for z in pts]
+        vals = [zeta_em(z, COUNT_EVAL_TOL).value for z in pts]
         for (za, zb, fa, fb) in zip(pts, pts[1:], vals, vals[1:]):
-            total += _arg_change(za, zb, fa, fb, eval_tol, depth=48)
+            total += _arg_change(za, zb, fa, fb, depth=48)
     winding = total / (2 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 1e-3:

@@ -60,6 +60,14 @@ class TestDirectSum:
         with pytest.raises(CapacityError):
             direct_sum(table("mu", N=100), 2.0, 200)
 
+    def test_long_sum_against_hurwitz(self, table):
+        # pins the plain blocked sum: the continuation engine's BLAS strip,
+        # used here instead, is off by 3.6e-14 at this s
+        s = 3.3 - 11j
+        res = direct_sum(table("const_one"), s, 10**6)
+        truth = complex(mpmath.zeta(s) - mpmath.zeta(s, 10**6 + 1))
+        assert abs(res.value - truth) <= 5e-15
+
 
 class TestContinuation:
     def test_overlap_with_direct(self, table, const_rep):
@@ -286,6 +294,24 @@ class TestZetaQuotientEval:
         assert len(IDENTITY_TAGS) == 11
 
 
+# (tag, param, s) per identity: a real s, plus a complex one where the form is
+# not a log-zeta series; each s keeps the truncation bound at 10^6 terms
+# below 1e-4, so a wrong closed form cannot hide inside it
+_TRUNCATED_SUM_CASES = [
+    ("mu", None, 2.0), ("mu", None, 2.0 + 5j),
+    ("lambda", None, 2.0), ("lambda", None, 2.5 - 3j),
+    ("q_m", 2, 2.0), ("q_m", 3, 2.0 + 1j),
+    ("phi", None, 3.0), ("phi", None, 3.0 + 4j),
+    ("rho", None, 2.5), ("rho", None, 2.5 + 7j),
+    ("tau_of_square", None, 2.5), ("tau_of_square", None, 3.0 - 2j),
+    ("tau_squared", None, 3.0), ("tau_squared", None, 3.0 + 6j),
+    ("chi_P", None, 2.0),
+    ("chi_PP", None, 2.0),
+    ("omega", None, 2.5),
+    ("big_omega", None, 2.5),
+]
+
+
 class TestVerifyIdentity:
     def test_mu_passes(self, table):
         report = verify_identity(IdentityId("mu"), table("mu"), [2.0], 10**6)
@@ -306,6 +332,15 @@ class TestVerifyIdentity:
     def test_complex_sample(self, table):
         report = verify_identity(IdentityId("lambda"), table("lambda"), [2 + 1j], 10**6)
         assert report.all_passed
+
+    @pytest.mark.parametrize("tag, param, s", _TRUNCATED_SUM_CASES)
+    def test_every_form_against_its_truncated_sum(self, table, tag, param, s):
+        report = verify_identity(IdentityId(tag, param), table(tag, param), [s], 10**6)
+        assert report.samples[0].bound < 1e-4
+        assert report.all_passed
+
+    def test_every_tag_has_a_truncated_sum_oracle(self):
+        assert {tag for tag, _, _ in _TRUNCATED_SUM_CASES} == set(IDENTITY_TAGS)
 
     def test_wrong_table_rejected(self, table):
         with pytest.raises(DomainError):

@@ -124,6 +124,16 @@ class TestKernelProfile:
         assert prof.verdict.kind == "saturated"
         assert prof.verdict.size == 1
 
+    def test_depth_zero_is_inconclusive(self, table):
+        # one depth holds no growth and no stall: neither profile may say growing
+        t = table("const_one", N=64)
+        prof = kernel_profile(t, 2, 0, 8)
+        assert prof.distinct_counts == (1,)
+        assert prof.verdict.kind == "inconclusive"
+        ranks = rank_profile(t, 2, 0, 8)
+        assert ranks.ranks == (1,)
+        assert ranks.verdict.kind == "inconclusive"
+
     def test_counts_monotone(self, table):
         for tag in ("mu", "phi", "thue_morse_pm"):
             prof = kernel_profile(table(tag, N=2**13), 2, 5, 32)

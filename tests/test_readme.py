@@ -1,0 +1,31 @@
+"""Every command of the README's CLI block runs and exits 0."""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from kernelscope import cli
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _cli_block_commands() -> list[str]:
+    block = _README.read_text().split("## CLI", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("kernelscope ")]
+
+
+def test_cli_block_is_found():
+    assert len(_cli_block_commands()) >= 10
+
+
+@pytest.mark.parametrize("line", _cli_block_commands())
+def test_readme_command_runs(line, tmp_path):
+    argv = shlex.split(line)[1:]
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / Path(argv[i]).name)
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.run(argv) == 0
+    assert any(tmp_path.iterdir())
