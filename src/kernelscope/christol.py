@@ -93,8 +93,9 @@ class OrbitReport:
 
     verdict: "finite" (closed; ``size`` set), "growing" (budget
     exceeded; ``size`` and ``depth`` set), or "inconclusive" (reliable
-    window exhausted at ``depth``).  ``window`` is the smallest window
-    any comparison used, so the verdict is reproducible.
+    window exhausted at ``depth``).  ``window`` is the smallest reliable
+    length of S and of every explored child; no comparison used fewer
+    coefficients, so the verdict is reproducible.
     """
 
     verdict: str
@@ -118,23 +119,16 @@ class OrbitReport:
         }
 
 
-def _match(a: FpSeries, b: FpSeries) -> bool:
-    """Equality on the common reliable window.
+def orbit_explore(S: FpSeries, budget: int) -> OrbitReport:
+    """Close {S} under the p sections, within a budget of distinct elements.
 
-    Inside ``orbit_explore`` that window is never below MIN_WINDOW: the
-    start series holds MIN_WINDOW * p reliable coefficients and
-    ``cartier_section`` refuses any child with fewer than MIN_WINDOW.
+    Every compared pair shares a reliable window of at least MIN_WINDOW:
+    S holds MIN_WINDOW * p reliable coefficients and ``cartier_section``
+    refuses any child with fewer than MIN_WINDOW.  Series that match
+    therefore agree on their first MIN_WINDOW coefficients, so those bytes
+    key the representatives, and a child is compared, on the common
+    reliable window, only with the representatives under its own key.
     """
-    w = min(a.reliable_len, b.reliable_len)
-    return bool(np.array_equal(a.coeffs[:w], b.coeffs[:w]))
-
-
-def orbit_explore(
-    S: FpSeries,
-    budget: int,
-    reverse_sections: bool = False,
-) -> OrbitReport:
-    """Close {S} under the p sections, within a budget of distinct elements."""
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     if S.reliable_len < MIN_WINDOW * S.p:
@@ -142,47 +136,40 @@ def orbit_explore(
             f"need reliable length >= {MIN_WINDOW * S.p} for at least one "
             f"section level, got {S.reliable_len}"
         )
-    residues = list(range(S.p))
-    if reverse_sections:
-        residues.reverse()
-    reps: list[FpSeries] = [S]
-    frontier: list[tuple[FpSeries, int]] = [(S, 0)]
-    smallest_window = S.reliable_len
-    max_depth = 0
+    buckets: dict[bytes, list[FpSeries]] = {S.coeffs[:MIN_WINDOW].tobytes(): [S]}
+    # the representatives in breadth-first order; the loop visits each once
+    orbit: list[tuple[FpSeries, int]] = [(S, 0)]
+    window = S.reliable_len
     explored = 0
-    while frontier:
-        cur, depth = frontier.pop(0)
-        max_depth = max(max_depth, depth)
-        for r in residues:
+    for cur, depth in orbit:
+        for r in range(S.p):
             try:
                 child = cartier_section(cur, r)
             except ExhaustionError:
                 return OrbitReport(
                     verdict="inconclusive", p=S.p, budget=budget,
-                    size=len(reps), depth=depth, window=smallest_window,
+                    size=len(orbit), depth=depth, window=window,
                     explored=explored,
                 )
             explored += 1
-            new = True
-            for rep in reps:
-                smallest_window = min(
-                    smallest_window, child.reliable_len, rep.reliable_len
-                )
-                if _match(child, rep):
-                    new = False
+            window = min(window, child.reliable_len)
+            bucket = buckets.setdefault(child.coeffs[:MIN_WINDOW].tobytes(), [])
+            for rep in bucket:
+                w = min(child.reliable_len, rep.reliable_len)
+                if np.array_equal(child.coeffs[:w], rep.coeffs[:w]):
                     break
-            if new:
-                reps.append(child)
-                frontier.append((child, depth + 1))
-                if len(reps) > budget:
+            else:
+                bucket.append(child)
+                orbit.append((child, depth + 1))
+                if len(orbit) > budget:
                     return OrbitReport(
                         verdict="growing", p=S.p, budget=budget,
-                        size=len(reps), depth=depth + 1,
-                        window=smallest_window, explored=explored,
+                        size=len(orbit), depth=depth + 1,
+                        window=window, explored=explored,
                     )
     return OrbitReport(
-        verdict="finite", p=S.p, budget=budget, size=len(reps),
-        depth=max_depth, window=smallest_window, explored=explored,
+        verdict="finite", p=S.p, budget=budget, size=len(orbit),
+        depth=orbit[-1][1], window=window, explored=explored,
     )
 
 

@@ -38,7 +38,7 @@ from .automaton import (LinearRepresentation, adjugate_poly, average_matrix, pol
                         vector_values)
 from .errors import CapacityError, DomainError
 from .seqgen import FunctionId, ValueTable, build_factor_table, generate
-from .zeta import zeta_em
+from .zeta import WORKING_RADIUS, zeta_em
 
 BASE_STRIP_SIGMA = 1.25
 _DIRECT_TOL = 1e-9
@@ -513,8 +513,6 @@ def continue_via_recursion(
     s: complex,
     levels: int | None = None,
     m_max: int = _M_CAP,
-    *,
-    ctx: ContinuationContext | None = None,
 ) -> EvalResult:
     """Analytic continuation of the output coordinate's Dirichlet series.
 
@@ -525,7 +523,7 @@ def continue_via_recursion(
     +-i h offset averaging.  This is a column of one point.
     """
     s = complex(s)
-    return _continue(rep, s.real, [s.imag], levels, m_max, ctx)[0]
+    return _continue(rep, s.real, [s.imag], levels, m_max, None)[0]
 
 
 def continue_column(
@@ -557,10 +555,18 @@ def _small_table(tag: str) -> list[int]:
 
 
 def _checked_zeta(w: complex) -> complex:
-    """zeta(w), refused within 1e-6 of the pole or of a zero."""
+    """zeta(w), refused within 1e-6 of the pole or of a zero.
+
+    The log series ask for zeta(n s) with n up to ~25.  Past zeta_em's
+    working radius an argument with Re w >= 50 is summed to n = 4: the
+    terms from n = 5 on add at most 5^{-Re w} + 5^{1-Re w}/(Re w - 1),
+    below 1e-35.  Any other argument past the radius is refused there.
+    """
     w = complex(w)
     if abs(w - 1) < 1e-6:
         raise _NearZetaSingular(w, abs(w - 1))
+    if abs(w) > WORKING_RADIUS and w.real >= 50:
+        return 1 + 2**-w + 3**-w + 4**-w
     val = zeta_em(w, ZETA_TOL).value
     if abs(val) < 1e-6:
         raise _NearZetaSingular(w, abs(val))

@@ -192,6 +192,21 @@ class ZeroRecord:
     bracket: tuple[float, float]
 
 
+def _sign_change_cells(T: float) -> list[tuple[float, float, float]]:
+    """Cells (t, t_hi, Z(t)) of the ZERO_GRID_STEP grid on [1, T] where the
+    Hardy Z-function is zero at t or changes sign between t and t_hi."""
+    cells = []
+    t = 1.0
+    f_lo = hardy_z(t)
+    while t < T:
+        t_hi = min(t + ZERO_GRID_STEP, T)
+        f_hi = hardy_z(t_hi)
+        if f_lo == 0.0 or f_lo * f_hi < 0:
+            cells.append((t, t_hi, f_lo))
+        t, f_lo = t_hi, f_hi
+    return cells
+
+
 def critical_line_zeros(T: float) -> list[ZeroRecord]:
     """All sign-change zeros of the critical-line restriction up to height T.
 
@@ -201,28 +216,22 @@ def critical_line_zeros(T: float) -> list[ZeroRecord]:
     """
     _check_height(T, complex(0.5, T))
     zeros: list[ZeroRecord] = []
-    t_lo = 1.0
-    f_lo = hardy_z(t_lo)
-    t = t_lo
-    while t < T:
-        t_hi = min(t + ZERO_GRID_STEP, T)
-        f_hi = hardy_z(t_hi)
+    for t, t_hi, f_lo in _sign_change_cells(T):
         if f_lo == 0.0:
             zeros.append(ZeroRecord(t, (t, t)))
-        elif f_lo * f_hi < 0:
-            a, b, fa = t, t_hi, f_lo
-            while b - a > ZERO_REFINE_TOL:
-                mid = 0.5 * (a + b)
-                fm = hardy_z(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            zeros.append(ZeroRecord(ordinate=0.5 * (a + b), bracket=(t, t_hi)))
-        t, f_lo = t_hi, f_hi
+            continue
+        a, b, fa = t, t_hi, f_lo
+        while b - a > ZERO_REFINE_TOL:
+            mid = 0.5 * (a + b)
+            fm = hardy_z(mid)
+            if fm == 0.0:
+                a = b = mid
+                break
+            if fa * fm < 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        zeros.append(ZeroRecord(ordinate=0.5 * (a + b), bracket=(t, t_hi)))
     return zeros
 
 
@@ -289,7 +298,8 @@ def zero_count_report(T: float) -> ZeroCountReport:
             f"winding {winding} is not close to an integer; the contour passes "
             "near a zero -- retry with a shifted T"
         )
-    sign_changes = len(critical_line_zeros(T))
+    # one zero per sign-change cell; counting needs no bisection
+    sign_changes = len(_sign_change_cells(T))
     return ZeroCountReport(
         T=T, winding_count=int(nearest), sign_change_count=sign_changes
     )

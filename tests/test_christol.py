@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelscope.christol import (
+    MIN_WINDOW,
     FpSeries,
+    OrbitReport,
     algebraicity_verdict,
     cartier_section,
     orbit_explore,
@@ -12,6 +14,45 @@ from kernelscope.christol import (
 )
 from kernelscope.errors import CapacityError, DomainError, ExhaustionError
 from kernelscope.kernel import kernel_element
+
+
+def pairwise_orbit(S: FpSeries, budget: int, residues) -> OrbitReport:
+    """Reference closure: each child is compared with every representative
+    in insertion order, sections taken in the order of ``residues``."""
+    reps = [S]
+    frontier = [(S, 0)]
+    smallest_window = S.reliable_len
+    max_depth = 0
+    explored = 0
+    while frontier:
+        cur, depth = frontier.pop(0)
+        max_depth = max(max_depth, depth)
+        for r in residues:
+            try:
+                child = cartier_section(cur, r)
+            except ExhaustionError:
+                return OrbitReport("inconclusive", S.p, budget, len(reps), depth,
+                                   smallest_window, explored)
+            explored += 1
+            new = True
+            for rep in reps:
+                w = min(child.reliable_len, rep.reliable_len)
+                smallest_window = min(smallest_window, w)
+                if np.array_equal(child.coeffs[:w], rep.coeffs[:w]):
+                    new = False
+                    break
+            if new:
+                reps.append(child)
+                frontier.append((child, depth + 1))
+                if len(reps) > budget:
+                    return OrbitReport("growing", S.p, budget, len(reps), depth + 1,
+                                       smallest_window, explored)
+    return OrbitReport("finite", S.p, budget, len(reps), max_depth, smallest_window,
+                       explored)
+
+
+ORBIT_TAGS = ("lambda", "mu", "phi", "omega", "tau", "thue_morse_pm", "const_one",
+              "sum_binary_digits", "big_omega", "chi_P")
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +157,21 @@ class TestOrbits:
         rep = orbit_explore(s, 50)
         assert rep.verdict == "growing"
 
-    def test_order_independence(self, table, tm_series):
-        for maker in (
-            lambda: tm_series,
-            lambda: series_from_table(table("const_one", N=2**16), 2, 2**16),
-        ):
-            a = orbit_explore(maker(), 10)
-            b = orbit_explore(maker(), 10, reverse_sections=True)
-            assert a.size == b.size
-            assert a.verdict == b.verdict
+    @pytest.mark.parametrize("p, N, budget", [
+        (3, 2**16, 300), (2, 2**16, 300), (5, 2**16, 100), (3, 2**12, 300),
+        (2, 130, 50), (7, 2**17, 200),
+    ])
+    def test_matches_pairwise_reference(self, table, p, N, budget):
+        # the window-keyed closure reproduces the pairwise scan field for
+        # field; finite and growing verdicts do not depend on section order
+        for tag in ORBIT_TAGS:
+            s = series_from_table(table(tag, N=2**17), p, N)
+            rep = orbit_explore(s, budget)
+            assert rep == pairwise_orbit(s, budget, range(p)), tag
+            assert rep.window >= MIN_WINDOW
+            if rep.verdict != "inconclusive":
+                rev = pairwise_orbit(s, budget, range(p)[::-1])
+                assert (rev.verdict, rev.size) == (rep.verdict, rep.size), tag
 
     def test_window_exhaustion_inconclusive(self, table):
         # reliable length supports exactly one section level, then dies

@@ -294,9 +294,10 @@ class TestZetaQuotientEval:
         assert len(IDENTITY_TAGS) == 11
 
 
-# (tag, param, s) per identity: a real s, plus a complex one where the form is
-# not a log-zeta series; each s keeps the truncation bound at 10^6 terms
-# below 1e-4, so a wrong closed form cannot hide inside it
+# (tag, param, s) per identity: a real s, plus a complex one (for a log-zeta
+# series at Re s >= 2, high enough that zeta(n s) leaves zeta_em's working
+# radius); each s keeps the truncation bound at 10^6 terms below 1e-4, so a
+# wrong closed form cannot hide inside it
 _TRUNCATED_SUM_CASES = [
     ("mu", None, 2.0), ("mu", None, 2.0 + 5j),
     ("lambda", None, 2.0), ("lambda", None, 2.5 - 3j),
@@ -306,9 +307,9 @@ _TRUNCATED_SUM_CASES = [
     ("tau_of_square", None, 2.5), ("tau_of_square", None, 3.0 - 2j),
     ("tau_squared", None, 3.0), ("tau_squared", None, 3.0 + 6j),
     ("chi_P", None, 2.0),
-    ("chi_PP", None, 2.0),
+    ("chi_PP", None, 2.0), ("chi_PP", None, 2.2 + 40j),
     ("omega", None, 2.5),
-    ("big_omega", None, 2.5),
+    ("big_omega", None, 2.5), ("big_omega", None, 2.2 + 40j),
 ]
 
 
