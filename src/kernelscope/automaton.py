@@ -264,11 +264,6 @@ def adjugate_poly(
     return coeffs, adj
 
 
-def char_poly(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Coefficients c_0..c_n of det(xI - A), exact over Q."""
-    return adjugate_poly(mat)[0]
-
-
 def eval_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -338,10 +333,17 @@ class PoleLattice:
 
 def pole_lattice(rep: LinearRepresentation, m_max: int, l_max: int) -> PoleLattice:
     """Enumerate candidate poles from eigenvalues of the averaged matrix."""
+    return lattice_from_char_poly(rep, adjugate_poly(average_matrix(rep))[0], m_max, l_max)
+
+
+def lattice_from_char_poly(
+    rep: LinearRepresentation, coeffs: list[Fraction], m_max: int, l_max: int
+) -> PoleLattice:
+    """pole_lattice from the exact coefficients of det(xI - Abar), low
+    degree first, for callers that already ran adjugate_poly."""
     if m_max < 0 or l_max < 0:
         raise DomainError("m_max and l_max must be >= 0")
     avg = average_matrix(rep)
-    coeffs = char_poly(avg)
     avg_f = np.array([[float(x) for x in row] for row in avg])
     try:
         eigs = np.linalg.eigvals(avg_f)

@@ -28,14 +28,14 @@ import cmath
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
-from .automaton import (LinearRepresentation, adjugate_poly, average_matrix, pole_lattice,
-                        vector_values)
+from .automaton import (LinearRepresentation, adjugate_poly, average_matrix,
+                        lattice_from_char_poly, vector_values)
 from .errors import CapacityError, DomainError
 from .seqgen import FunctionId, ValueTable, build_factor_table, generate
 from .zeta import WORKING_RADIUS, zeta_em
@@ -48,7 +48,6 @@ _NEAR_SINGULAR_DET = 1e-8
 _OFFSET_H = 1e-4
 _M_CAP = 200
 _EPS = 2.0**-53  # unit roundoff of float64
-_SHARED_BYTES = 1 << 20  # per engine, for the inverses _node_terms keeps
 
 
 @dataclass(frozen=True)
@@ -120,12 +119,14 @@ class ContinuationContext:
     polynomials of the averaged matrix Abar (the coefficients a_j of
     det(xI - Abar) and the matrices M_j of adj(xI - Abar)) and of the
     vectors U_n (the longest prefix asked for so far); grid scans reuse
-    one context for every column.
+    one context for every column.  ``char_coeffs`` keeps the exact a_j,
+    from which a scan's pole lattice is built.
     """
 
     def __init__(self, rep: LinearRepresentation):
         self.rep = rep
         coeffs, adj = adjugate_poly(average_matrix(rep))
+        self.char_coeffs = coeffs
         d = rep.dim
         # row i holds what multiplies c^i: a_{d-i}, then M_{i+1} row by row (zero at i = d)
         self.poly = np.zeros((d + 1, 1 + d * d))
@@ -187,42 +188,6 @@ def default_levels(s: complex) -> int:
     return max(2, math.ceil(3.5 - complex(s).real))
 
 
-class _Level:
-    """The solved nodes of one descent budget: tails H(s + offset), their
-    errors and their scales |H|_inf per point, at offsets lo, lo + 1, ...
-
-    A parent at offset o asks its budget's children for the offsets
-    o + 1 .. o + m_eff, and parents are solved in rising offset order, so
-    every budget solves one unbroken run of offsets.  Rows grow by
-    doubling; a parent reads its children as one slice.
-    """
-
-    def __init__(self, lo: int, ny: int, dim: int):
-        self.lo = lo
-        self.n = 0
-        self.vec = np.empty((4, ny, dim), dtype=np.complex128)
-        self.err = np.empty((4, ny))
-        self.scale = np.empty((4, ny))
-
-    @property
-    def end(self) -> int:
-        """One past the last solved offset: the next one to solve."""
-        return self.lo + self.n
-
-    def append(self, vec: np.ndarray, err: np.ndarray) -> None:
-        if self.n == len(self.err):
-            self.vec, self.err, self.scale = (
-                np.concatenate([a, np.empty_like(a)]) for a in (self.vec, self.err, self.scale))
-        self.vec[self.n] = vec
-        self.err[self.n] = err
-        self.scale[self.n] = np.abs(vec).max(axis=1)
-        self.n += 1
-
-    def rows(self, first: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        i = first - self.lo
-        return self.vec[i : i + m], self.err[i : i + m], self.scale[i : i + m]
-
-
 class _ColumnEngine:
     """The continuation at every point x + i y, y in ys, at once.
 
@@ -233,6 +198,13 @@ class _ColumnEngine:
     a near-singular system strictly inside the recursion are evaluated
     again as one column at y +- h and averaged.  ``Q`` defaults to the
     split point of the column's largest height.
+
+    Node (b, o) is the tail H(s + o) at descent budget b.  The top node is
+    (levels, 0), and a node of budget b >= 1 needs the nodes of budget
+    b - 1 at offsets o + 1 .. o + m_eff(o).  A plan finds the run of
+    offsets each budget holds; the solve then runs from the highest offset
+    down, so every child is ready before its parents and each offset's
+    cut, strip and resolvent are computed once, for every budget at once.
     """
 
     def __init__(self, ctx: ContinuationContext, x: float, ys: np.ndarray,
@@ -246,56 +218,42 @@ class _ColumnEngine:
         self.m_max = m_max
         self.y_extreme = float(np.abs(ys).max(initial=0.0))
         self.Q = split_point(ctx.rep.k, self.y_extreme) if Q is None else Q
-        # memo[b]: the nodes of budget b; the top node (offset 0) has budget
-        # levels and every step down adds at least 1 to the offset
-        self.memo = [_Level(levels - b, self.ny, ctx.rep.dim) for b in range(levels + 1)]
         # k^{-s} per point: a node's k^{-(s+offset+m)} is this times a real power
         self.k_pow_s = float(ctx.rep.k) ** -self.s_col
-        self.shared: dict[int, tuple] = {}  # _node_terms by offset, oldest first
         self.inner_bad = np.zeros(self.ny, dtype=bool)
         self.top_bad = np.zeros(self.ny, dtype=bool)
         self.top_det: np.ndarray | None = None
         self.truncated = False
         self.terms = 0
-        self._e_matrix: np.ndarray | None = None
-        self._e_len = 0
+        self.nodes = 0  # nodes solved
+        # n^{-s_j} for n = 1 .. the longest strip below _CHUNK, set by _plan
+        self._e: np.ndarray | None = None
         self._logn: np.ndarray | None = None
 
-    def _base(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        # tail H(s + offset) = sum_{q >= Q} U_q q^{-s-offset} by truncation
-        sigma = self.x + offset
+    def _direct_len(self, offset: int) -> tuple[int, float]:
+        """Terms N of the direct tail at an offset (at least 2Q), and the
+        bound on the terms past the length before that floor."""
         C, d = self.ctx.rep.growth
-        if sigma < 1 + d + 0.25:
-            raise DomainError(
-                f"recursion budget exhausted at Re s = {sigma}; the direct strip "
-                f"needs Re s >= {1 + d + 0.25} -- increase levels"
-            )
-        power = sigma - 1 - d
+        power = self.x + offset - 1 - d
         need = (C / (_DIRECT_TOL * power)) ** (1 / power)
         if not math.isfinite(need) or need >= _DIRECT_CAP:
             N = _DIRECT_CAP
         else:
             # quantized so the U-array cache is rarely regrown
             N = min(_DIRECT_CAP, 1 << max(6, math.ceil(math.log2(need + 1))))
-        tail = C * N ** (-power) / power
+        return max(N, 2 * self.Q), C * N ** (-power) / power
+
+    def _base(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        # tail H(s + offset) = sum_{q >= Q} U_q q^{-s-offset} by truncation
+        N, tail = self._direct_len(offset)
         if N >= _DIRECT_CAP and tail > _DIRECT_TOL:
             self.truncated = True
-        N = max(N, 2 * self.Q)
         self.terms = max(self.terms, N)
         vals, mass = self._strip(offset, self.Q, N + 1)
         # rounding scales with the summed mass, not an absolute floor: deep
         # tails are tiny and their errors must stay tiny relative to them
         rounding = 1e-15 * math.log2(N + 1) * mass
         return vals, np.full(self.ny, tail + rounding)
-
-    def _e(self, N: int) -> np.ndarray:
-        # shared n^{-s_j} matrix, grown on demand
-        if self._e_matrix is None or N > self._e_len:
-            n = np.arange(1, N + 1, dtype=np.float64)
-            self._logn = np.log(n)
-            self._e_matrix = np.exp(np.outer(-self.s_col, self._logn))
-            self._e_len = N
-        return self._e_matrix[:, :N]
 
     def _strip(self, offset: int, lo: int, hi: int) -> tuple[np.ndarray, float]:
         """sum_{n=lo}^{hi-1} U_n n^{-s-offset} for the whole column, and
@@ -309,7 +267,7 @@ class _ColumnEngine:
             return np.zeros((self.ny, self.ctx.rep.dim), dtype=np.complex128), 0.0
         u = self.ctx.u(hi - 1)
         if hi - 1 <= _CHUNK:
-            e = self._e(hi - 1)[:, lo - 1 :]
+            e = self._e[:, lo - 1 : hi - 1]
             logn = self._logn[lo - 1 : hi - 1]
             vals = e @ (u[lo:hi] * np.exp(-offset * logn)[:, None])
             mass = float(np.exp(-(self.x + offset) * logn) @ np.abs(u[lo:hi]).max(axis=1))
@@ -324,38 +282,48 @@ class _ColumnEngine:
             mass += float(np.exp(-(self.x + offset) * logn) @ np.abs(u[a:b]).max(axis=1))
         return vals, mass
 
-    @property
-    def nodes(self) -> int:
-        """Nodes solved so far."""
-        return sum(level.n for level in self.memo)
+    def _plan(self) -> tuple[list[range], list[tuple[int, float]]]:
+        """The run of offsets each budget holds, and the cut (m_eff and its
+        dropped-tail factor, see _m_horizon) of every offset that a budget
+        b >= 1 holds.
 
-    def _tails(self, first: int, m: int, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tails H(s + offset) for offsets first .. first + m - 1 at this
-        budget, with their errors and scales, solving those not yet solved;
-        the caller adds the head back."""
-        level = self.memo[budget]
-        while level.end < first + m:
-            self._solve_node(level, budget)
-        return level.rows(first, m)
+        Budget b holds the offsets levels - b .. ends[b] - 1.  A parent at
+        offset o needs the children o + 1 .. o + m_eff(o) of the budget
+        below, so each run starts one above its parents' first offset and
+        ends one past their farthest child.  Also sizes the U-array and the
+        n^{-s} matrix for the longest strip the runs sum.
+        """
+        levels, k, Q = self.levels, self.ctx.rep.k, self.Q
+        cuts: list[tuple[int, float]] = []
+        ends = [0] * levels + [1]
+        for b in range(levels, 0, -1):
+            while len(cuts) < ends[b]:
+                cuts.append(self._m_horizon(complex(self.x + len(cuts), self.y_extreme)))
+            ends[b - 1] = max(o + 1 + cuts[o][0] for o in range(levels - b, ends[b]))
+        # the head, the node strips and the direct tails
+        lengths = [Q - 1, k * Q - 1 if levels else 0]
+        lengths += [self._direct_len(o)[0] for o in range(levels, ends[0])]
+        self.ctx.u(max(lengths))
+        n = np.arange(1, max((x for x in lengths if x <= _CHUNK), default=0) + 1, dtype=np.float64)
+        self._logn = np.log(n)
+        self._e = np.exp(np.outer(-self.s_col, self._logn))
+        return [range(levels - b, end) for b, end in enumerate(ends)], cuts
 
-    def _solve_node(self, level: _Level, budget: int) -> None:
-        """Solve the next node of a budget and store it."""
-        offset = level.end
-        if budget == 0:
-            level.append(*self._base(offset))
-            return
+    def _solve_node(self, offset: int, cut: tuple[int, float], strip: np.ndarray,
+                    resolvent: tuple, gs: np.ndarray, g_errs: np.ndarray,
+                    g_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A node's tail and error from its offset's cut, strip and resolvent
+        and its children's tails (m_eff, ny, dim), errors and scales."""
         ctx = self.ctx
         k = ctx.rep.k
         s_vec = self.s_col + offset
-        m_eff, horizon, strip, (det, inv, inv_norm, inv_rounding) = self._node_terms(offset)
+        (m_eff, horizon), (det, inv, inv_norm, inv_rounding) = cut, resolvent
         singular = det < _NEAR_SINGULAR_DET
         if offset == 0:
             self.top_det = det
             self.top_bad |= singular
         else:
             self.inner_bad |= singular
-        # (m_eff, ny, dim), (m_eff, ny) and (m_eff, ny)
-        gs, g_errs, g_scale = self._tails(offset + 1, m_eff, budget - 1)
         ms = np.arange(1, m_eff + 1)
         # C(s+m-1, m) k^{-(s+m)} as one running product that starts from
         # k^{-s_col} k^{-offset}: every partial product stays near the term
@@ -382,25 +350,7 @@ class _ColumnEngine:
                     last > 0, math.inf, 0.0)
         sol = (inv @ rhs[:, :, None])[:, :, 0]
         err = inv_norm * err_rhs + inv_rounding * np.abs(rhs).max(axis=1)
-        level.append(sol, err)
-
-    def _node_terms(self, offset: int) -> tuple:
-        """The parts of a node that are the same at every budget: the cut
-        m_eff with its dropped-tail factor (see _m_horizon), the strip
-        sum_{Q <= n < kQ} U_n n^{-s-offset} and the resolvent at s + offset.
-        About half of an evaluation's nodes repeat an offset, so these are
-        kept; past _SHARED_BYTES of inverses the oldest offset is dropped."""
-        terms = self.shared.get(offset)
-        if terms is None:
-            m_eff, horizon = self._m_horizon(complex(self.x + offset, self.y_extreme))
-            # the n < Q head cancels out of the system exactly, so the right-hand
-            # side and the solution stay on the tail's scale (no lost precision)
-            strip = self._strip(offset, self.Q, self.ctx.rep.k * self.Q)[0]
-            resolvent = self.ctx.resolvent(self.s_col + offset)
-            terms = self.shared[offset] = m_eff, horizon, strip, resolvent
-            if len(self.shared) * resolvent[1].nbytes > _SHARED_BYTES:
-                del self.shared[next(iter(self.shared))]
-        return terms
+        return sol, err
 
     def _m_horizon(self, s: complex) -> tuple[int, float]:
         """Cut the correction series where its terms stop mattering.
@@ -442,12 +392,34 @@ class _ColumnEngine:
 
     def _solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Output-coordinate values and errors over the column."""
-        vec, err, _ = self._tails(0, 1, self.levels)
-        vec, err = vec[0], err[0].copy()  # run() rewrites err in place
+        runs, cuts = self._plan()
+        k, Q, shape = self.ctx.rep.k, self.Q, (self.ny, self.ctx.rep.dim)
+        vec = [np.empty((len(run), *shape), dtype=np.complex128) for run in runs]
+        err = [np.empty((len(run), self.ny)) for run in runs]
+        scale = [np.empty((len(run), self.ny)) for run in runs]
+        for offset in reversed(range(runs[0].stop)):
+            held = [b for b, run in enumerate(runs) if offset in run]
+            if held[-1] >= 1:
+                # the n < Q head cancels out of the system exactly, so the right-hand
+                # side and the solution stay on the tail's scale (no lost precision)
+                strip = self._strip(offset, Q, k * Q)[0]
+                resolvent = self.ctx.resolvent(self.s_col + offset)
+            for b in held:
+                i = offset - runs[b].start
+                if b == 0:
+                    vec[0][i], err[0][i] = self._base(offset)
+                else:
+                    first = offset + 1 - runs[b - 1].start
+                    c = slice(first, first + cuts[offset][0])
+                    vec[b][i], err[b][i] = self._solve_node(
+                        offset, cuts[offset], strip, resolvent,
+                        vec[b - 1][c], err[b - 1][c], scale[b - 1][c])
+                scale[b][i] = np.abs(vec[b][i]).max(axis=1)
+                self.nodes += 1
         if self.levels == 0:
             self.top_det = self.ctx.resolvent(self.s_col)[0]
-        vec = vec + self._strip(0, 1, self.Q)[0]
-        return vec[:, self.ctx.rep.output_coord], err
+        value = vec[-1][0] + self._strip(0, 1, Q)[0]
+        return value[:, self.ctx.rep.output_coord], err[-1][0]
 
     def run(self) -> list[EvalResult]:
         value, err = self._solve()
@@ -488,17 +460,21 @@ class _ColumnEngine:
 
 def _continue(rep, x, ys, levels, m_max, ctx) -> list[EvalResult]:
     """Validate the descent settings and run one column.  Both public entry
-    points call this, not each other: one evaluation, one public call."""
+    points call this, not each other: one evaluation, one public call.
+
+    The continued region is Re s > 1.25 + d - levels for the growth degree
+    d of the representation: every direct tail then lies at Re s >= 1.25 + d.
+    """
     if levels is None:
         levels = default_levels(complex(x, 0.0))
     if levels < 0:
         raise DomainError(f"levels must be >= 0, got {levels}")
     if m_max < 2:
         raise DomainError(f"m_max must be >= 2, got {m_max}")
-    if x <= BASE_STRIP_SIGMA - levels:
+    edge = BASE_STRIP_SIGMA + rep.growth[1] - levels
+    if x <= edge:
         raise DomainError(
-            f"Re s = {x} outside the continued region Re s > "
-            f"{BASE_STRIP_SIGMA - levels} for levels={levels}"
+            f"Re s = {x} outside the continued region Re s > {edge} for levels={levels}"
         )
     if ctx is None:
         ctx = ContinuationContext(rep)
@@ -517,7 +493,8 @@ def continue_via_recursion(
     """Analytic continuation of the output coordinate's Dirichlet series.
 
     ``levels`` bounds the descent depth; the continued region is
-    Re s > 1.25 - levels.  At a candidate pole of the series itself the
+    Re s > 1.25 + d - levels, d the growth degree of the representation
+    (0 for an automatic one).  At a candidate pole of the series itself the
     value is refused (near_singular, det_magnitude).  A near-singular
     system met strictly inside the recursion is removable and handled by
     +-i h offset averaging.  This is a column of one point.
@@ -861,11 +838,18 @@ def pole_scan(
     ims = np.arange(0, int(T / step + 1e-9) + 1) * step
     ctx = ContinuationContext(rep)
 
+    det_eta = max(_NEAR_SINGULAR_DET, step * math.log(rep.k))
+    blowup = 1.0 / step
+
     def probe_column(x: float) -> list[ScanPoint]:
-        return [ScanPoint(s=ev.s, abs_value=math.nan if ev.value is None else abs(ev.value),
-                          det_magnitude=ev.det_magnitude, near_singular=ev.near_singular,
-                          flagged=False)
-                for ev in continue_column(rep, float(x), ims, levels=levels, ctx=ctx)]
+        points = []
+        for ev in continue_column(rep, float(x), ims, levels=levels, ctx=ctx):
+            abs_value = math.nan if ev.value is None else abs(ev.value)
+            points.append(ScanPoint(
+                s=ev.s, abs_value=abs_value, det_magnitude=ev.det_magnitude,
+                near_singular=ev.near_singular,
+                flagged=ev.near_singular or (ev.det_magnitude < det_eta and abs_value > blowup)))
+        return points
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -873,22 +857,11 @@ def pole_scan(
     else:
         columns = [probe_column(x) for x in res]
     # row-major grid order (imaginary part outer) for the CSV export
-    raw = [col[j] for j in range(len(ims)) for col in columns]
-
-    det_eta = max(_NEAR_SINGULAR_DET, step * math.log(rep.k))
-    blowup = 1.0 / step
-    points = [
-        replace(
-            p,
-            flagged=p.near_singular
-            or (p.det_magnitude < det_eta and p.abs_value > blowup),
-        )
-        for p in raw
-    ]
+    points = [col[j] for j in range(len(ims)) for col in columns]
     clusters = _cluster([p.s for p in points if p.flagged], points, 1.6 * step)
     m_hi = int(T * math.log(rep.k) / (2 * math.pi)) + 2
     l_hi = max(0, int(math.ceil(2 - a))) + 1
-    lattice = pole_lattice(rep, m_max=m_hi, l_max=l_hi)
+    lattice = lattice_from_char_poly(rep, ctx.char_coeffs, m_max=m_hi, l_max=l_hi)
     predicted = tuple(p.s for p in lattice.in_rectangle(a, b, T))
     return ScanResult(
         a=a, b=b, T=T, step=step,

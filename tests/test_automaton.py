@@ -11,7 +11,6 @@ from kernelscope.automaton import (
     adjugate_poly,
     average_matrix,
     build_representation,
-    char_poly,
     eval_poly,
     evaluate,
     pole_lattice,
@@ -152,7 +151,7 @@ class TestAverageMatrix:
                 assert sum(row) == 1
 
     def test_eigenvalue_one_certified_exactly(self, tm_rep):
-        coeffs = char_poly(average_matrix(tm_rep))
+        coeffs = adjugate_poly(average_matrix(tm_rep))[0]
         assert coeffs == [Fraction(0), Fraction(-1), Fraction(1)]  # x^2 - x
         assert eval_poly(coeffs, Fraction(1)) == 0
 
@@ -207,8 +206,8 @@ class TestAdjugatePolynomial:
         # a monic degree-d polynomial is fixed by its values at d + 1 points
         rep = build_representation(table(tag, mod=mod, N=2**14), 2, 6, 64)
         a = average_matrix(rep)
-        coeffs = char_poly(a)
-        assert coeffs == adjugate_poly(a)[0] and coeffs[-1] == 1
+        coeffs = adjugate_poly(a)[0]
+        assert coeffs[-1] == 1
         for x in range(-1, rep.dim + 1):
             shifted = [[Fraction(x) * (i == j) - a[i][j] for j in range(rep.dim)]
                        for i in range(rep.dim)]

@@ -116,6 +116,20 @@ class TestContinuation:
         with pytest.raises(DomainError):
             continue_via_recursion(const_rep, -3.0, levels=2)
 
+    def test_region_counts_the_growth_degree(self):
+        # U_n = (n, 1) grows with degree 1: its direct tails need Re s >= 2.25,
+        # so the recursion reaches 1.25 + 1 - levels, one unit short of d = 0
+        from test_automaton import identity_regular_rep
+
+        rep = identity_regular_rep()
+        with pytest.raises(DomainError, match=r"continued region Re s > 0\.25"):
+            continue_via_recursion(rep, -0.5, levels=2)
+        for s, levels in ((0.5, 1), (0.2, 2)):
+            with pytest.raises(DomainError, match="continued region"):
+                continue_via_recursion(rep, s, levels=levels)
+        with pytest.raises(DomainError, match="continued region"):
+            pole_scan(rep, 0.2, 0.3, 1.0, 0.1, levels=2)
+
     def test_descent_settings_validated_by_every_entry_point(self, const_rep):
         from kernelscope.dirichlet import continue_column
 
@@ -252,6 +266,23 @@ class TestHorizon:
         engine = _ColumnEngine(ContinuationContext(tm_rep), 0.86, ys, 3, 200)
         engine.run()
         assert engine.nodes <= 200
+
+    def test_one_resolvent_per_offset(self, table, monkeypatch):
+        # a dim-21 pole-scan column, where one offset's inverses take 1.4 MiB:
+        # every budget that holds an offset shares its one resolvent
+        rep = build_representation(table("identity_n", mod=7, N=2**16), 2, 8, 128)
+        offsets = []
+        resolvent = ContinuationContext.resolvent
+
+        def counted(ctx, s):
+            offsets.append(round(float(s[0].real) - 0.9))
+            return resolvent(ctx, s)
+
+        monkeypatch.setattr(ContinuationContext, "resolvent", counted)
+        engine = _ColumnEngine(ContinuationContext(rep), 0.9, np.arange(201) * 0.05, 3, 200)
+        results = engine.run()
+        assert not any(r.offset_averaged or r.near_singular for r in results)
+        assert offsets and len(offsets) == len(set(offsets))
 
 
 class TestZetaQuotientEval:
