@@ -183,9 +183,10 @@ def split_point(k: int, t_extreme: float) -> int:
     return max(1, math.ceil(abs(t_extreme) * (k - 1) / (4 * k)) + 1)
 
 
-def default_levels(s: complex) -> int:
-    """Enough descent that budget-zero nodes land where truncation is easy."""
-    return max(2, math.ceil(3.5 - complex(s).real))
+def default_levels(s: complex, d: float) -> int:
+    """Enough descent that budget-zero nodes land where truncation is easy:
+    Re s + levels >= 3.5 + d for a representation of growth degree d."""
+    return max(2, math.ceil(3.5 + d - complex(s).real))
 
 
 class _ColumnEngine:
@@ -466,7 +467,7 @@ def _continue(rep, x, ys, levels, m_max, ctx) -> list[EvalResult]:
     d of the representation: every direct tail then lies at Re s >= 1.25 + d.
     """
     if levels is None:
-        levels = default_levels(complex(x, 0.0))
+        levels = default_levels(complex(x, 0.0), rep.growth[1])
     if levels < 0:
         raise DomainError(f"levels must be >= 0, got {levels}")
     if m_max < 2:
@@ -833,7 +834,7 @@ def pole_scan(
     if T < 0 or step <= 0:
         raise DomainError("need T >= 0 and step > 0")
     if levels is None:
-        levels = default_levels(complex(a, 0.0))
+        levels = default_levels(complex(a, 0.0), rep.growth[1])
     res = np.arange(0, int((b - a) / step + 1e-9) + 1) * step + a
     ims = np.arange(0, int(T / step + 1e-9) + 1) * step
     ctx = ContinuationContext(rep)

@@ -2,11 +2,13 @@
 
 Evaluation is Euler-Maclaurin with adaptive truncation point and
 Bernoulli order, reflected through the functional equation left of the
-critical strip.  Zeros are located by sign changes of the phase-corrected
-critical-line restriction and refined by bisection; counting uses the
-winding of zeta along a rectangle boundary with adaptive subdivision, so
-no branch of the argument is ever guessed.  The documented working range
-is |s| <= 1e3.
+critical strip.  One array kernel evaluates any number of points at once;
+a single zeta_em call is a batch of one.  Zeros are located by sign
+changes of the phase-corrected critical-line restriction on a grid
+evaluated in one batch, and refined by bisecting every cell in lockstep;
+counting uses the winding of zeta along a rectangle boundary, each edge
+one batch, with adaptive subdivision, so no branch of the argument is
+ever guessed.  The documented working range is |s| <= 1e3.
 
 ``tlogt_ratio_table`` reports N(T) / (T log10 T); base 10 keeps the
 ratios of desk-scale counts in a readable window.
@@ -34,6 +36,8 @@ COUNT_BOTTOM = 0.1  # bottom edge Im s of the zero-counting rectangle
 COUNT_EVAL_TOL = 1e-10  # zeta error along the zero-counting contour
 _EM_N_CAP = 1 << 22
 _BERNOULLI_ORDER_CAP = 30
+_EM_BLOCK = 1 << 18  # entries of one n^{-s} matrix block
+_EM_ROWS = 1024  # points per block of Bernoulli terms
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +60,10 @@ def _b2j_over_fact(j: int) -> float:
     return float(bernoulli_number(2 * j) / Fraction(math.factorial(2 * j)))
 
 
+_TWO_J = 2.0 * np.arange(1, _BERNOULLI_ORDER_CAP + 1)
+_B2J = np.array([_b2j_over_fact(j) for j in range(1, _BERNOULLI_ORDER_CAP + 1)])
+
+
 @dataclass(frozen=True)
 class ZetaEval:
     s: complex
@@ -65,49 +73,106 @@ class ZetaEval:
     error_estimate: float
 
 
-def _zeta_em_raw(s: complex, target_tol: float) -> ZetaEval:
-    sigma, t = s.real, abs(s.imag)
-    N = max(16, int(0.35 * t) + 8)
-    while True:
-        n = np.arange(1, N, dtype=np.float64)
-        partial = complex(np.sum(np.exp(-s * np.log(n))))
-        value = partial + complex(N) ** (1 - s) / (s - 1) + 0.5 * complex(N) ** (-s)
-        # correction terms updated multiplicatively to dodge overflow
-        rising = s
-        npow = complex(N) ** (-s - 1)
-        order = 0
-        trunc = math.inf
-        for j in range(1, _BERNOULLI_ORDER_CAP + 1):
-            term = _b2j_over_fact(j) * rising * npow
-            value += term
-            order = 2 * j
-            denom = sigma + 2 * j + 1
-            if denom <= 0:
-                continue
-            trunc = abs(term) * abs(s + 2 * j + 1) / denom
-            if trunc < target_tol:
-                break
-            rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-            npow = npow / N / N
+def _mod(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise through hypot, as abs() of a Python complex gives it.
+    numpy's complex abs can differ in the last bit, and the working-range
+    check must agree with _check_height's abs() at the largest height."""
+    return np.hypot(z.real, z.imag)
+
+
+def _check_points(s: np.ndarray) -> None:
+    """zeta_em's pole and working-range checks, on every element of s."""
+    if (s == 1).any():
+        raise PoleError("zeta has its pole at s = 1")
+    far = (_mod(s) > WORKING_RADIUS) | (np.abs(s.imag) > WORKING_RADIUS)
+    if far.any():
+        raise DomainError(
+            f"s={complex(s[far][0])} outside the documented working range |s| <= 1e3"
+        )
+
+
+def _bernoulli(
+    s: np.ndarray, Nf: np.ndarray, n_s: np.ndarray, head: np.ndarray, target_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """head + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) N^{-s-2j+1} at every point,
+    summed in order up to the first j whose truncation bound is below
+    target_tol, or to j = _BERNOULLI_ORDER_CAP.  n_s is N^{-s}.  Returns
+    (value, truncation bound, Bernoulli order 2j).  At Re s >= -0.5 every
+    denominator sigma + 2j + 1 of the bound is positive."""
+    sc = s[:, None]
+    # |s| <= ~1001 keeps the 59-factor rising product below 1e180, and a
+    # power N^{2-2j} underflows only where its term is negligible
+    step = (sc + _TWO_J[:-1] - 1) * (sc + _TWO_J[:-1])
+    rising = np.cumprod(np.concatenate([sc, step], axis=1), axis=1)
+    npow = (n_s / Nf)[:, None] * Nf[:, None] ** (2.0 - _TWO_J)
+    terms = _B2J * rising * npow
+    x = s.real[:, None] + _TWO_J + 1
+    trunc = _mod(terms) * np.hypot(x, s.imag[:, None]) / x  # |term| |s+2j+1| / x
+    met = trunc < target_tol
+    met[:, -1] = True  # a point that meets no order stops at the cap
+    j = met.argmax(axis=1)
+    sums = np.cumsum(np.concatenate([head[:, None], terms], axis=1), axis=1)
+    rows = np.arange(len(s))
+    return sums[rows, j + 1], trunc[rows, j], 2 * (j + 1)
+
+
+def _em_kernel(
+    s: np.ndarray, target_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Euler-Maclaurin at every element of the 1-D array s, Re s >= -0.5.
+
+    Returns the arrays (value, error_estimate, terms_used, bernoulli_order).
+    Each point starts at N = max(16, int(0.35 |t|) + 8) and doubles N until
+    its Bernoulli correction meets target_tol within order
+    2 * _BERNOULLI_ORDER_CAP.  Points that share N share one n^{-s} matrix
+    and its row sums; every other step is elementwise, so a point gets the
+    same bits whatever batch it is in.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    N = np.maximum(16, (0.35 * np.abs(s.imag)).astype(np.int64) + 8)
+    value = np.empty_like(s)
+    err = np.empty(len(s))
+    order = np.zeros(len(s), dtype=np.int64)
+    todo = np.arange(len(s))
+    while len(todo):
+        sp, Np = s[todo], N[todo]
+        partial = np.empty_like(sp)
+        for n_pts in set(Np.tolist()):
+            rows = np.flatnonzero(Np == n_pts)
+            logn = np.log(np.arange(1, n_pts, dtype=np.float64))
+            step = max(1, _EM_BLOCK // n_pts)
+            for lo in range(0, len(rows), step):
+                blk = rows[lo:lo + step]
+                partial[blk] = np.exp(-sp[blk, None] * logn).sum(axis=1)
+        Nf = Np.astype(np.float64)
+        n_s = np.exp(-sp * np.log(Nf))  # N^{-s}
+        head = partial + n_s * Nf / (sp - 1) + 0.5 * n_s
+        val, trunc = np.empty_like(sp), np.empty(len(sp))
+        for lo in range(0, len(sp), _EM_ROWS):
+            blk = slice(lo, lo + _EM_ROWS)
+            val[blk], trunc[blk], order[todo[blk]] = _bernoulli(
+                sp[blk], Nf[blk], n_s[blk], head[blk], target_tol)
         # pairwise-summation rounding on the partial sum
-        if sigma < 1:
-            mass = 1.0 + N ** (1 - sigma) / max(1e-6, 1 - sigma)
-        else:
-            mass = 1.0 + math.log(N)
-        rounding = 8e-16 * math.log2(N + 1) * (mass + abs(value))
-        if trunc < target_tol:
-            return ZetaEval(
-                s=s,
-                value=value,
-                terms_used=N,
-                bernoulli_order=order,
-                error_estimate=trunc + rounding,
-            )
-        if 2 * N > _EM_N_CAP:
-            raise PrecisionError(
-                f"tolerance {target_tol} unreachable at s={s} within the working range"
-            )
-        N *= 2
+        sigma = sp.real
+        mass = np.where(
+            sigma < 1,
+            1.0 + Nf ** (1 - sigma) / np.maximum(1e-6, 1 - sigma),
+            1.0 + np.log(Nf),
+        )
+        rounding = 8e-16 * np.log2(Nf + 1) * (mass + _mod(val))
+        done = trunc < target_tol
+        value[todo[done]] = val[done]
+        err[todo[done]] = trunc[done] + rounding[done]
+        todo = todo[~done]
+        if len(todo):
+            over = 2 * N[todo] > _EM_N_CAP
+            if over.any():
+                raise PrecisionError(
+                    f"tolerance {target_tol} unreachable at s={complex(s[todo[over][0]])} "
+                    "within the working range"
+                )
+            N[todo] *= 2
+    return value, err, N, order
 
 
 def _log_sin(w: complex) -> complex:
@@ -136,40 +201,62 @@ def zeta_em(s: complex, target_tol: float = 1e-12) -> ZetaEval:
     """zeta(s) with |value - zeta(s)| <= error_estimate <= ~target_tol.
 
     Direct Euler-Maclaurin for Re s >= -0.5; functional-equation
-    reflection to the left of that.  s = 1 is the pole.
+    reflection to the left of that.  s = 1 is the pole.  One point is a
+    one-element call of the array kernel.
     """
     s = complex(s)
-    if s == 1:
-        raise PoleError("zeta has its pole at s = 1")
-    if abs(s) > WORKING_RADIUS or abs(s.imag) > WORKING_RADIUS:
-        raise DomainError(f"s={s} outside the documented working range |s| <= 1e3")
+    one = np.array([s])
+    _check_points(one)
     if s.real >= -0.5:
-        return _zeta_em_raw(s, target_tol)
+        value, err, terms, order = _em_kernel(one, target_tol)
+        return ZetaEval(s=s, value=complex(value[0]), terms_used=int(terms[0]),
+                        bernoulli_order=int(order[0]), error_estimate=float(err[0]))
     # trivial zeros: sin(pi s / 2) vanishes at negative even integers
     if s.imag == 0 and s.real == int(s.real) and int(s.real) % 2 == 0:
         return ZetaEval(s=s, value=0j, terms_used=0, bernoulli_order=0,
                         error_estimate=0.0)
     chi = reflection_factor(s)
-    inner = _zeta_em_raw(1 - s, target_tol)
-    value = chi * inner.value
-    est = abs(chi) * inner.error_estimate + 4e-16 * abs(value)
+    value, err, terms, order = _em_kernel(np.array([1 - s]), target_tol)
+    value = chi * complex(value[0])
+    est = abs(chi) * float(err[0]) + 4e-16 * abs(value)
     return ZetaEval(
         s=s,
         value=value,
-        terms_used=inner.terms_used,
-        bernoulli_order=inner.bernoulli_order,
+        terms_used=int(terms[0]),
+        bernoulli_order=int(order[0]),
         error_estimate=est,
     )
 
 
-def rs_theta(t: float) -> float:
-    """Phase correction making exp(i theta(t)) zeta(1/2 + it) real."""
-    return float(loggamma(complex(0.25, t / 2)).imag) - (t / 2) * math.log(math.pi)
+def _zeta_on(s: np.ndarray, target_tol: float) -> np.ndarray:
+    """zeta at every element of s, all with Re s >= -0.5, in one kernel call."""
+    _check_points(s)
+    return _em_kernel(s, target_tol)[0]
+
+
+def rs_theta(t):
+    """Phase correction making exp(i theta(t)) zeta(1/2 + it) real, at a
+    float t or at every element of an array."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.imag(loggamma(0.25 + 0.5j * t)) - (t / 2) * math.log(math.pi)
+
+
+def _critical(t: np.ndarray) -> np.ndarray:
+    """The points 1/2 + it, built without complex arithmetic."""
+    s = np.empty(len(t), dtype=np.complex128)
+    s.real, s.imag = 0.5, t
+    return s
+
+
+def _hardy_z(t: np.ndarray) -> np.ndarray:
+    """The Hardy Z-function at every element of t, in one kernel call."""
+    val = _zeta_on(_critical(t), HARDY_Z_TOL)
+    return (np.exp(1j * rs_theta(t)) * val).real
 
 
 def hardy_z(t: float) -> float:
-    val = zeta_em(complex(0.5, t), HARDY_Z_TOL).value
-    return (cmath.exp(1j * rs_theta(t)) * val).real
+    """The Hardy Z-function at one t: real, with |Z(t)| = |zeta(1/2 + it)|."""
+    return float(_hardy_z(np.array([float(t)]))[0])
 
 
 def _check_height(T: float, farthest: complex) -> None:
@@ -192,47 +279,51 @@ class ZeroRecord:
     bracket: tuple[float, float]
 
 
-def _sign_change_cells(T: float) -> list[tuple[float, float, float]]:
-    """Cells (t, t_hi, Z(t)) of the ZERO_GRID_STEP grid on [1, T] where the
-    Hardy Z-function is zero at t or changes sign between t and t_hi."""
-    cells = []
-    t = 1.0
-    f_lo = hardy_z(t)
-    while t < T:
-        t_hi = min(t + ZERO_GRID_STEP, T)
-        f_hi = hardy_z(t_hi)
-        if f_lo == 0.0 or f_lo * f_hi < 0:
-            cells.append((t, t_hi, f_lo))
-        t, f_lo = t_hi, f_hi
-    return cells
+def _sign_change_cells(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells (t, t_hi, Z(t)), as three arrays, of the ZERO_GRID_STEP grid on
+    [1, T] where the Hardy Z-function is zero at t or changes sign between
+    t and t_hi.  The grid is the running sum 1, 1 + step, ... below T, then
+    T itself; Z is evaluated on all of it at once."""
+    if T <= 1:
+        empty = np.empty(0)
+        return empty, empty, empty
+    steps = np.full(int((T - 1) / ZERO_GRID_STEP) + 3, ZERO_GRID_STEP)
+    steps[0] = 1.0
+    grid = np.cumsum(steps)
+    grid = np.append(grid[grid < T], T)
+    z = _hardy_z(grid)
+    lo, hi = z[:-1], z[1:]
+    cell = (lo == 0.0) | (lo * hi < 0)
+    return grid[:-1][cell], grid[1:][cell], lo[cell]
 
 
 def critical_line_zeros(T: float) -> list[ZeroRecord]:
     """All sign-change zeros of the critical-line restriction up to height T.
 
-    Bisection only; a same-sign double zero inside one grid cell would be
-    missed, which the argument-principle cross-check in zero_count
-    detects.
+    Bisection only, of every cell in lockstep: one Z evaluation per
+    halving covers all cells still wider than ZERO_REFINE_TOL.  A
+    same-sign double zero inside one grid cell would be missed, which the
+    argument-principle cross-check in zero_count detects.
     """
     _check_height(T, complex(0.5, T))
-    zeros: list[ZeroRecord] = []
-    for t, t_hi, f_lo in _sign_change_cells(T):
-        if f_lo == 0.0:
-            zeros.append(ZeroRecord(t, (t, t)))
-            continue
-        a, b, fa = t, t_hi, f_lo
-        while b - a > ZERO_REFINE_TOL:
-            mid = 0.5 * (a + b)
-            fm = hardy_z(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        zeros.append(ZeroRecord(ordinate=0.5 * (a + b), bracket=(t, t_hi)))
-    return zeros
+    t, t_hi, f_lo = _sign_change_cells(T)
+    a, b, fa = t.copy(), t_hi.copy(), f_lo.copy()
+    live = np.flatnonzero((f_lo != 0.0) & (b - a > ZERO_REFINE_TOL))
+    while len(live):
+        mid = 0.5 * (a[live] + b[live])
+        fm = _hardy_z(mid)
+        hit, left = fm == 0.0, fa[live] * fm < 0
+        right = ~hit & ~left
+        a[live[hit | right]] = mid[hit | right]
+        b[live[hit | left]] = mid[hit | left]
+        fa[live[right]] = fm[right]
+        live = live[b[live] - a[live] > ZERO_REFINE_TOL]  # a hit has width 0
+    return [
+        ZeroRecord(ordinate=lo, bracket=(lo, lo)) if f == 0.0
+        else ZeroRecord(ordinate=0.5 * (x + y), bracket=(lo, hi))
+        for lo, hi, f, x, y in zip(t.tolist(), t_hi.tolist(), f_lo.tolist(),
+                                   a.tolist(), b.tolist())
+    ]
 
 
 def _arg_change(za: complex, zb: complex, fa: complex, fb: complex, depth: int) -> float:
@@ -287,10 +378,18 @@ def zero_count_report(T: float) -> ZeroCountReport:
         length = abs(b - a)
         pieces = max(8, int(4 * length))
         # the corners themselves, not a rounded step, end each edge
-        pts = [a + (b - a) * i / pieces for i in range(pieces)] + [b]
-        vals = [zeta_em(z, COUNT_EVAL_TOL).value for z in pts]
-        for (za, zb, fa, fb) in zip(pts, pts[1:], vals, vals[1:]):
-            total += _arg_change(za, zb, fa, fb, depth=48)
+        i = np.arange(pieces + 1)
+        pts = np.empty(pieces + 1, dtype=np.complex128)
+        pts.real = a.real + (b.real - a.real) * i / pieces
+        pts.imag = a.imag + (b.imag - a.imag) * i / pieces
+        pts[-1] = b
+        vals = _zeta_on(pts, COUNT_EVAL_TOL)
+        d = np.angle(vals[1:] / vals[:-1])
+        # a step whose phase change reaches pi/2 is split at midpoints
+        for j in np.flatnonzero(np.abs(d) >= math.pi / 2).tolist():
+            d[j] = _arg_change(complex(pts[j]), complex(pts[j + 1]),
+                               complex(vals[j]), complex(vals[j + 1]), depth=48)
+        total += float(d.sum())
     winding = total / (2 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 1e-3:
@@ -299,7 +398,7 @@ def zero_count_report(T: float) -> ZeroCountReport:
             "near a zero -- retry with a shifted T"
         )
     # one zero per sign-change cell; counting needs no bisection
-    sign_changes = len(_sign_change_cells(T))
+    sign_changes = len(_sign_change_cells(T)[0])
     return ZeroCountReport(
         T=T, winding_count=int(nearest), sign_change_count=sign_changes
     )

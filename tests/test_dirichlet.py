@@ -130,6 +130,17 @@ class TestContinuation:
         with pytest.raises(DomainError, match="continued region"):
             pole_scan(rep, 0.2, 0.3, 1.0, 0.1, levels=2)
 
+    def test_default_levels_count_the_growth_degree(self):
+        # with d = 1 the default descent goes one level deeper, so the direct
+        # tails at s = 0.5 lie at Re s = 4.5 and stop within 4096 terms
+        # (at Re s = 3.5 each summed 2^20)
+        from test_automaton import identity_regular_rep
+
+        rep = identity_regular_rep()
+        res = continue_via_recursion(rep, 0.5)
+        assert res.terms <= 4096
+        assert abs(res.value - complex(mpmath.zeta(-0.5))) <= res.error_estimate
+
     def test_descent_settings_validated_by_every_entry_point(self, const_rep):
         from kernelscope.dirichlet import continue_column
 

@@ -1,9 +1,11 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from kernelscope.errors import DomainError, PoleError
+from kernelscope import zeta
+from kernelscope.errors import DomainError, PoleError, PrecisionError
 from kernelscope.zeta import (
     bernoulli_number,
     critical_line_zeros,
@@ -99,6 +101,75 @@ class TestZetaEval:
             assert abs(zeta_em(complex(1, t)).value) > 0.05
 
 
+def _edge(a: complex, b: complex, pieces: int) -> np.ndarray:
+    i = np.arange(pieces + 1)
+    pts = np.empty(pieces + 1, dtype=np.complex128)
+    pts.real = a.real + (b.real - a.real) * i / pieces
+    pts.imag = a.imag + (b.imag - a.imag) * i / pieces
+    return pts
+
+
+class TestKernel:
+    # the Re s = -0.5 edge, N groups from 16 to 358, and at 1e-30 the point
+    # 0.5 + 30i, which order 60 cannot settle at N = 18, doubles to N = 36
+    POINTS = [-0.5 + 0j, -0.5 + 50j, -0.5 + 999.8j, 0.5 + 30j, 0.5 + 14.134725j,
+              2.0 + 0j, 1.5 - 300.25j, 0.25 + 3j, 1 + 900.1j, 0.5 + 30.5j,
+              3 - 7j, 1.5 + 0.1j]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-30])
+    def test_batch_invariance(self, tol):
+        rng = np.random.default_rng(5)
+        mixed = rng.uniform(-0.5, 3, 200) + 1j * rng.uniform(-999, 999, 200)
+        batch = np.concatenate([self.POINTS, mixed, self.POINTS[::-1]])
+        whole = zeta._em_kernel(batch, tol)
+        for i, s in enumerate(batch):
+            alone = zeta._em_kernel(np.array([s]), tol)
+            for a, b in zip(alone, whole):
+                assert a[0].tobytes() == b[i].tobytes(), (s, tol)
+
+    def test_doubling_branch(self):
+        s = np.array([0.5 + 30j, 2.0 + 0j])
+        _, err, terms, order = zeta._em_kernel(s, 1e-30)
+        assert terms.tolist() == [36, 16]  # the first started at N = 18
+        assert zeta._em_kernel(s, 1e-12)[2].tolist() == [18, 16]
+        value = zeta._em_kernel(s, 1e-30)[0]
+        for v, e, x in zip(value, err, s):
+            assert abs(v - mp_zeta(x)) <= e
+
+    def test_unreachable_tolerance(self, monkeypatch):
+        # a zero target is never met, so N doubles past the cap
+        monkeypatch.setattr(zeta, "_EM_N_CAP", 64)
+        with pytest.raises(PrecisionError, match=r"unreachable at s=\(2\+3j\)"):
+            zeta._em_kernel(np.array([2 + 3j, 0.5 + 20j]), 0.0)
+        with pytest.raises(PrecisionError):
+            zeta_em(2 + 3j, 0.0)
+
+    def test_hardy_z_against_siegelz(self):
+        t = np.concatenate([np.linspace(1.0, 995.0, 41), [14.134725, 500.25, 998.7]])
+        z = zeta._hardy_z(t)
+        err = zeta._em_kernel(zeta._critical(t), zeta.HARDY_Z_TOL)[1]
+        for ti, zi, e in zip(t, z, err):
+            assert abs(zi - float(mpmath.siegelz(ti))) <= e, ti
+        assert [hardy_z(ti) for ti in t] == z.tolist()
+
+    def test_contour_edges_against_mpmath(self):
+        T = 200.0
+        corners = [complex(1.5, zeta.COUNT_BOTTOM), complex(1.5, T), complex(-0.5, T),
+                   complex(-0.5, zeta.COUNT_BOTTOM), complex(1.5, zeta.COUNT_BOTTOM)]
+        for a, b in zip(corners, corners[1:]):
+            pts = _edge(a, b, max(8, int(4 * abs(b - a))))
+            value, err, _, _ = zeta._em_kernel(pts, zeta.COUNT_EVAL_TOL)
+            for k in range(0, len(pts), max(1, len(pts) // 30)):
+                assert abs(value[k] - mp_zeta(complex(pts[k]))) <= err[k], pts[k]
+
+    def test_zeta_em_is_a_one_point_call(self):
+        for s in (0.5 + 30j, 2.0, -0.5 + 50j):
+            one = zeta_em(s, 1e-12)
+            value, err, terms, order = zeta._em_kernel(np.array(self.POINTS + [s]), 1e-12)
+            assert (one.value, one.error_estimate, one.terms_used, one.bernoulli_order) == (
+                value[-1], err[-1], terms[-1], order[-1])
+
+
 class TestCriticalLineZeros:
     def test_first_zero(self):
         zs = critical_line_zeros(15)
@@ -127,6 +198,16 @@ class TestCriticalLineZeros:
             truth = float(mpmath.im(mpmath.zetazero(i)))
             assert abs(z.ordinate - truth) < 1e-5
 
+    def test_lockstep_bisection_against_zetazero(self):
+        # every cell is halved in one batch per step, all 52 below 150
+        zs = critical_line_zeros(150)
+        assert len(zs) == mpmath.nzeros(150) == 52
+        with mpmath.workdps(15):  # ample for a 1e-5 check
+            truths = [float(mpmath.im(mpmath.zetazero(i))) for i in range(1, 53)]
+        for i, (z, truth) in enumerate(zip(zs, truths), start=1):
+            assert abs(z.ordinate - truth) < 1e-5, i
+            assert z.bracket[0] <= z.ordinate <= z.bracket[1]
+
     def test_domain(self):
         with pytest.raises(DomainError):
             critical_line_zeros(0)
@@ -139,6 +220,7 @@ class TestHeightLimit:
             raise AssertionError("evaluated before validation")
 
         monkeypatch.setattr("kernelscope.zeta.zeta_em", no_eval)
+        monkeypatch.setattr("kernelscope.zeta._em_kernel", no_eval)
         with pytest.raises(DomainError, match=r"\|1\.5 \+ iT\| <= 1000"):
             zero_count_report(1000)
         with pytest.raises(DomainError, match=r"\|0\.5 \+ iT\| <= 1000"):
