@@ -1,12 +1,13 @@
 """Sieve-based generation of arithmetic-function value tables.
 
-One smallest-prime-factor sieve up to N drives every arithmetic function:
-a single pass splits each n into p = spf(n), the exponent e of p and
-rest = n / p^e, and combines the function's value at p^e with its
-finished value at rest (a product for multiplicative functions, a sum for
-additive ones).  Each function is then just its rule for f(p^e).  Values
-are stored as int64 behind an a-priori exact overflow bound, so
-construction refuses (CapacityError) instead of silently wrapping.
+One smallest-prime-factor sieve up to N drives every arithmetic function.
+The sieve splits each n once into p = spf(n), the exponent e with
+p^e || n and rest = n / p^e.  Each function is then just its rule for
+f(p^e): one pass reads f(p^e) (by e alone where the rule allows) and
+combines it with the finished value at rest (a product for multiplicative
+functions, a sum for additive ones).  Values are stored as int64 behind an
+a-priori exact overflow bound, so construction refuses (CapacityError)
+instead of silently wrapping.
 
 Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
 ``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only.
@@ -26,24 +27,9 @@ from .errors import CapacityError, ConstructionError, DomainError, RangeError
 DEFAULT_MAX_N = 10_000_000
 
 _PARAMETERLESS_TAGS = (
-    "lambda",
-    "mu",
-    "abs_mu",
-    "phi",
-    "tau",
-    "omega",
-    "big_omega",
-    "rho",
-    "r_half_rho",
-    "chi_P",
-    "chi_PP",
-    "nth_prime",
-    "tau_of_square",
-    "tau_squared",
-    "const_one",
-    "thue_morse_pm",
-    "sum_binary_digits",
-    "identity_n",
+    "lambda", "mu", "abs_mu", "phi", "tau", "omega", "big_omega", "rho",
+    "r_half_rho", "chi_P", "chi_PP", "nth_prime", "tau_of_square", "tau_squared",
+    "const_one", "thue_morse_pm", "sum_binary_digits", "identity_n",
 )
 
 # tag -> minimal admissible parameter
@@ -64,6 +50,17 @@ def max_table_size() -> int:
     if cap < 2:
         raise DomainError(f"KERNELSCOPE_MAX_N must be >= 2, got {cap}")
     return cap
+
+
+# (C, d) of FunctionId.growth_bound where it takes no parameter; sigma_0 = tau
+_GROWTH = {
+    **dict.fromkeys(("lambda", "mu", "abs_mu", "q_m", "chi_P", "chi_PP", "const_one",
+                     "thue_morse_pm"), (1.0, 0.0)),
+    "omega": (2.2, 0.25), "big_omega": (2.2, 0.25), "tau": (8.45, 0.25), "rho": (8.45, 0.25),
+    "sigma_m": (8.45, 0.25), "tau_of_square": (8.45, 0.5), "tau_squared": (72.0, 0.5),
+    "sum_binary_digits": (2.6, 0.25), "phi": (1.0, 1.0), "identity_n": (1.0, 1.0),
+    "r_half_rho": (4.25, 0.25), "nth_prime": (2.0, 1.25),
+}
 
 
 @dataclass(frozen=True)
@@ -107,69 +104,73 @@ class FunctionId:
         """
         if self.modulus is not None:
             return float(self.modulus - 1) if self.modulus > 1 else 1.0, 0.0
-        tag, m = self.tag, self.param
-        if tag in ("lambda", "mu", "abs_mu", "q_m", "chi_P", "chi_PP",
-                   "const_one", "thue_morse_pm"):
-            return 1.0, 0.0
-        if tag in ("omega", "big_omega"):
-            return 2.2, 0.25
-        if tag in ("tau", "rho"):
-            return 8.45, 0.25
-        if tag == "tau_of_square":
-            return 8.45, 0.5
-        if tag == "tau_squared":
-            return 72.0, 0.5
-        if tag == "sum_binary_digits":
-            return 2.6, 0.25
-        if tag in ("phi", "identity_n"):
-            return 1.0, 1.0
-        if tag == "r_half_rho":
-            return 4.25, 0.25
-        if tag == "nth_prime":
-            return 2.0, 1.25
-        if tag == "tau_k":
+        m = self.param
+        if self.tag == "tau_k":
             return 8.45 ** (m - 1), 0.25 * (m - 1)
-        if tag == "sigma_m":
-            if m == 0:
-                return 8.45, 0.25
-            if m == 1:
-                return 1.3, 1.25
-            return 2.0, float(m)
-        raise ConstructionError(f"no growth bound recorded for {self}")
+        if self.tag == "sigma_m" and m >= 1:
+            return (1.3, 1.25) if m == 1 else (2.0, float(m))
+        return _GROWTH[self.tag]
 
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Smallest-prime-factor sieve up to N.
+    """Smallest-prime-factor sieve up to N, with each n split at its spf.
 
-    ``spf[n]`` is the smallest prime factor of n for 2 <= n <= N;
-    spf[0] = spf[1] = 0.  n is prime exactly when spf[n] == n.
+    For 2 <= n <= N, with p = ``spf[n]`` the smallest prime factor of n,
+    ``exp[n]`` is the e with p^e || n and ``rest[n]`` = n / p^e, so
+    rest[n] = 1 or spf[rest[n]] > p.  Index 0 and 1 hold 0.  n is prime
+    exactly when spf[n] == n.  spf, rest and exp are int32, int32 and int8
+    (9 bytes per n), which caps N below 2^31.
     """
 
     N: int
     spf: np.ndarray
+    rest: np.ndarray = field(repr=False)
+    exp: np.ndarray = field(repr=False)
     primes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.spf.flags.writeable = False
-        self.primes.flags.writeable = False
+        for a in (self.spf, self.rest, self.exp, self.primes):
+            a.flags.writeable = False
+
+
+# n is split and tabulated in chunks of at most this many entries
+_CHUNK = 1 << 16
+
+
+def _chunks(N: int):
+    """[a, b) covering 2..N with b <= 2a, so every n // p with p >= 2 is
+    below a and final before its chunk starts."""
+    a = 2
+    while a <= N:
+        b = min(2 * a, a + _CHUNK, N + 1)
+        yield a, b
+        a = b
 
 
 def build_factor_table(N: int) -> FactorTable:
-    """Sieve smallest prime factors for 2..N (O(N log log N))."""
-    cap = max_table_size()
+    """Sieve smallest prime factors for 2..N (O(N log log N)), then split
+    each n = p^e * rest from m = n // p: p divides m exactly when
+    spf[m] == p, and then n shares m's rest with one more factor p."""
+    cap = min(max_table_size(), 2**31 - 1)  # spf and rest are int32
     if not 2 <= N <= cap:
         raise CapacityError(f"factor table bound must satisfy 2 <= N <= {cap}, got {N}")
-    spf = np.zeros(N + 1, dtype=np.int64)
+    spf = np.zeros(N + 1, dtype=np.int32)
     for p in range(2, math.isqrt(N) + 1):
         if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-    untouched = spf[2:] == 0
-    spf[2:][untouched] = np.arange(2, N + 1, dtype=np.int64)[untouched]
-    primes = np.flatnonzero(spf == np.arange(N + 1, dtype=np.int64))
-    primes = primes[primes >= 2]
-    return FactorTable(N=N, spf=spf, primes=primes)
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    rest = np.zeros(N + 1, dtype=np.int32)
+    exp = np.zeros(N + 1, dtype=np.int8)
+    for a, b in _chunks(N):
+        m = np.arange(a, b, dtype=np.int32) // spf[a:b]
+        exp[a:b], rest[a:b] = 1, m
+        deep = np.flatnonzero(spf[m] == spf[a:b])
+        exp[a + deep] += exp[m[deep]]
+        rest[a + deep] = rest[m[deep]]
+    return FactorTable(N=N, spf=spf, rest=rest, exp=exp, primes=primes)
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ class ValueTable:
             "id": self.id.tag,
             "params": {"param": self.id.param, "modulus": self.id.modulus},
             "N": self.N,
-            "values": [int(v) for v in self.values[1:]],
+            "values": self.values[1:].tolist(),
         }
 
     def write_csv(self, fh) -> None:
@@ -247,46 +248,42 @@ def _signature_max(N: int, coef, cap: int) -> int:
 
 _INT64_MAX = 2**63 - 1
 
-# n is tabulated in chunks of at most this many entries
-_CHUNK = 1 << 16
-
 
 def _tabulate(N: int, ft: FactorTable, fpe, additive: bool) -> np.ndarray:
-    """f on 1..N from its prime-power values, in one pass over ``ft.spf``.
+    """f on 1..N from its prime-power values and the split in ``ft``.
 
-    For n >= 2 with p = spf[n], p^e || n and rest = n / p^e, a
-    multiplicative f has f(n) = fpe(p, e) f(rest) and an additive one
-    f(n) = fpe(p, e) + f(rest).  n runs in chunks [a, b) with b <= 2a, so
-    rest <= n / 2 < a is final before its chunk starts.  ``fpe`` is called
-    on an int64 array of primes with e = 1, and on exact ints with e >= 2,
-    where p <= sqrt(N) leaves few prime powers.
+    For n >= 2 with p^e || n at p = spf[n] and rest = n / p^e, a
+    multiplicative f has f(n) = f(p^e) f(rest) and an additive one
+    f(n) = f(p^e) + f(rest).  ``fpe(ft, a, b, out)`` returns f(p^e) for the
+    n in [a, b) as int64.  Everything below a is final before the chunk
+    [a, b) starts, rest and p^(e-1) included.
     """
-    powers = []
-    for p in ft.primes[ft.primes <= math.isqrt(N)].tolist():
-        q, e = p * p, 2
-        while q <= N:
-            powers.append((q, fpe(p, e)))
-            q, e = q * p, e + 1
-    keys, vals = np.array(sorted(powers), dtype=np.int64).reshape(-1, 2).T
     out = np.empty(N + 1, dtype=np.int64)
     out[0], out[1] = 0, 0 if additive else 1
-    a = 2
-    while a <= N:
-        b = min(2 * a, a + _CHUNK, N + 1)
-        p = ft.spf[a:b]
-        pe, rest = p.copy(), np.arange(a, b, dtype=np.int64) // p
-        deep = np.flatnonzero(rest % p == 0)
-        while deep.size:
-            pe[deep] *= p[deep]
-            rest[deep] //= p[deep]
-            deep = deep[rest[deep] % p[deep] == 0]
-        f = np.empty_like(p)
-        f[...] = fpe(p, 1)
-        deep = np.flatnonzero(pe != p)
-        f[deep] = vals[np.searchsorted(keys, pe[deep])]
-        out[a:b] = f + out[rest] if additive else f * out[rest]
-        a = b
+    for a, b in _chunks(N):
+        f, done = fpe(ft, a, b, out), out[ft.rest[a:b]]
+        out[a:b] = f + done if additive else f * done
     return out
+
+
+def _by_exponent(N: int, rule):
+    """fpe of a rule on e alone, read from one table over 0 <= e < bit_length(N)."""
+    lut = np.array([rule(e) for e in range(N.bit_length())], dtype=np.int64)
+    return lambda ft, a, b, out: lut[ft.exp[a:b]]
+
+
+def _phi_fpe(ft: FactorTable, a: int, b: int, out) -> np.ndarray:
+    """phi(p^e) = p^e - p^(e-1), with p^e = n / rest in int64."""
+    pe = np.arange(a, b, dtype=np.int64) // ft.rest[a:b]
+    return pe - pe // ft.spf[a:b]
+
+
+def _sigma_fpe(ft: FactorTable, a: int, b: int, out, m: int) -> np.ndarray:
+    """sigma_m(p^e) = 1 + p^m sigma_m(p^(e-1)), with p^(e-1) = n / rest / p
+    read from ``out``.  Every intermediate stays below the value, which
+    (p^(m(e+1)) - 1) / (p^m - 1) would not."""
+    p = ft.spf[a:b].astype(np.int64)
+    return 1 + p**m * out[np.arange(a, b, dtype=np.int64) // ft.rest[a:b] // p]
 
 
 # f(p^e) of the multiplicative functions whose prime-power values depend
@@ -305,38 +302,37 @@ _EXPONENT_RULES = {
 }
 
 # g(p^e) of the additive functions; chi_P = [Omega = 1], chi_PP = [omega = 1]
-_ADDITIVE_RULES = {"omega": lambda p, e: 1, "big_omega": lambda p, e: e,
-                   "chi_P": lambda p, e: e, "chi_PP": lambda p, e: 1}
+_ADDITIVE_RULES = {"omega": lambda e: 1, "big_omega": lambda e: e,
+                   "chi_P": lambda e: e, "chi_PP": lambda e: 1}
+
+
+def _fits_int64(bound: int) -> None:
+    if bound > _INT64_MAX:
+        raise CapacityError(f"values would exceed int64 (max |f| bound {bound} > {_INT64_MAX})")
 
 
 def _multiplicative(N: int, ft: FactorTable, tag: str, m: int | None) -> np.ndarray:
     """Tabulate a multiplicative tag behind its int64 overflow bound.
 
-    ``bound`` must dominate |f| on 1..N; every intermediate of the engine
-    is itself a value of f at some divisor of n (f(p^e) and f(rest)), so
-    the bound covers the whole computation.
+    The bound must dominate |f| on 1..N and is checked before any f(p^e) is
+    formed; every intermediate of the engine is at most a value of f at some
+    divisor of n, so the bound covers the whole computation.
     """
     if tag == "sigma_m" and m == 0:
         tag = "tau"
     if tag in _EXPONENT_RULES:
-        rule = _EXPONENT_RULES[tag]
-        bound = _signature_max(N, lambda e: rule(e, m), _INT64_MAX)
-        fpe = lambda p, e: rule(e, m)
+        rule = lambda e: _EXPONENT_RULES[tag](e, m)
+        _fits_int64(_signature_max(N, rule, _INT64_MAX))
+        fpe = _by_exponent(N, rule)
     elif tag == "phi":
-        bound = N
-        fpe = lambda p, e: p ** (e - 1) * (p - 1)
+        _fits_int64(N)
+        fpe = _phi_fpe
     elif tag == "sigma_m":
-        # sigma_m(n) <= n^m * zeta(m) for m >= 2; <= n (1 + ln n) for m = 1.
-        # Summing 1 + p^m + ... + p^(me) keeps every term below the value,
-        # which (p^(m(e+1)) - 1) / (p^m - 1) would not.
-        bound = N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m
-        fpe = lambda p, e: sum(p ** (m * i) for i in range(e + 1))
+        # sigma_m(n) <= n^m * zeta(m) for m >= 2; <= n (1 + ln n) for m = 1
+        _fits_int64(N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m)
+        fpe = lambda ft, a, b, out: _sigma_fpe(ft, a, b, out, m)
     else:
         raise DomainError(f"unknown function tag {tag!r}")
-    if bound > _INT64_MAX:
-        raise CapacityError(
-            f"values would exceed int64 (max |f| bound {bound} > {_INT64_MAX})"
-        )
     return _tabulate(N, ft, fpe, additive=False)
 
 
@@ -355,8 +351,9 @@ def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
     """Tabulate the function named by ``fid`` on 1..N from the sieve ``ft``.
 
     Multiplicative and additive functions come from one pass over the
-    smallest prime factors that combines f(p^e) with the finished value at
-    n / p^e; chi_P, chi_PP and r_half_rho are read off Omega, omega and rho.
+    sieve's split n = p^e * rest that combines f(p^e), read by e where the
+    rule allows, with the finished value at rest; chi_P, chi_PP and
+    r_half_rho are read off Omega, omega and rho.
     nth_prime and the fixture sequences have closed forms.  Raises
     CapacityError when int64 cannot hold the result.
     """
@@ -379,7 +376,7 @@ def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
     elif tag == "nth_prime":
         vals = _nth_prime_table(N, ft)
     elif tag in _ADDITIVE_RULES:
-        vals = _tabulate(N, ft, _ADDITIVE_RULES[tag], additive=True)
+        vals = _tabulate(N, ft, _by_exponent(N, _ADDITIVE_RULES[tag]), additive=True)
         if tag in ("chi_P", "chi_PP"):
             vals = (vals == 1).astype(np.int64)
     else:

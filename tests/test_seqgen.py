@@ -55,6 +55,29 @@ class TestFactorTable:
             build_factor_table(200)
         build_factor_table(100)
 
+    def test_int32_layout_guard(self, monkeypatch):
+        # spf and rest are int32: a cap raised past 2^31 - 1 must not let
+        # them wrap, and the refusal comes before any allocation
+        monkeypatch.setenv("KERNELSCOPE_MAX_N", str(2**31 + 10))
+        with pytest.raises(CapacityError):
+            build_factor_table(2**31)
+
+    def test_peel_invariants(self, ft_1m):
+        N = 10**6
+        n = np.arange(2, N + 1, dtype=np.int64)
+        spf, exp, rest = (a[2:].astype(np.int64) for a in (ft_1m.spf, ft_1m.exp, ft_1m.rest))
+        assert np.array_equal(rest * spf**exp, n)
+        assert np.all(rest % spf != 0)
+        assert np.all(exp >= 1)
+        assert np.all((rest == 1) | (ft_1m.spf[rest] > ft_1m.spf[2:]))
+        for a in (ft_1m.spf, ft_1m.exp, ft_1m.rest):
+            with pytest.raises(ValueError):
+                a[5] = 1
+        for k in [*range(2, 3001), *range(N - 199, N + 1)]:
+            fac = trial_factorization(k)
+            p = min(fac)
+            assert (ft_1m.spf[k], ft_1m.exp[k], ft_1m.rest[k]) == (p, fac[p], k // p ** fac[p])
+
 
 class TestGenerate:
     def test_lambda_at_one(self, table):
@@ -280,6 +303,7 @@ class TestExport:
         assert doc["N"] == 10
         assert len(doc["values"]) == 10
         assert doc["values"][0] == 1
+        assert all(type(v) is int for v in doc["values"])
 
     def test_csv(self, table, tmp_path):
         path = tmp_path / "t.csv"
@@ -376,3 +400,46 @@ class TestOracleEveryTag:
         t = generate(FunctionId("sigma_m", m), N, ft_1m)
         for p in ft_1m.primes[ft_1m.primes < N][-20:].tolist():
             assert t.value(p) == 1 + p**m
+
+
+# closed forms from the factorisation for the tags whose oracle above
+# enumerates divisors, which is too slow past _ORACLE_N
+_FACTORISATION_FORMS = {
+    "tau": lambda fac, m: math.prod(e + 1 for e in fac.values()),
+    "rho": lambda fac, m: 2 ** len(fac),
+    "tau_squared": lambda fac, m: math.prod(e + 1 for e in fac.values()) ** 2,
+    "tau_k": lambda fac, m: math.prod(math.comb(e + m - 1, m - 1) for e in fac.values()),
+    "sigma_m": lambda fac, m: math.prod(sum(p ** (m * i) for i in range(e + 1))
+                                        for p, e in fac.items()),
+}
+
+
+@pytest.fixture(scope="module")
+def deep_points():
+    """Every prime power p^e <= 10^6 with e >= 2 (up to 2^19) and the 50
+    largest n <= 10^6, with trial factorisations and a boolean prime sieve."""
+    N = 10**6
+    is_prime = bool_prime_sieve(N)
+    ns = [q for p in np.flatnonzero(is_prime[: math.isqrt(N) + 1]).tolist()
+          for q in (p**e for e in range(2, 20)) if q <= N]
+    ns += range(N - 49, N + 1)
+    return {n: trial_factorization(n) for n in ns}, is_prime
+
+
+class TestDeepExponents:
+    @pytest.mark.parametrize(
+        "tag,param",
+        [(tag, m) for tag in ALL_TAGS for m in _ORACLE_PARAMS.get(tag, (None,))
+         if tag not in ("nth_prime", "const_one", "thue_morse_pm", "sum_binary_digits",
+                        "identity_n")],
+    )
+    def test_prime_powers_and_last_chunk(self, ft_1m, deep_points, tag, param):
+        facs, is_prime = deep_points
+        assert 2**19 in facs and max(e for fac in facs.values() for e in fac.values()) == 19
+        got = generate(FunctionId(tag, param), 10**6, ft_1m)
+        for n, fac in facs.items():
+            if tag in _FACTORISATION_FORMS:
+                want = _FACTORISATION_FORMS[tag](fac, param)
+            else:
+                want = _oracle_value(tag, param, n, fac, None, is_prime)
+            assert got.value(n) == want, (tag, param, n)
