@@ -10,16 +10,17 @@ the tail H(s) = G(s) - sum_{n<Q} U_n n^{-s} satisfies
 
 an expansion in r/(kQ): Q grows with |Im s| so the correction series
 never develops the e^{~|t|/2} cancellation the Q = 1 form suffers, and
-solving for H rather than G keeps the tail's relative precision.  Each
-evaluation carries a budget of descent levels; at budget zero the tail is
-summed directly (valid for Re s above 1 plus the coefficient growth
-degree).  One engine evaluates a whole vertical column of points at
-once; a single evaluation is a column of one point.  Near-singular
-systems at the requested point are refused as candidate poles; hitting
-one strictly inside the recursion (a removable coefficient-times-pole
-limit, e.g. zeta at s = 0 needing the value at the pole s+1 = 1) is
-resolved by averaging two evaluations offset by +-i h, which is O(h^2)
-accurate for an analytic target.
+solving for H rather than G keeps the tail's relative precision.  The
+tails H(s + o) at the offsets o below a depth ``levels`` are solved from
+this recursion; the tails at offsets o >= levels are summed directly
+(valid for Re s + o >= 1.25 plus the coefficient growth degree).  One
+engine evaluates a whole vertical column of points at once; a single
+evaluation is a column of one point.  Near-singular systems at the
+requested point are refused as candidate poles; hitting one strictly
+inside the recursion (a removable coefficient-times-pole limit, e.g.
+zeta at s = 0 needing the value at the pole s+1 = 1) is resolved by
+averaging two evaluations offset by +-i h, which is O(h^2) accurate for
+an analytic target.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def split_point(k: int, t_extreme: float) -> int:
 
 
 def default_levels(s: complex, d: float) -> int:
-    """Enough descent that budget-zero nodes land where truncation is easy:
-    Re s + levels >= 3.5 + d for a representation of growth degree d."""
+    """Enough descent that the directly summed tails land where truncation
+    is easy: Re s + levels >= 3.5 + d for a representation of growth degree d."""
     return max(2, math.ceil(3.5 + d - complex(s).real))
 
 
@@ -200,12 +201,11 @@ class _ColumnEngine:
     again as one column at y +- h and averaged.  ``Q`` defaults to the
     split point of the column's largest height.
 
-    Node (b, o) is the tail H(s + o) at descent budget b.  The top node is
-    (levels, 0), and a node of budget b >= 1 needs the nodes of budget
-    b - 1 at offsets o + 1 .. o + m_eff(o).  A plan finds the run of
-    offsets each budget holds; the solve then runs from the highest offset
-    down, so every child is ready before its parents and each offset's
-    cut, strip and resolvent are computed once, for every budget at once.
+    Node o is the tail H(s + o), one per offset; the top node is offset 0.
+    An offset o < levels recurses on the nodes o + 1 .. o + m_eff(o); an
+    offset o >= levels is summed directly.  The solve runs from the highest
+    offset down, so every child is ready before its parents, and each
+    offset's cut, strip, resolvent and weights are computed once.
     """
 
     def __init__(self, ctx: ContinuationContext, x: float, ys: np.ndarray,
@@ -283,42 +283,34 @@ class _ColumnEngine:
             mass += float(np.exp(-(self.x + offset) * logn) @ np.abs(u[a:b]).max(axis=1))
         return vals, mass
 
-    def _plan(self) -> tuple[list[range], list[tuple[int, float]]]:
-        """The run of offsets each budget holds, and the cut (m_eff and its
-        dropped-tail factor, see _m_horizon) of every offset that a budget
-        b >= 1 holds.
-
-        Budget b holds the offsets levels - b .. ends[b] - 1.  A parent at
-        offset o needs the children o + 1 .. o + m_eff(o) of the budget
-        below, so each run starts one above its parents' first offset and
-        ends one past their farthest child.  Also sizes the U-array and the
-        n^{-s} matrix for the longest strip the runs sum.
+    def _plan(self) -> tuple[list[tuple[int, float]], int]:
+        """The cut (m_eff and its dropped-tail factor, see _m_horizon) of
+        every offset below levels, each a recursion node, and the number of
+        offsets: the direct tails run from levels to one past the farthest
+        child o + m_eff(o).  Also sizes the U-array and the n^{-s} matrix
+        for the longest strip the nodes sum.
         """
         levels, k, Q = self.levels, self.ctx.rep.k, self.Q
-        cuts: list[tuple[int, float]] = []
-        ends = [0] * levels + [1]
-        for b in range(levels, 0, -1):
-            while len(cuts) < ends[b]:
-                cuts.append(self._m_horizon(complex(self.x + len(cuts), self.y_extreme)))
-            ends[b - 1] = max(o + 1 + cuts[o][0] for o in range(levels - b, ends[b]))
+        cuts = [self._m_horizon(complex(self.x + o, self.y_extreme)) for o in range(levels)]
+        end = max((o + 1 + m for o, (m, _) in enumerate(cuts)), default=1)
         # the head, the node strips and the direct tails
         lengths = [Q - 1, k * Q - 1 if levels else 0]
-        lengths += [self._direct_len(o)[0] for o in range(levels, ends[0])]
+        lengths += [self._direct_len(o)[0] for o in range(levels, end)]
         self.ctx.u(max(lengths))
         n = np.arange(1, max((x for x in lengths if x <= _CHUNK), default=0) + 1, dtype=np.float64)
         self._logn = np.log(n)
         self._e = np.exp(np.outer(-self.s_col, self._logn))
-        return [range(levels - b, end) for b, end in enumerate(ends)], cuts
+        return cuts, end
 
-    def _solve_node(self, offset: int, cut: tuple[int, float], strip: np.ndarray,
-                    resolvent: tuple, gs: np.ndarray, g_errs: np.ndarray,
-                    g_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A node's tail and error from its offset's cut, strip and resolvent
-        and its children's tails (m_eff, ny, dim), errors and scales."""
+    def _solve_node(self, offset: int, cut: tuple[int, float], gs: np.ndarray,
+                    g_errs: np.ndarray, g_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A recursion node's tail and error from its cut and its children's
+        tails (m_eff, ny, dim), errors and scales."""
         ctx = self.ctx
-        k = ctx.rep.k
+        k, Q = ctx.rep.k, self.Q
         s_vec = self.s_col + offset
-        (m_eff, horizon), (det, inv, inv_norm, inv_rounding) = cut, resolvent
+        m_eff, horizon = cut
+        det, inv, inv_norm, inv_rounding = ctx.resolvent(s_vec)
         singular = det < _NEAR_SINGULAR_DET
         if offset == 0:
             self.top_det = det
@@ -332,7 +324,9 @@ class _ColumnEngine:
         steps = (s_vec[:, None] + ms[None, :] - 1) / (k * ms[None, :])
         steps[:, 0] *= self.k_pow_s * float(k) ** -offset
         ck = np.cumprod(steps, axis=1)
-        rhs = strip.copy()
+        # the n < Q head cancels out of the system exactly, so the right-hand
+        # side and the solution stay on the tail's scale (no lost precision)
+        rhs = self._strip(offset, Q, k * Q)[0]
         # error propagation is relative: a child's absolute error only matters
         # at the scale its term actually contributes to the right-hand side
         rel_children = g_errs / np.maximum(g_scale, 1e-300)
@@ -393,34 +387,23 @@ class _ColumnEngine:
 
     def _solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Output-coordinate values and errors over the column."""
-        runs, cuts = self._plan()
-        k, Q, shape = self.ctx.rep.k, self.Q, (self.ny, self.ctx.rep.dim)
-        vec = [np.empty((len(run), *shape), dtype=np.complex128) for run in runs]
-        err = [np.empty((len(run), self.ny)) for run in runs]
-        scale = [np.empty((len(run), self.ny)) for run in runs]
-        for offset in reversed(range(runs[0].stop)):
-            held = [b for b, run in enumerate(runs) if offset in run]
-            if held[-1] >= 1:
-                # the n < Q head cancels out of the system exactly, so the right-hand
-                # side and the solution stay on the tail's scale (no lost precision)
-                strip = self._strip(offset, Q, k * Q)[0]
-                resolvent = self.ctx.resolvent(self.s_col + offset)
-            for b in held:
-                i = offset - runs[b].start
-                if b == 0:
-                    vec[0][i], err[0][i] = self._base(offset)
-                else:
-                    first = offset + 1 - runs[b - 1].start
-                    c = slice(first, first + cuts[offset][0])
-                    vec[b][i], err[b][i] = self._solve_node(
-                        offset, cuts[offset], strip, resolvent,
-                        vec[b - 1][c], err[b - 1][c], scale[b - 1][c])
-                scale[b][i] = np.abs(vec[b][i]).max(axis=1)
-                self.nodes += 1
+        cuts, end = self._plan()
+        shape = (end, self.ny)
+        vec = np.empty((*shape, self.ctx.rep.dim), dtype=np.complex128)
+        err, scale = np.empty(shape), np.empty(shape)
+        for offset in reversed(range(end)):
+            if offset >= self.levels:
+                vec[offset], err[offset] = self._base(offset)
+            else:
+                c = slice(offset + 1, offset + 1 + cuts[offset][0])
+                vec[offset], err[offset] = self._solve_node(
+                    offset, cuts[offset], vec[c], err[c], scale[c])
+            scale[offset] = np.abs(vec[offset]).max(axis=1)
+            self.nodes += 1
         if self.levels == 0:
             self.top_det = self.ctx.resolvent(self.s_col)[0]
-        value = vec[-1][0] + self._strip(0, 1, Q)[0]
-        return value[:, self.ctx.rep.output_coord], err[-1][0]
+        value = vec[0] + self._strip(0, 1, self.Q)[0]
+        return value[:, self.ctx.rep.output_coord], err[0]
 
     def run(self) -> list[EvalResult]:
         value, err = self._solve()

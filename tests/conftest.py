@@ -46,7 +46,9 @@ def trial_factorization(n: int) -> dict[int, int]:
 
 
 def brute_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Every divisor of n, ascending: each d <= isqrt(n) dividing n, and n // d."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def bool_prime_sieve(limit: int) -> np.ndarray:

@@ -258,9 +258,15 @@ class TestHorizon:
             m, dropped = engine._m_horizon(complex(sigma, 0.0))
             assert m == 200 or ratio * (1 + abs(sigma - 1) / (m + 1)) < 1, sigma
             assert dropped > 0, sigma
+        # at default settings s = 0 recurses only to its direct tails, none of
+        # them deep enough to run out of m; a short m_max still cuts and covers
+        truth = complex(mpmath.zeta(0))
         res = continue_via_recursion(const_rep, 0.0)
+        assert not res.truncated
+        assert abs(res.value - truth) <= res.error_estimate
+        res = continue_via_recursion(const_rep, 0.0, m_max=8)
         assert res.truncated
-        assert abs(res.value - complex(mpmath.zeta(0))) <= res.error_estimate
+        assert abs(res.value - truth) <= res.error_estimate
 
     def test_long_horizon_stays_finite(self, const_rep, table):
         # C(s+m-1, m) alone overflows at the deep real-axis nodes a long
@@ -271,16 +277,31 @@ class TestHorizon:
             res = continue_via_recursion(rep, -1.5, m_max=m_max)
             assert abs(res.value - truth) <= res.error_estimate, m_max
 
+    @pytest.mark.parametrize("k, L, M", [(2, 6, 64), (3, 5, 32)])
+    def test_real_axis_not_truncated(self, table, k, L, M):
+        # every deep node sits at or above levels and is summed directly, so
+        # no real-axis point runs its horizon out to m_max (at k = 3 that
+        # run-on estimated 8.0 at s = -1.5 against an actual 1.9e-12)
+        rep = build_representation(table("const_one", N=2**14), k, L, M)
+        for s in (-1.5, -0.5, 0.0, 0.5, 1.5):
+            res = continue_via_recursion(rep, s)
+            assert not res.truncated, (k, s)
+            assert res.error_estimate <= 1e-6, (k, s, res.error_estimate)
+            assert abs(res.value - complex(mpmath.zeta(s))) <= res.error_estimate, (k, s)
+
     def test_column_work_count(self, tm_rep):
-        # a pole-scan column; an envelope without k^{-sigma} solves 268 nodes
+        # a pole-scan column: one node per offset, the offsets below levels
+        # recursing and the rest up to the farthest child summed directly
         ys = np.arange(201) * 0.05
         engine = _ColumnEngine(ContinuationContext(tm_rep), 0.86, ys, 3, 200)
         engine.run()
-        assert engine.nodes <= 200
+        direct = max(o + 1 + engine._m_horizon(complex(0.86 + o, ys[-1]))[0]
+                     for o in range(3)) - 3
+        assert engine.nodes == 3 + direct
 
     def test_one_resolvent_per_offset(self, table, monkeypatch):
         # a dim-21 pole-scan column, where one offset's inverses take 1.4 MiB:
-        # every budget that holds an offset shares its one resolvent
+        # each recursion node, one per offset, solves its one resolvent
         rep = build_representation(table("identity_n", mod=7, N=2**16), 2, 8, 128)
         offsets = []
         resolvent = ContinuationContext.resolvent

@@ -149,6 +149,11 @@ class TestGenerate:
         for n in (1, 2, 12, 144, 9999):
             assert tos.value(n) == len(brute_divisors(n * n))
 
+    def test_divisor_oracle_matches_full_trial(self):
+        # the paired oracle returns what trying every d <= n returns
+        for n in range(1, 2001):
+            assert brute_divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
     def test_nth_prime(self, ft_1m):
         t = generate(FunctionId("nth_prime"), 5, build_factor_table(12))
         assert t.values[1:6].tolist() == [2, 3, 5, 7, 11]
