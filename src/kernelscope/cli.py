@@ -5,6 +5,10 @@ reproduction.  CSV output is byte-identical across runs of the same
 config (wall time is reported in JSON output and on stderr only, never
 inside CSV).  Exit codes: 0 success, 1 domain/validation error, 2
 capacity/precision error.
+
+The exit code of a failure lives on its error class, as ``exit_code`` in
+errors.py: CapacityError, PrecisionError, ContourError and ExhaustionError
+give 2; every other KernelscopeError, a ValueError and a usage error give 1.
 """
 
 from __future__ import annotations
@@ -17,19 +21,7 @@ import time
 
 from . import __version__
 from . import automaton, christol, dirichlet, kernel, seqgen, zeta
-from .errors import (
-    CapacityError,
-    ContourError,
-    DomainError,
-    ExhaustionError,
-    KernelscopeError,
-    PrecisionError,
-    RangeError,
-    VerdictError,
-)
-
-_EXIT_DOMAIN = 1
-_EXIT_CAPACITY = 2
+from .errors import DomainError, KernelscopeError
 
 
 def _config_string(args: argparse.Namespace) -> str:
@@ -39,8 +31,7 @@ def _config_string(args: argparse.Namespace) -> str:
 
 def _emit(args, payload_json, payload_csv, elapsed: float) -> None:
     """payload_json: dict; payload_csv: callable(fh) writing rows."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "tool": "kernelscope",
             "version": __version__,
@@ -55,68 +46,54 @@ def _emit(args, payload_json, payload_csv, elapsed: float) -> None:
         buf.write(f"# config={_config_string(args)}\n")
         payload_csv(buf)
         text = buf.getvalue()
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {out} ({elapsed:.3f}s)", file=sys.stderr)
+        print(f"wrote {args.out} ({elapsed:.3f}s)", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
 
-def _parse_complex_list(raw: str) -> list[complex]:
-    return [complex(part) for part in raw.split(",") if part]
-
-
-def _function_id(args) -> seqgen.FunctionId:
-    return seqgen.FunctionId(args.fn, args.fn_param)
-
-
 def _load_table(args) -> seqgen.ValueTable:
-    if getattr(args, "fn", None) is None or getattr(args, "N", None) is None:
+    if args.fn is None or args.N is None:
         raise DomainError("this command needs --fn and --N")
-    fid = _function_id(args)
+    fid = seqgen.FunctionId(args.fn, args.fn_param)
     ft = seqgen.build_factor_table(max(2, args.N))
     t = seqgen.generate(fid, args.N, ft)
-    if getattr(args, "mod", None):
+    if args.mod:
         t = seqgen.reduce_mod(t, args.mod)
     return t
 
 
 def _load_rep(args) -> automaton.LinearRepresentation:
-    if getattr(args, "rep", None):
+    if args.rep:
         with open(args.rep) as fh:
             return automaton.rep_from_json(json.load(fh))
-    if getattr(args, "fn", None) is None or getattr(args, "N", None) is None:
+    if args.fn is None or args.N is None:
         raise DomainError("need --rep FILE, or --fn/--N (plus --k/--L/--M) to build")
     t = _load_table(args)
     return automaton.build_representation(t, args.k, args.L, args.M)
 
 
-def _add_function_args(p, need_n=True):
-    p.add_argument("--fn", required=True, choices=sorted(seqgen.ALL_TAGS))
+def _add_function_args(p, required=True):
+    p.add_argument("--fn", required=required, choices=sorted(seqgen.ALL_TAGS))
     p.add_argument("--fn-param", type=int, default=None,
                    help="k of tau_k, m of sigma_m / q_m")
     p.add_argument("--mod", type=int, default=None,
                    help="reduce the table mod this value")
-    if need_n:
-        p.add_argument("--N", type=int, required=True, help="table bound")
+    p.add_argument("--N", type=int, required=required, help="table bound")
 
 
-def _add_output_args(p, default_fmt="json"):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=default_fmt)
+def _add_window_args(p, required=True):
+    """--k/--L/--M: required, or 2, 6, 64 when a representation source omits them."""
+    for flag, default in (("--k", 2), ("--L", 6), ("--M", 64)):
+        p.add_argument(flag, type=int, required=required, default=default)
 
 
 def _add_rep_source(p):
     p.add_argument("--rep", default=None, help="representation JSON file")
-    p.add_argument("--fn", choices=sorted(seqgen.ALL_TAGS), default=None)
-    p.add_argument("--fn-param", type=int, default=None)
-    p.add_argument("--mod", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--L", type=int, default=6)
-    p.add_argument("--M", type=int, default=64)
+    _add_function_args(p, required=False)
+    _add_window_args(p, required=False)
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -197,7 +174,7 @@ def _cmd_verify_identity(args):
     fid = ident.function_id()
     ft = seqgen.build_factor_table(args.N)
     t = seqgen.generate(fid, args.N, ft)
-    samples = _parse_complex_list(args.s)
+    samples = [complex(part) for part in args.s.split(",") if part]
     report = dirichlet.verify_identity(ident, t, samples, args.N)
     return report.to_json(), None
 
@@ -278,56 +255,47 @@ def _cmd_christol_orbit(args):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kernelscope",
-        description=__doc__,
+        # the last docstring paragraph is for maintainers, not for --help
+        description=__doc__.rsplit("\n\n", 1)[0],
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="tabulate a function")
-    _add_function_args(p)
-    _add_output_args(p, default_fmt="csv")
-    p.set_defaults(func=_cmd_generate)
+    def command(name, func, help, fmt="json"):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
+        p.set_defaults(func=func)
+        return p
 
-    for name, fn in (("kernel-profile", _cmd_kernel_profile),
-                     ("rank-profile", _cmd_rank_profile)):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} of a sequence")
+    _add_function_args(command("generate", _cmd_generate, "tabulate a function", fmt="csv"))
+
+    for name, func in (("kernel-profile", _cmd_kernel_profile),
+                       ("rank-profile", _cmd_rank_profile)):
+        p = command(name, func, f"{name.replace('-', ' ')} of a sequence")
         _add_function_args(p)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--L", type=int, required=True)
-        p.add_argument("--M", type=int, required=True)
-        _add_output_args(p)
-        p.set_defaults(func=fn)
+        _add_window_args(p)
 
-    p = sub.add_parser("density", help="value occurrence densities")
+    p = command("density", _cmd_density, "value occurrence densities")
     _add_function_args(p)
     p.add_argument("--value", type=int, required=True)
     p.add_argument("--lengths", required=True, help="comma list of prefix lengths")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("build-rep", help="build a linear representation")
+    p = command("build-rep", _cmd_build_rep, "build a linear representation")
     _add_function_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_build_rep)
+    _add_window_args(p)
 
-    p = sub.add_parser("eval-rep", help="evaluate a representation at n")
+    p = command("eval-rep", _cmd_eval_rep, "evaluate a representation at n")
     _add_rep_source(p)
     p.add_argument("--n", type=int, required=True)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_eval_rep)
 
-    p = sub.add_parser("pole-lattice", help="candidate pole lattice")
+    p = command("pole-lattice", _cmd_pole_lattice, "candidate pole lattice")
     _add_rep_source(p)
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--l-max", type=int, default=3)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_pole_lattice)
 
-    p = sub.add_parser("dirichlet-eval", help="evaluate a Dirichlet series")
+    p = command("dirichlet-eval", _cmd_dirichlet_eval, "evaluate a Dirichlet series")
     p.add_argument("--method", choices=("direct", "recursion", "zeta-quotient"),
                    required=True)
     p.add_argument("--s", required=True, help="complex point, e.g. 2 or 2+1j")
@@ -337,18 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--m-max", type=int, default=200)
     _add_rep_source(p)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_dirichlet_eval)
 
-    p = sub.add_parser("verify-identity", help="truncated sum vs closed form")
+    p = command("verify-identity", _cmd_verify_identity, "truncated sum vs closed form")
     p.add_argument("--id", choices=sorted(dirichlet.IDENTITY_TAGS), required=True)
     p.add_argument("--id-param", type=int, default=None)
     p.add_argument("--s", required=True, help="comma list of complex points")
     p.add_argument("--N", type=int, required=True)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_verify_identity)
 
-    p = sub.add_parser("pole-scan", help="grid scan for pole candidates")
+    p = command("pole-scan", _cmd_pole_scan, "grid scan for pole candidates")
     _add_rep_source(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -356,43 +320,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_pole_scan)
 
-    p = sub.add_parser("singularities",
-                       help="real singular points 1/n of the prime zeta function")
+    p = command("singularities", _cmd_singularities,
+                "real singular points 1/n of the prime zeta function")
     p.add_argument("--n-max", type=int, required=True)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_singularities)
 
-    p = sub.add_parser("zeta", help="evaluate zeta at one point")
+    p = command("zeta", _cmd_zeta, "evaluate zeta at one point")
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("zeros", help="critical-line zeros up to height T")
+    p = command("zeros", _cmd_zeros, "critical-line zeros up to height T", fmt="csv")
     p.add_argument("--T", type=float, required=True)
-    _add_output_args(p, default_fmt="csv")
-    p.set_defaults(func=_cmd_zeros)
 
-    p = sub.add_parser("zero-count", help="N(T) by the argument principle")
+    p = command("zero-count", _cmd_zero_count, "N(T) by the argument principle")
     p.add_argument("--T", type=float, required=True)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_zero_count)
 
-    p = sub.add_parser("tlogt", help="N(T)/(T log10 T) growth table")
+    p = command("tlogt", _cmd_tlogt, "N(T)/(T log10 T) growth table", fmt="csv")
     p.add_argument("--T-list", required=True, help="comma list of heights")
-    _add_output_args(p, default_fmt="csv")
-    p.set_defaults(func=_cmd_tlogt)
 
-    p = sub.add_parser("christol-orbit", help="Cartier section orbit over F_p")
+    p = command("christol-orbit", _cmd_christol_orbit, "Cartier section orbit over F_p")
     _add_function_args(p)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--budget", type=int, default=50)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_christol_orbit)
 
     return ap
 
@@ -402,22 +352,17 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage problems; the contract here is 1
-        return 0 if exc.code in (0, None) else _EXIT_DOMAIN
+        # argparse exits 2 on usage problems; here they are validation errors
+        return 0 if exc.code in (0, None) else KernelscopeError.exit_code
     start = time.perf_counter()
     try:
         payload_json, payload_csv = args.func(args)
-    except (CapacityError, PrecisionError, ContourError, ExhaustionError) as exc:
+        if args.format == "csv" and payload_csv is None:
+            raise DomainError("this command has no CSV form; use --format json")
+    except (KernelscopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CAPACITY
-    except (DomainError, RangeError, VerdictError, KernelscopeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
+        return getattr(exc, "exit_code", KernelscopeError.exit_code)
     elapsed = time.perf_counter() - start
-    if getattr(args, "format", "json") == "csv" and payload_csv is None:
-        print("error: this command has no CSV form; use --format json",
-              file=sys.stderr)
-        return _EXIT_DOMAIN
     _emit(args, payload_json, payload_csv, elapsed)
     return 0
 

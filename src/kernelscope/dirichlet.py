@@ -553,16 +553,6 @@ def _log_series(z: Callable[[complex], complex], s: complex, weights: str) -> co
     return acc
 
 
-def _prime_power_zeta(z: Callable[[complex], complex], s: complex) -> complex:
-    """sum_{j>=1} P(js), P the mu-weighted log series."""
-    acc = 0j
-    for j in range(1, 400):
-        if 6.0 * 2.0 ** (-j * s.real) < 1e-16:
-            break
-        acc += _log_series(z, j * s, "mu")
-    return acc
-
-
 @dataclass(frozen=True)
 class _Identity:
     """sum f(n) n^{-s} = evaluate(z, s, m) for Re s > sigma_min, with z
@@ -584,8 +574,9 @@ _IDENTITIES = {
     "tau_squared": _Identity("zeta(s)^4/zeta(2s)", lambda z, s, m: z(s) ** 4 / z(2 * s)),
     "chi_P": _Identity("sum_n mu(n)/n log zeta(ns)",
                        lambda z, s, m: _log_series(z, s, "mu"), log_series=True),
+    # the double sum is sum_m phi(m)/m log zeta(ms), as sum_{d|m} mu(d)/d = phi(m)/m
     "chi_PP": _Identity("sum_j sum_n mu(n)/n log zeta(jns)",
-                        lambda z, s, m: _prime_power_zeta(z, s), log_series=True),
+                        lambda z, s, m: _log_series(z, s, "phi"), log_series=True),
     "omega": _Identity("zeta(s) sum_n mu(n)/n log zeta(ns)",
                        lambda z, s, m: z(s) * _log_series(z, s, "mu"), log_series=True),
     "big_omega": _Identity("zeta(s) sum_n phi(n)/n log zeta(ns)",
@@ -605,11 +596,7 @@ class IdentityId:
     def __post_init__(self):
         if self.tag not in _IDENTITIES:
             raise DomainError(f"unknown identity tag {self.tag!r}")
-        if self.tag == "q_m":
-            if self.param is None or self.param < 2:
-                raise DomainError("q_m requires a parameter m >= 2")
-        elif self.param is not None:
-            raise DomainError(f"{self.tag} takes no parameter")
+        self.function_id()  # FunctionId holds the parameter rules
 
     @property
     def form(self) -> str:
@@ -842,7 +829,7 @@ def pole_scan(
         columns = [probe_column(x) for x in res]
     # row-major grid order (imaginary part outer) for the CSV export
     points = [col[j] for j in range(len(ims)) for col in columns]
-    clusters = _cluster([p.s for p in points if p.flagged], points, 1.6 * step)
+    clusters = _cluster([p for p in points if p.flagged], 1.6 * step)
     m_hi = int(T * math.log(rep.k) / (2 * math.pi)) + 2
     l_hi = max(0, int(math.ceil(2 - a))) + 1
     lattice = lattice_from_char_poly(rep, ctx.char_coeffs, m_max=m_hi, l_max=l_hi)
@@ -855,7 +842,7 @@ def pole_scan(
     )
 
 
-def _cluster(flagged: list[complex], points: list[ScanPoint], radius: float):
+def _cluster(flagged: list[ScanPoint], radius: float):
     """Union-find grouping of flagged grid points; one representative each."""
     n = len(flagged)
     parent = list(range(n))
@@ -868,18 +855,14 @@ def _cluster(flagged: list[complex], points: list[ScanPoint], radius: float):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(flagged[i] - flagged[j]) <= radius:
+            if abs(flagged[i].s - flagged[j].s) <= radius:
                 parent[find(i)] = find(j)
-    by_root: dict[int, list[complex]] = {}
-    for i, z in enumerate(flagged):
-        by_root.setdefault(find(i), []).append(z)
-    score = {p.s: p for p in points}
-    reps = []
-    for members in by_root.values():
-        def badness(z):
-            p = score[z]
-            if p.near_singular:
-                return (-math.inf, 0.0)
-            return (-p.abs_value, p.det_magnitude)
-        reps.append(min(members, key=badness))
+    by_root: dict[int, list[ScanPoint]] = {}
+    for i, p in enumerate(flagged):
+        by_root.setdefault(find(i), []).append(p)
+
+    def badness(p):
+        return (-math.inf, 0.0) if p.near_singular else (-p.abs_value, p.det_magnitude)
+
+    reps = [min(members, key=badness).s for members in by_root.values()]
     return tuple(sorted(reps, key=lambda z: (z.imag, z.real)))

@@ -1,12 +1,16 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: domain/validation problems exit 1,
-capacity/precision problems exit 2.
+Each class carries the exit code the CLI returns for it, as ``exit_code``:
+1 for domain/validation problems (the base class's value), 2 for the
+capacity/precision problems CapacityError, PrecisionError, ContourError
+and ExhaustionError.
 """
 
 
 class KernelscopeError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 1
 
 
 class DomainError(KernelscopeError):
@@ -24,9 +28,13 @@ class RangeError(KernelscopeError):
 class CapacityError(KernelscopeError):
     """Work refused: table too short, bound too large, or int64 would overflow."""
 
+    exit_code = 2
+
 
 class PrecisionError(KernelscopeError):
     """Requested tolerance unreachable inside the working range."""
+
+    exit_code = 2
 
 
 class VerdictError(KernelscopeError):
@@ -40,6 +48,10 @@ class ConstructionError(KernelscopeError):
 class ContourError(KernelscopeError):
     """An argument-principle contour passed too close to a zero."""
 
+    exit_code = 2
+
 
 class ExhaustionError(KernelscopeError):
     """A reliable comparison window shrank below the required minimum."""
+
+    exit_code = 2

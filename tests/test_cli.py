@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from kernelscope import cli, errors
 from kernelscope.cli import run
 
 
@@ -168,3 +171,22 @@ class TestContract:
 
     def test_missing_fn_for_table_command(self, capsys):
         assert run(["dirichlet-eval", "--method", "direct", "--s", "2"]) == 1
+
+    @pytest.mark.parametrize("argv", [["zeta", "--re", "2"], ["zero-count", "--T", "20"]])
+    def test_csv_without_csv_form_exits_1(self, capsys, argv):
+        assert run(argv + ["--format", "csv"]) == 1
+        assert "no CSV form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code", [
+        (errors.KernelscopeError, 1), (errors.DomainError, 1), (errors.PoleError, 1),
+        (errors.RangeError, 1), (errors.VerdictError, 1), (errors.ConstructionError, 1),
+        (ValueError, 1), (errors.CapacityError, 2), (errors.PrecisionError, 2),
+        (errors.ContourError, 2), (errors.ExhaustionError, 2),
+    ])
+    def test_exit_code_of_each_error_class(self, capsys, monkeypatch, exc, code):
+        def fail(args):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "_cmd_zeta", fail)
+        assert run(["zeta", "--re", "2"]) == code
+        assert capsys.readouterr().err == "error: boom\n"

@@ -341,6 +341,20 @@ class TestZetaQuotientEval:
         assert abs(res.value - partial) < tail
         assert abs(res.value - 0.4522474200) < 1e-8
 
+    @pytest.mark.parametrize("s", [2.0, 3.0, 4.5])
+    def test_prime_power_oracle(self, s):
+        # chi_PP sums p^{-js} over primes and j >= 1, i.e. sum_j P(js)
+        truth, j = mpmath.mpf(0), 1
+        while (term := mpmath.primezeta(j * s)) > 1e-25:
+            truth, j = truth + term, j + 1
+        res = zeta_quotient_eval(IdentityId("chi_PP"), s)
+        assert abs(res.value - float(truth)) <= res.error_estimate
+
+    @pytest.mark.parametrize("tag, param", [("q_m", None), ("q_m", 1), ("mu", 3)])
+    def test_parameter_rules_name_the_tag(self, tag, param):
+        with pytest.raises(DomainError, match=tag):
+            IdentityId(tag, param)
+
     def test_validity_half_planes(self):
         with pytest.raises(DomainError):
             zeta_quotient_eval(IdentityId("mu"), 0.9)

@@ -1,5 +1,6 @@
 """Every command of the README's CLI block runs and exits 0."""
 
+import argparse
 import shlex
 from pathlib import Path
 
@@ -17,6 +18,13 @@ def _cli_block_commands() -> list[str]:
 
 def test_cli_block_is_found():
     assert len(_cli_block_commands()) >= 10
+
+
+def test_cli_block_runs_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    ran = {shlex.split(line)[1] for line in _cli_block_commands()}
+    assert set(sub.choices) <= ran, sorted(set(sub.choices) - ran)
 
 
 @pytest.mark.parametrize("line", _cli_block_commands())
