@@ -262,22 +262,32 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, fmt="json"):
+    def command(name, func, help, forms=("json",)):
+        """Register a subcommand whose output forms are ``forms``, the first
+        the default; a form it lacks is refused before the body runs."""
+
+        def output_form(value):
+            if value not in forms:
+                raise argparse.ArgumentTypeError(
+                    f"this command has no {value.upper()} form; use --format {forms[0]}")
+            return value
+
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=fmt)
+        p.add_argument("--format", choices=forms, type=output_form, default=forms[0])
         p.set_defaults(func=func)
         return p
 
-    _add_function_args(command("generate", _cmd_generate, "tabulate a function", fmt="csv"))
+    both, csv_first = ("json", "csv"), ("csv", "json")
+    _add_function_args(command("generate", _cmd_generate, "tabulate a function", csv_first))
 
     for name, func in (("kernel-profile", _cmd_kernel_profile),
                        ("rank-profile", _cmd_rank_profile)):
-        p = command(name, func, f"{name.replace('-', ' ')} of a sequence")
+        p = command(name, func, f"{name.replace('-', ' ')} of a sequence", both)
         _add_function_args(p)
         _add_window_args(p)
 
-    p = command("density", _cmd_density, "value occurrence densities")
+    p = command("density", _cmd_density, "value occurrence densities", both)
     _add_function_args(p)
     p.add_argument("--value", type=int, required=True)
     p.add_argument("--lengths", required=True, help="comma list of prefix lengths")
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rep_source(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = command("pole-lattice", _cmd_pole_lattice, "candidate pole lattice")
+    p = command("pole-lattice", _cmd_pole_lattice, "candidate pole lattice", both)
     _add_rep_source(p)
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--l-max", type=int, default=3)
@@ -312,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="comma list of complex points")
     p.add_argument("--N", type=int, required=True)
 
-    p = command("pole-scan", _cmd_pole_scan, "grid scan for pole candidates")
+    p = command("pole-scan", _cmd_pole_scan, "grid scan for pole candidates", both)
     _add_rep_source(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
 
     p = command("singularities", _cmd_singularities,
-                "real singular points 1/n of the prime zeta function")
+                "real singular points 1/n of the prime zeta function", both)
     p.add_argument("--n-max", type=int, required=True)
 
     p = command("zeta", _cmd_zeta, "evaluate zeta at one point")
@@ -330,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = command("zeros", _cmd_zeros, "critical-line zeros up to height T", fmt="csv")
+    p = command("zeros", _cmd_zeros, "critical-line zeros up to height T", csv_first)
     p.add_argument("--T", type=float, required=True)
 
     p = command("zero-count", _cmd_zero_count, "N(T) by the argument principle")
     p.add_argument("--T", type=float, required=True)
 
-    p = command("tlogt", _cmd_tlogt, "N(T)/(T log10 T) growth table", fmt="csv")
+    p = command("tlogt", _cmd_tlogt, "N(T)/(T log10 T) growth table", csv_first)
     p.add_argument("--T-list", required=True, help="comma list of heights")
 
     p = command("christol-orbit", _cmd_christol_orbit, "Cartier section orbit over F_p")
@@ -357,8 +367,6 @@ def run(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         payload_json, payload_csv = args.func(args)
-        if args.format == "csv" and payload_csv is None:
-            raise DomainError("this command has no CSV form; use --format json")
     except (KernelscopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", KernelscopeError.exit_code)

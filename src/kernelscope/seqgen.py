@@ -9,6 +9,9 @@ functions, a sum for additive ones).  Values are stored as int64 behind an
 a-priori exact overflow bound, so construction refuses (CapacityError)
 instead of silently wrapping.
 
+A new function is one ``_TAGS`` row: its table builder, its growth pair
+(C, d) and its parameter floor.
+
 Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
 ``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only.
 Sequences are indexed from 1; there is no f(0).
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,17 +29,6 @@ import numpy as np
 from .errors import CapacityError, ConstructionError, DomainError, RangeError
 
 DEFAULT_MAX_N = 10_000_000
-
-_PARAMETERLESS_TAGS = (
-    "lambda", "mu", "abs_mu", "phi", "tau", "omega", "big_omega", "rho",
-    "r_half_rho", "chi_P", "chi_PP", "nth_prime", "tau_of_square", "tau_squared",
-    "const_one", "thue_morse_pm", "sum_binary_digits", "identity_n",
-)
-
-# tag -> minimal admissible parameter
-_PARAMETERIZED_TAGS = {"tau_k": 1, "sigma_m": 0, "q_m": 2}
-
-ALL_TAGS = _PARAMETERLESS_TAGS + tuple(_PARAMETERIZED_TAGS)
 
 
 def max_table_size() -> int:
@@ -52,17 +45,6 @@ def max_table_size() -> int:
     return cap
 
 
-# (C, d) of FunctionId.growth_bound where it takes no parameter; sigma_0 = tau
-_GROWTH = {
-    **dict.fromkeys(("lambda", "mu", "abs_mu", "q_m", "chi_P", "chi_PP", "const_one",
-                     "thue_morse_pm"), (1.0, 0.0)),
-    "omega": (2.2, 0.25), "big_omega": (2.2, 0.25), "tau": (8.45, 0.25), "rho": (8.45, 0.25),
-    "sigma_m": (8.45, 0.25), "tau_of_square": (8.45, 0.5), "tau_squared": (72.0, 0.5),
-    "sum_binary_digits": (2.6, 0.25), "phi": (1.0, 1.0), "identity_n": (1.0, 1.0),
-    "r_half_rho": (4.25, 0.25), "nth_prime": (2.0, 1.25),
-}
-
-
 @dataclass(frozen=True)
 class FunctionId:
     """Identifier of a supported arithmetic function, plus parameters.
@@ -76,15 +58,14 @@ class FunctionId:
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.tag in _PARAMETERIZED_TAGS:
-            low = _PARAMETERIZED_TAGS[self.tag]
-            if self.param is None or self.param < low:
-                raise DomainError(f"{self.tag} requires an integer parameter >= {low}")
-        elif self.tag in _PARAMETERLESS_TAGS:
+        if self.tag not in _TAGS:
+            raise DomainError(f"unknown function tag {self.tag!r}")
+        low = _TAGS[self.tag].param_min
+        if low is None:
             if self.param is not None:
                 raise DomainError(f"{self.tag} takes no parameter")
-        else:
-            raise DomainError(f"unknown function tag {self.tag!r}")
+        elif self.param is None or self.param < low:
+            raise DomainError(f"{self.tag} requires an integer parameter >= {low}")
         if self.modulus is not None and self.modulus < 2:
             raise DomainError("modulus must be >= 2")
 
@@ -95,21 +76,13 @@ class FunctionId:
         return s
 
     def growth_bound(self) -> tuple[float, float]:
-        """(C, d) with |f(n)| <= C * n**d for all n >= 1.
-
-        Used for Dirichlet tail bounds.  Each pair is an elementary bound:
-        tau(n) <= 8.45 n^{1/4} is the product over p of max_e (e+1) p^{-e/4}
-        (primes >= 17 contribute 1), Omega(n) <= log2(n) <= 2.13 n^{1/4},
-        sigma_m(n) <= zeta(m) n^m for m >= 2, p(n) <= 2 n^{5/4}.
-        """
+        """(C, d) with |f(n)| <= C * n**d for all n >= 1, the tag's growth
+        row (see _TAGS) or m - 1 for a table reduced mod m.  Used for
+        Dirichlet tail bounds."""
         if self.modulus is not None:
             return float(self.modulus - 1) if self.modulus > 1 else 1.0, 0.0
-        m = self.param
-        if self.tag == "tau_k":
-            return 8.45 ** (m - 1), 0.25 * (m - 1)
-        if self.tag == "sigma_m" and m >= 1:
-            return (1.3, 1.25) if m == 1 else (2.0, float(m))
-        return _GROWTH[self.tag]
+        growth = _TAGS[self.tag].growth
+        return growth(self.param) if callable(growth) else growth
 
 
 @dataclass(frozen=True)
@@ -266,77 +239,65 @@ def _tabulate(N: int, ft: FactorTable, fpe, additive: bool) -> np.ndarray:
     return out
 
 
-def _by_exponent(N: int, rule):
-    """fpe of a rule on e alone, read from one table over 0 <= e < bit_length(N)."""
-    lut = np.array([rule(e) for e in range(N.bit_length())], dtype=np.int64)
-    return lambda ft, a, b, out: lut[ft.exp[a:b]]
-
-
-def _phi_fpe(ft: FactorTable, a: int, b: int, out) -> np.ndarray:
-    """phi(p^e) = p^e - p^(e-1), with p^e = n / rest in int64."""
-    pe = np.arange(a, b, dtype=np.int64) // ft.rest[a:b]
-    return pe - pe // ft.spf[a:b]
-
-
-def _sigma_fpe(ft: FactorTable, a: int, b: int, out, m: int) -> np.ndarray:
-    """sigma_m(p^e) = 1 + p^m sigma_m(p^(e-1)), with p^(e-1) = n / rest / p
-    read from ``out``.  Every intermediate stays below the value, which
-    (p^(m(e+1)) - 1) / (p^m - 1) would not."""
-    p = ft.spf[a:b].astype(np.int64)
-    return 1 + p**m * out[np.arange(a, b, dtype=np.int64) // ft.rest[a:b] // p]
-
-
-# f(p^e) of the multiplicative functions whose prime-power values depend
-# on e alone; m is the tag's parameter
-_EXPONENT_RULES = {
-    "lambda": lambda e, m: (-1) ** e,
-    "mu": lambda e, m: -1 if e == 1 else 0,
-    "abs_mu": lambda e, m: int(e < 2),
-    "q_m": lambda e, m: int(e < m),
-    "rho": lambda e, m: 2,
-    "r_half_rho": lambda e, m: 2,
-    "tau": lambda e, m: e + 1,
-    "tau_of_square": lambda e, m: 2 * e + 1,
-    "tau_squared": lambda e, m: (e + 1) ** 2,
-    "tau_k": lambda e, m: math.comb(e + m - 1, e),
-}
-
-# g(p^e) of the additive functions; chi_P = [Omega = 1], chi_PP = [omega = 1]
-_ADDITIVE_RULES = {"omega": lambda e: 1, "big_omega": lambda e: e,
-                   "chi_P": lambda e: e, "chi_PP": lambda e: 1}
-
-
 def _fits_int64(bound: int) -> None:
     if bound > _INT64_MAX:
         raise CapacityError(f"values would exceed int64 (max |f| bound {bound} > {_INT64_MAX})")
 
 
-def _multiplicative(N: int, ft: FactorTable, tag: str, m: int | None) -> np.ndarray:
-    """Tabulate a multiplicative tag behind its int64 overflow bound.
+# Table builders: table(N, ft, m) returns int64 values on 0..N for the
+# parameter m.  A multiplicative builder checks its int64 bound before any
+# f(p^e) is formed; every intermediate of _tabulate is at most a value of f
+# at some divisor of n, so the bound covers the whole pass.
 
-    The bound must dominate |f| on 1..N and is checked before any f(p^e) is
-    formed; every intermediate of the engine is at most a value of f at some
-    divisor of n, so the bound covers the whole computation.
-    """
-    if tag == "sigma_m" and m == 0:
-        tag = "tau"
-    if tag in _EXPONENT_RULES:
-        rule = lambda e: _EXPONENT_RULES[tag](e, m)
-        _fits_int64(_signature_max(N, rule, _INT64_MAX))
-        fpe = _by_exponent(N, rule)
-    elif tag == "phi":
-        _fits_int64(N)
-        fpe = _phi_fpe
-    elif tag == "sigma_m":
-        # sigma_m(n) <= n^m * zeta(m) for m >= 2; <= n (1 + ln n) for m = 1
-        _fits_int64(N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m)
-        fpe = lambda ft, a, b, out: _sigma_fpe(ft, a, b, out, m)
-    else:
-        raise DomainError(f"unknown function tag {tag!r}")
+
+def _by_exponent(rule, additive: bool = False):
+    """Builder for f(p^e) = rule(e, m), read from one table over
+    0 <= e < bit_length(N).  A multiplicative rule is bounded by the exact
+    _signature_max; an additive f is at most max rule times log2 N."""
+
+    def table(N: int, ft: FactorTable, m) -> np.ndarray:
+        f = lambda e: rule(e, m)
+        if not additive:
+            _fits_int64(_signature_max(N, f, _INT64_MAX))
+        lut = np.array([f(e) for e in range(N.bit_length())], dtype=np.int64)
+        return _tabulate(N, ft, lambda ft, a, b, out: lut[ft.exp[a:b]], additive)
+
+    return table
+
+
+def _phi_table(N: int, ft: FactorTable, m) -> np.ndarray:
+    """phi(p^e) = p^e - p^(e-1), with p^e = n / rest in int64."""
+    _fits_int64(N)
+
+    def fpe(ft, a, b, out):
+        pe = np.arange(a, b, dtype=np.int64) // ft.rest[a:b]
+        return pe - pe // ft.spf[a:b]
+
     return _tabulate(N, ft, fpe, additive=False)
 
 
-def _nth_prime_table(N: int, ft: FactorTable) -> np.ndarray:
+def _sigma_table(N: int, ft: FactorTable, m: int) -> np.ndarray:
+    """sigma_m(p^e) = 1 + p^m sigma_m(p^(e-1)), with p^(e-1) = n / rest / p
+    read from ``out``.  Every intermediate stays below the value, which
+    (p^(m(e+1)) - 1) / (p^m - 1) would not.  sigma_0 is tau."""
+    if m == 0:
+        return _TAGS["tau"].table(N, ft, m)
+    # sigma_m(n) <= n^m * zeta(m) for m >= 2; <= n (1 + ln n) for m = 1
+    _fits_int64(N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m)
+
+    def fpe(ft, a, b, out):
+        p = ft.spf[a:b].astype(np.int64)
+        return 1 + p**m * out[np.arange(a, b, dtype=np.int64) // ft.rest[a:b] // p]
+
+    return _tabulate(N, ft, fpe, additive=False)
+
+
+def _read_off(tag: str, op):
+    """Builder for op applied to the table of ``tag``."""
+    return lambda N, ft, m: op(_TAGS[tag].table(N, ft, m))
+
+
+def _nth_prime_table(N: int, ft: FactorTable, m) -> np.ndarray:
     if len(ft.primes) < N:
         raise RangeError(
             f"need the first {N} primes but the sieve up to {ft.N} "
@@ -347,45 +308,66 @@ def _nth_prime_table(N: int, ft: FactorTable) -> np.ndarray:
     return out
 
 
-def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
-    """Tabulate the function named by ``fid`` on 1..N from the sieve ``ft``.
+@dataclass(frozen=True)
+class _Tag:
+    """One supported function: its table builder, its growth (C, d), or a
+    function of the parameter giving it, and its least parameter (None for
+    a tag that takes none)."""
 
-    Multiplicative and additive functions come from one pass over the
-    sieve's split n = p^e * rest that combines f(p^e), read by e where the
-    rule allows, with the finished value at rest; chi_P, chi_PP and
-    r_half_rho are read off Omega, omega and rho.
-    nth_prime and the fixture sequences have closed forms.  Raises
-    CapacityError when int64 cannot hold the result.
-    """
+    table: Callable[[int, FactorTable, int | None], np.ndarray]
+    growth: tuple[float, float] | Callable[[int], tuple[float, float]]
+    param_min: int | None = None
+
+
+# One row per function tag; ALL_TAGS keeps this order.  Each growth (C, d)
+# is an elementary bound |f(n)| <= C n^d for all n >= 1: tau(n) <= 8.45 n^{1/4}
+# is the product over p of max_e (e+1) p^{-e/4} (primes >= 17 contribute 1),
+# Omega(n) <= log2(n) <= 2.13 n^{1/4}, sigma_m(n) <= zeta(m) n^m for m >= 2,
+# p(n) <= 2 n^{5/4}.
+_TAGS = {
+    "lambda": _Tag(_by_exponent(lambda e, m: (-1) ** e), (1.0, 0.0)),
+    "mu": _Tag(_by_exponent(lambda e, m: -1 if e == 1 else 0), (1.0, 0.0)),
+    "abs_mu": _Tag(_by_exponent(lambda e, m: int(e < 2)), (1.0, 0.0)),
+    "phi": _Tag(_phi_table, (1.0, 1.0)),
+    "tau": _Tag(_by_exponent(lambda e, m: e + 1), (8.45, 0.25)),
+    "omega": _Tag(_by_exponent(lambda e, m: 1, additive=True), (2.2, 0.25)),
+    "big_omega": _Tag(_by_exponent(lambda e, m: e, additive=True), (2.2, 0.25)),
+    "rho": _Tag(_by_exponent(lambda e, m: 2), (8.45, 0.25)),
+    # 2 r(n) = rho(n) has no integer solution at n = 1 (rho(1) = 1);
+    # r(1) = 0 keeps (r mod 2) equal to the prime-power indicator.
+    "r_half_rho": _Tag(_read_off("rho", lambda v: v >> 1), (4.25, 0.25)),
+    "chi_P": _Tag(_read_off("big_omega", lambda v: (v == 1).astype(np.int64)), (1.0, 0.0)),
+    "chi_PP": _Tag(_read_off("omega", lambda v: (v == 1).astype(np.int64)), (1.0, 0.0)),
+    "nth_prime": _Tag(_nth_prime_table, (2.0, 1.25)),
+    "tau_of_square": _Tag(_by_exponent(lambda e, m: 2 * e + 1), (8.45, 0.5)),
+    "tau_squared": _Tag(_by_exponent(lambda e, m: (e + 1) ** 2), (72.0, 0.5)),
+    "const_one": _Tag(lambda N, ft, m: np.ones(N + 1, dtype=np.int64), (1.0, 0.0)),
+    "thue_morse_pm": _Tag(_read_off("sum_binary_digits", lambda v: 1 - 2 * (v & 1)), (1.0, 0.0)),
+    "sum_binary_digits": _Tag(
+        lambda N, ft, m: np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int64),
+        (2.6, 0.25)),
+    "identity_n": _Tag(lambda N, ft, m: np.arange(N + 1, dtype=np.int64), (1.0, 1.0)),
+    "tau_k": _Tag(_by_exponent(lambda e, m: math.comb(e + m - 1, e)),
+                  lambda m: (8.45 ** (m - 1), 0.25 * (m - 1)), param_min=1),
+    "sigma_m": _Tag(_sigma_table, lambda m: (8.45, 0.25) if m == 0
+                    else (1.3, 1.25) if m == 1 else (2.0, float(m)), param_min=0),
+    "q_m": _Tag(_by_exponent(lambda e, m: int(e < m)), (1.0, 0.0), param_min=2),
+}
+
+ALL_TAGS = tuple(_TAGS)
+
+
+def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
+    """Tabulate the function named by ``fid`` on 1..N from the sieve ``ft``
+    with the builder of its _TAGS row.  Raises CapacityError when int64
+    cannot hold the result."""
     if N < 1:
         raise DomainError(f"table bound must be >= 1, got {N}")
     if fid.tag != "nth_prime" and ft.N < N:
         raise CapacityError(f"factor table covers 2..{ft.N}, need {N}")
     if fid.modulus is not None:
         raise DomainError("generate() produces unreduced tables; use reduce_mod")
-    tag = fid.tag
-
-    if tag == "const_one":
-        vals = np.ones(N + 1, dtype=np.int64)
-    elif tag == "identity_n":
-        vals = np.arange(N + 1, dtype=np.int64)
-    elif tag in ("thue_morse_pm", "sum_binary_digits"):
-        vals = np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int64)
-        if tag == "thue_morse_pm":
-            vals = 1 - 2 * (vals & 1)
-    elif tag == "nth_prime":
-        vals = _nth_prime_table(N, ft)
-    elif tag in _ADDITIVE_RULES:
-        vals = _tabulate(N, ft, _by_exponent(N, _ADDITIVE_RULES[tag]), additive=True)
-        if tag in ("chi_P", "chi_PP"):
-            vals = (vals == 1).astype(np.int64)
-    else:
-        vals = _multiplicative(N, ft, tag, fid.param)
-        if tag == "r_half_rho":
-            # 2 r(n) = rho(n) has no integer solution at n = 1 (rho(1) = 1);
-            # r(1) = 0 keeps (r mod 2) equal to the prime-power indicator.
-            vals >>= 1
-
+    vals = _TAGS[fid.tag].table(N, ft, fid.param)
     vals[0] = 0
     return ValueTable(id=fid, N=N, values=vals)
 

@@ -279,22 +279,44 @@ class ZeroRecord:
     bracket: tuple[float, float]
 
 
-def _sign_change_cells(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells (t, t_hi, Z(t)), as three arrays, of the ZERO_GRID_STEP grid on
-    [1, T] where the Hardy Z-function is zero at t or changes sign between
-    t and t_hi.  The grid is the running sum 1, 1 + step, ... below T, then
-    T itself; Z is evaluated on all of it at once."""
-    if T <= 1:
-        empty = np.empty(0)
-        return empty, empty, empty
+def _hardy_sweep(T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ZERO_GRID_STEP grid on [1, T], T > 1, and Z on all of it at once.
+    The grid is the running sum 1, 1 + step, ... below T, then T itself, so
+    the grid to a lower height is a prefix of this one plus that height."""
     steps = np.full(int((T - 1) / ZERO_GRID_STEP) + 3, ZERO_GRID_STEP)
     steps[0] = 1.0
     grid = np.cumsum(steps)
     grid = np.append(grid[grid < T], T)
-    z = _hardy_z(grid)
-    lo, hi = z[:-1], z[1:]
-    cell = (lo == 0.0) | (lo * hi < 0)
-    return grid[:-1][cell], grid[1:][cell], lo[cell]
+    return grid, _hardy_z(grid)
+
+
+def _changes_sign(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether Z is zero at a cell's left end or changes sign across it."""
+    return (lo == 0.0) | (lo * hi < 0)
+
+
+def _sign_change_cells(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells (t, t_hi, Z(t)), as three arrays, of the _hardy_sweep grid on
+    [1, T] where the Hardy Z-function is zero at t or changes sign between
+    t and t_hi."""
+    if T <= 1:
+        empty = np.empty(0)
+        return empty, empty, empty
+    grid, z = _hardy_sweep(T)
+    cell = _changes_sign(z[:-1], z[1:])
+    return grid[:-1][cell], grid[1:][cell], z[:-1][cell]
+
+
+def _sign_change_counts(Ts: list[float]) -> list[int]:
+    """len(_sign_change_cells(T)[0]) for every T > 1 in Ts, from one sweep to
+    the largest: the cells below T are a prefix of its cells, and the cell
+    clamped at T takes its sign from Z(T), one extra point per height."""
+    grid, z = _hardy_sweep(max(Ts))
+    before = np.concatenate(([0], np.cumsum(_changes_sign(z[:-1], z[1:]))))
+    heights = np.array(Ts, dtype=np.float64)
+    below = np.searchsorted(grid, heights) - 1  # the last grid point below T
+    clamped = _changes_sign(z[below], _hardy_z(heights))
+    return (before[below] + clamped).tolist()
 
 
 def critical_line_zeros(T: float) -> list[ZeroRecord]:
@@ -353,17 +375,15 @@ class ZeroCountReport:
         return self.winding_count == self.sign_change_count
 
 
-def zero_count_report(T: float) -> ZeroCountReport:
-    """Count zeros with 0 < Im s <= T two independent ways.
-
-    The winding of zeta around the rectangle (-0.5, 1.5) x (COUNT_BOTTOM, T)
-    counts all strip zeros with multiplicity (the pole at 1 and the
-    trivial zeros lie outside); the sign-change count sees only odd-order
-    critical-line zeros.  A discrepancy means a missed or off-line zero.
-    """
+def _check_count_height(T: float) -> None:
     _check_height(T, complex(1.5, T))
     if T < COUNT_BOTTOM:
         raise DomainError(f"T={T} must exceed the bottom edge {COUNT_BOTTOM}")
+
+
+def _winding_count(T: float) -> int:
+    """Zeros of zeta in (-0.5, 1.5) x (COUNT_BOTTOM, T), with multiplicity,
+    by its winding around that rectangle."""
     corners = [
         complex(1.5, COUNT_BOTTOM),
         complex(1.5, T),
@@ -397,23 +417,37 @@ def zero_count_report(T: float) -> ZeroCountReport:
             f"winding {winding} is not close to an integer; the contour passes "
             "near a zero -- retry with a shifted T"
         )
+    return int(nearest)
+
+
+def zero_count_report(T: float) -> ZeroCountReport:
+    """Count zeros with 0 < Im s <= T two independent ways.
+
+    The winding of zeta around the rectangle (-0.5, 1.5) x (COUNT_BOTTOM, T)
+    counts all strip zeros with multiplicity (the pole at 1 and the
+    trivial zeros lie outside); the sign-change count sees only odd-order
+    critical-line zeros.  A discrepancy means a missed or off-line zero.
+    """
+    _check_count_height(T)
+    winding = _winding_count(T)
     # one zero per sign-change cell; counting needs no bisection
     sign_changes = len(_sign_change_cells(T)[0])
-    return ZeroCountReport(
-        T=T, winding_count=int(nearest), sign_change_count=sign_changes
-    )
+    return ZeroCountReport(T=T, winding_count=winding, sign_change_count=sign_changes)
 
 
-def zero_count(T: float) -> int:
-    """N(T): zeros in the strip with 0 < Im s <= T (argument principle)."""
-    report = zero_count_report(T)
+def _agreed(report: ZeroCountReport) -> int:
     if not report.agree:
         raise ContourError(
             f"winding count {report.winding_count} disagrees with the "
             f"critical-line sign-change count {report.sign_change_count} at "
-            f"T={T}: a zero was missed or lies off the line"
+            f"T={report.T}: a zero was missed or lies off the line"
         )
     return report.winding_count
+
+
+def zero_count(T: float) -> int:
+    """N(T): zeros in the strip with 0 < Im s <= T (argument principle)."""
+    return _agreed(zero_count_report(T))
 
 
 @dataclass(frozen=True)
@@ -424,12 +458,21 @@ class RatioRow:
 
 
 def tlogt_ratio_table(T_list: list[float]) -> list[RatioRow]:
-    """(T, N(T), N(T)/(T log10 T)) rows for the supplied heights."""
-    rows = []
+    """(T, N(T), N(T)/(T log10 T)) rows for the supplied heights.
+
+    Each height gets its own winding count, checked as in zero_count
+    against a sign-change count read off one sweep to the largest height.
+    """
     for T in T_list:
         if T <= 1:
             raise DomainError(f"heights must exceed 1, got {T}")
-        n = zero_count(T)
+        _check_count_height(T)
+    if not T_list:
+        return []
+    rows = []
+    for T, changes in zip(T_list, _sign_change_counts(T_list)):
+        n = _agreed(ZeroCountReport(T=T, winding_count=_winding_count(T),
+                                    sign_change_count=changes))
         rows.append(RatioRow(T=T, N=n, ratio=n / (T * math.log10(T))))
     return rows
 

@@ -177,6 +177,14 @@ class TestContract:
         assert run(argv + ["--format", "csv"]) == 1
         assert "no CSV form" in capsys.readouterr().err
 
+    def test_csv_refused_before_the_body_runs(self, capsys, monkeypatch):
+        def body(args):
+            raise AssertionError("command body ran")
+
+        monkeypatch.setattr(cli, "_cmd_zeta", body)
+        assert run(["zeta", "--re", "2", "--format", "csv"]) == 1
+        assert "no CSV form" in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc, code", [
         (errors.KernelscopeError, 1), (errors.DomainError, 1), (errors.PoleError, 1),
         (errors.RangeError, 1), (errors.VerdictError, 1), (errors.ConstructionError, 1),

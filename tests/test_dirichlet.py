@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import gammazeta
 
 from kernelscope.automaton import average_matrix, build_representation
 from kernelscope.dirichlet import (
@@ -65,7 +66,15 @@ class TestDirectSum:
         # used here instead, is off by 3.6e-14 at this s
         s = 3.3 - 11j
         res = direct_sum(table("const_one"), s, 10**6)
-        truth = complex(mpmath.zeta(s) - mpmath.zeta(s, 10**6 + 1))
+        # mpmath.zeta(s, 10**6 + 1) grows gammazeta's module-level prime sieve
+        # caches to 10^6 entries, and primesieve hands the whole cache to every
+        # later zeta sum, which slows later zetazero calls about 5x.  The three
+        # caches index each other, so they are restored together.
+        saved = gammazeta.sieve_cache, gammazeta.primes_cache, gammazeta.mult_cache
+        try:
+            truth = complex(mpmath.zeta(s) - mpmath.zeta(s, 10**6 + 1))
+        finally:
+            gammazeta.sieve_cache, gammazeta.primes_cache, gammazeta.mult_cache = saved
         assert abs(res.value - truth) <= 5e-15
 
 

@@ -260,3 +260,11 @@ class TestZeroCount:
         rows = tlogt_ratio_table([50])
         assert len(rows) == 1
         assert rows[0].N == 10
+
+    # at 14.12 the first zero lies between T and the next grid point, so only
+    # Z(T) itself gives the clamped cell its sign
+    @pytest.mark.parametrize("Ts", [[50, 100, 200, 400], [400, 14.12, 2, 100.5]])
+    def test_one_sweep_counts_every_height(self, Ts):
+        counts = zeta._sign_change_counts(Ts)
+        assert counts == [len(zeta._sign_change_cells(T)[0]) for T in Ts]
+        assert counts == [mpmath.nzeros(T) for T in Ts]
