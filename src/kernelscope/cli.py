@@ -58,7 +58,7 @@ def _load_table(args) -> seqgen.ValueTable:
     if args.fn is None or args.N is None:
         raise DomainError("this command needs --fn and --N")
     fid = seqgen.FunctionId(args.fn, args.fn_param)
-    ft = seqgen.build_factor_table(max(2, args.N))
+    ft = seqgen.build_factor_table(max(2, seqgen.sieve_bound(fid, args.N)))
     t = seqgen.generate(fid, args.N, ft)
     if args.mod:
         t = seqgen.reduce_mod(t, args.mod)

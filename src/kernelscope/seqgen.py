@@ -357,6 +357,16 @@ _TAGS = {
 ALL_TAGS = tuple(_TAGS)
 
 
+def sieve_bound(fid: FunctionId, N: int) -> int:
+    """The least sieve bound that generate needs for fid on 1..N: N, or for
+    nth_prime Rosser's p_N < N (ln N + ln ln N), N >= 6, and 12 below that."""
+    if fid.tag != "nth_prime":
+        return N
+    if N < 6:
+        return 12
+    return math.ceil(N * (math.log(N) + math.log(math.log(N))))
+
+
 def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
     """Tabulate the function named by ``fid`` on 1..N from the sieve ``ft``
     with the builder of its _TAGS row.  Raises CapacityError when int64

@@ -7,8 +7,10 @@ a single zeta_em call is a batch of one.  Zeros are located by sign
 changes of the phase-corrected critical-line restriction on a grid
 evaluated in one batch, and refined by bisecting every cell in lockstep;
 counting uses the winding of zeta along a rectangle boundary, each edge
-one batch, with adaptive subdivision, so no branch of the argument is
-ever guessed.  The documented working range is |s| <= 1e3.
+one batch, with adaptive subdivision in rounds, so no branch of the
+argument is ever guessed.  log Gamma, for the reflection and for the
+phase theta(t), is Stirling's series from the same Bernoulli numbers as
+Euler-Maclaurin.  The documented working range is |s| <= 1e3.
 
 ``tlogt_ratio_table`` reports N(T) / (T log10 T); base 10 keeps the
 ratios of desk-scale counts in a readable window.
@@ -24,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import ContourError, DomainError, PoleError, PrecisionError
 
@@ -38,6 +39,9 @@ _EM_N_CAP = 1 << 22
 _BERNOULLI_ORDER_CAP = 30
 _EM_BLOCK = 1 << 18  # entries of one n^{-s} matrix block
 _EM_ROWS = 1024  # points per block of Bernoulli terms
+_STIRLING_SHIFT = 8  # log Gamma's Stirling series runs at z + 8
+_STIRLING_ORDER = 12  # and sums its terms j = 1..12
+_SPLIT_DEPTH = 48  # halvings of one contour step before the winding is refused
 
 
 @lru_cache(maxsize=None)
@@ -62,6 +66,27 @@ def _b2j_over_fact(j: int) -> float:
 
 _TWO_J = 2.0 * np.arange(1, _BERNOULLI_ORDER_CAP + 1)
 _B2J = np.array([_b2j_over_fact(j) for j in range(1, _BERNOULLI_ORDER_CAP + 1)])
+# B_2j / (2j (2j - 1)), the coefficient of w^{1-2j} in Stirling's series
+_STIRLING = [float(bernoulli_number(2 * j) / (2 * j * (2 * j - 1)))
+             for j in range(1, _STIRLING_ORDER + 1)]
+
+
+def _loggamma(z):
+    """log Gamma at a complex z or at every element of an array, Re z > 0.
+
+    Stirling's series at w = z + _STIRLING_SHIFT, where its first omitted
+    term is below 1e-19, less log(z + k) for k < _STIRLING_SHIFT.  Every
+    log is principal, so the branch is the one continuous from the
+    positive real axis.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    w = z + _STIRLING_SHIFT
+    u = 1 / (w * w)
+    tail = _STIRLING[-1]
+    for c in reversed(_STIRLING[:-1]):
+        tail = tail * u + c
+    shift = sum(np.log(z + k) for k in range(_STIRLING_SHIFT))
+    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi) + tail / w - shift
 
 
 @dataclass(frozen=True)
@@ -190,7 +215,7 @@ def reflection_factor(s: complex) -> complex:
         s * math.log(2.0)
         + (s - 1) * math.log(math.pi)
         + _log_sin(math.pi * s / 2)
-        + loggamma(complex(1 - s))
+        + complex(_loggamma(1 - s))
     )
     if log_chi.real > 700:
         raise PrecisionError(f"reflection factor overflows at s={s}")
@@ -218,7 +243,13 @@ def zeta_em(s: complex, target_tol: float = 1e-12) -> ZetaEval:
     chi = reflection_factor(s)
     value, err, terms, order = _em_kernel(np.array([1 - s]), target_tol)
     value = chi * complex(value[0])
-    est = abs(chi) * float(err[0]) + 4e-16 * abs(value)
+    # the rounding of log chi is a relative error of chi: four ulps of the
+    # moduli of the terms it sums, s log 2, (s - 1) log pi, pi s / 2 and
+    # (w - 1/2) log w - w at the Stirling point w of log Gamma(1 - s)
+    w = abs(1 - s + _STIRLING_SHIFT)
+    log_chi_err = 8.9e-16 * (abs(s) * (math.log(2 * math.pi) + math.pi / 2)
+                             + w * (math.log(w) + 1))
+    est = abs(chi) * float(err[0]) + (4e-16 + log_chi_err) * abs(value)
     return ZetaEval(
         s=s,
         value=value,
@@ -238,7 +269,7 @@ def rs_theta(t):
     """Phase correction making exp(i theta(t)) zeta(1/2 + it) real, at a
     float t or at every element of an array."""
     t = np.asarray(t, dtype=np.float64)
-    return np.imag(loggamma(0.25 + 0.5j * t)) - (t / 2) * math.log(math.pi)
+    return np.imag(_loggamma(0.25 + 0.5j * t)) - (t / 2) * math.log(math.pi)
 
 
 def _critical(t: np.ndarray) -> np.ndarray:
@@ -348,22 +379,6 @@ def critical_line_zeros(T: float) -> list[ZeroRecord]:
     ]
 
 
-def _arg_change(za: complex, zb: complex, fa: complex, fb: complex, depth: int) -> float:
-    d = cmath.phase(fb / fa)
-    if abs(d) < math.pi / 2:
-        return d
-    if depth <= 0:
-        raise ContourError(
-            f"cannot resolve the winding between {za} and {zb}; the contour "
-            "passes too close to a zero -- retry with a shifted height"
-        )
-    zm = 0.5 * (za + zb)
-    fm = zeta_em(zm, COUNT_EVAL_TOL).value
-    return _arg_change(za, zm, fa, fm, depth - 1) + _arg_change(
-        zm, zb, fm, fb, depth - 1
-    )
-
-
 @dataclass(frozen=True)
 class ZeroCountReport:
     T: float
@@ -379,6 +394,32 @@ def _check_count_height(T: float) -> None:
     _check_height(T, complex(1.5, T))
     if T < COUNT_BOTTOM:
         raise DomainError(f"T={T} must exceed the bottom edge {COUNT_BOTTOM}")
+
+
+def _phase_change(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> float:
+    """The change of arg zeta along the contour steps a -> b, where fa and fb
+    are zeta at their ends.  Each round halves, all at once, every step whose
+    phase change reaches pi/2, with one kernel call for all the midpoints."""
+    total, depth = 0.0, 0
+    while True:
+        d = np.angle(fb / fa)
+        wide = np.abs(d) >= math.pi / 2
+        total += float(d[~wide].sum())
+        if not wide.any():
+            return total
+        if depth == _SPLIT_DEPTH:
+            raise ContourError(
+                f"cannot resolve the winding between {complex(a[wide][0])} and "
+                f"{complex(b[wide][0])}; the contour passes too close to a zero "
+                "-- retry with a shifted height"
+            )
+        depth += 1
+        a, b, fa, fb = a[wide], b[wide], fa[wide], fb[wide]
+        m = 0.5 * (a + b)
+        fm = _zeta_on(m, COUNT_EVAL_TOL)
+        # each step becomes its two halves, in contour order
+        a, b = np.column_stack((a, m)).ravel(), np.column_stack((m, b)).ravel()
+        fa, fb = np.column_stack((fa, fm)).ravel(), np.column_stack((fm, fb)).ravel()
 
 
 def _winding_count(T: float) -> int:
@@ -404,12 +445,7 @@ def _winding_count(T: float) -> int:
         pts.imag = a.imag + (b.imag - a.imag) * i / pieces
         pts[-1] = b
         vals = _zeta_on(pts, COUNT_EVAL_TOL)
-        d = np.angle(vals[1:] / vals[:-1])
-        # a step whose phase change reaches pi/2 is split at midpoints
-        for j in np.flatnonzero(np.abs(d) >= math.pi / 2).tolist():
-            d[j] = _arg_change(complex(pts[j]), complex(pts[j + 1]),
-                               complex(vals[j]), complex(vals[j + 1]), depth=48)
-        total += float(d.sum())
+        total += _phase_change(pts[:-1], pts[1:], vals[:-1], vals[1:])
     winding = total / (2 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 1e-3:

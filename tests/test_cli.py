@@ -25,6 +25,14 @@ class TestCommands:
         assert lines[3] == "1,1"
         assert lines[8] == "6,4"
 
+    def test_generate_nth_prime(self, capsys):
+        # the sieve runs past N, far enough to hold the first N primes
+        code = run(["generate", "--fn", "nth_prime", "--N", "10", "--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.splitlines()[3:] == [f"{n},{p}" for n, p in enumerate(
+            [2, 3, 5, 7, 11, 13, 17, 19, 23, 29], start=1)]
+
     def test_kernel_profile(self, capsys):
         doc = run_json(
             capsys,
@@ -168,6 +176,10 @@ class TestContract:
     def test_env_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("KERNELSCOPE_MAX_N", "1000")
         assert run(["generate", "--fn", "mu", "--N", "5000"]) == 2
+        # the first 200 primes need a sieve to 1394
+        capsys.readouterr()
+        assert run(["generate", "--fn", "nth_prime", "--N", "200"]) == 2
+        assert "N <= 1000, got 1394" in capsys.readouterr().err
 
     def test_missing_fn_for_table_command(self, capsys):
         assert run(["dirichlet-eval", "--method", "direct", "--s", "2"]) == 1

@@ -14,6 +14,7 @@ from kernelscope.seqgen import (
     build_factor_table,
     generate,
     reduce_mod,
+    sieve_bound,
 )
 
 from conftest import bool_prime_sieve, brute_divisors, squarefree_mask, trial_factorization
@@ -158,6 +159,11 @@ class TestGenerate:
         t = generate(FunctionId("nth_prime"), 5, build_factor_table(12))
         assert t.values[1:6].tolist() == [2, 3, 5, 7, 11]
         assert generate(FunctionId("nth_prime"), 78498, ft_1m).value(78498) == 999983
+        # sieve_bound(N) holds the N-th prime and stays within 1.3 of it
+        for N in range(1, 78499):
+            bound = sieve_bound(FunctionId("nth_prime"), N)
+            assert ft_1m.primes[N - 1] <= bound <= max(12, 1.3 * ft_1m.primes[N - 1]), N
+        assert sieve_bound(FunctionId("mu"), 77) == 77
 
     def test_nth_prime_exhaustion(self):
         with pytest.raises(RangeError):

@@ -1,11 +1,16 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from kernelscope import zeta
-from kernelscope.errors import DomainError, PoleError, PrecisionError
+from kernelscope.errors import ContourError, DomainError, PoleError, PrecisionError
 from kernelscope.zeta import (
     bernoulli_number,
     critical_line_zeros,
@@ -67,6 +72,15 @@ class TestZetaEval:
         assert abs(res.value - truth) < 1e-10
         assert abs(res.value - truth) <= res.error_estimate + 1e-15
 
+    # left of Re s = -0.5 the rounding of log chi, about 1e-12 relative at
+    # |s| near 1e3, is most of the error
+    @pytest.mark.parametrize("s", [-10 + 100j, -17.70497 + 719.77632j, -50 + 500j,
+                                   -0.75 + 999j, -11.42421 + 845.51915j,
+                                   -7.34943 + 964.18624j, -17.24066 - 571.20774j])
+    def test_reflected_estimate(self, s):
+        res = zeta_em(s)
+        assert abs(res.value - mp_zeta(s)) <= res.error_estimate
+
     def test_error_estimate_finite_and_reported(self):
         res = zeta_em(0.5 + 30j)
         assert math.isfinite(res.error_estimate)
@@ -99,6 +113,43 @@ class TestZetaEval:
     def test_no_zeros_on_sigma_one_line(self):
         for t in range(1, 101):
             assert abs(zeta_em(complex(1, t)).value) > 0.05
+
+
+class TestLogGamma:
+    def test_theta_arguments(self):
+        # 1/4 + it/2 for t in [0, 1000]: the imaginary part is theta's
+        t = np.linspace(0.0, 1000.0, 2001)
+        ours = zeta._loggamma(0.25 + 0.5j * t)
+        for ti, v in zip(t, ours):
+            truth = mpmath.loggamma(mpmath.mpc(0.25, ti / 2))
+            assert abs(v.imag - float(truth.imag)) <= 1e-11, ti
+
+    def test_reflection_arguments(self):
+        # 1 - s for Re s < -0.5, |s| <= 1000, as reflection_factor needs
+        re = -0.5 - np.geomspace(1e-3, 1000.0, 40)
+        s = re[:, None] + 1j * np.linspace(-1000.0, 1000.0, 41)
+        s = s[np.abs(s) <= 1000]
+        ours = zeta._loggamma(1 - s)
+        for si, v in zip(s, ours):
+            truth = complex(mpmath.loggamma(mpmath.mpc(1 - si)))
+            assert abs(cmath.exp(v - truth) - 1) <= 1e-11, si
+
+
+def test_nothing_imports_scipy():
+    code = """
+import pkgutil, sys
+sys.modules["scipy"] = None
+import kernelscope
+for m in pkgutil.iter_modules(kernelscope.__path__):
+    __import__("kernelscope." + m.name)
+from kernelscope.zeta import critical_line_zeros, zeta_em
+zeta_em(-3.5 + 40j)
+assert len(critical_line_zeros(30)) == 3
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _edge(a: complex, b: complex, pieces: int) -> np.ndarray:
@@ -242,6 +293,19 @@ class TestZeroCount:
 
     def test_count_100(self):
         assert zero_count(100) == 29
+
+    # just above a zero the top edge has steps whose phase change reaches
+    # pi/2, which the winding halves in rounds
+    @pytest.mark.parametrize("n, above", [(1, 1e-5), (5, 1e-4)])
+    def test_split_heights(self, n, above):
+        T = float(mpmath.zetazero(n).imag) + above
+        assert zero_count_report(T).winding_count == mpmath.nzeros(T) == n
+
+    def test_unresolved_winding(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_SPLIT_DEPTH", 0)
+        T = float(mpmath.zetazero(1).imag) + 1e-5
+        with pytest.raises(ContourError, match="cannot resolve the winding between"):
+            zero_count_report(T)
 
     def test_methods_agree(self):
         rep = zero_count_report(75)
