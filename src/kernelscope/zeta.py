@@ -5,12 +5,13 @@ Bernoulli order, reflected through the functional equation left of the
 critical strip.  One array kernel evaluates any number of points at once;
 a single zeta_em call is a batch of one.  Zeros are located by sign
 changes of the phase-corrected critical-line restriction on a grid
-evaluated in one batch, and refined by bisecting every cell in lockstep;
-counting uses the winding of zeta along a rectangle boundary, each edge
-one batch, with adaptive subdivision in rounds, so no branch of the
-argument is ever guessed.  log Gamma, for the reflection and for the
-phase theta(t), is Stirling's series from the same Bernoulli numbers as
-Euler-Maclaurin.  The documented working range is |s| <= 1e3.
+evaluated in one batch, and refined by bisecting every cell in lockstep.
+Counting is the Riemann-von Mangoldt formula: theta(T) and the change of
+arg zeta along one segment at height T, one batch subdivided in rounds, so
+no branch of the argument is ever guessed; the sign changes check it.
+log Gamma, for the reflection and for the phase theta(t), is Stirling's
+series from the same Bernoulli numbers as Euler-Maclaurin.  The
+documented working range is |s| <= 1e3.
 
 ``tlogt_ratio_table`` reports N(T) / (T log10 T); base 10 keeps the
 ratios of desk-scale counts in a readable window.
@@ -33,15 +34,17 @@ WORKING_RADIUS = 1000.0
 HARDY_Z_TOL = 1e-10  # zeta error behind each critical-line sample
 ZERO_GRID_STEP = 0.1  # spacing of the sign-change scan along the critical line
 ZERO_REFINE_TOL = 1e-6  # bisection stops at this bracket width
-COUNT_BOTTOM = 0.1  # bottom edge Im s of the zero-counting rectangle
-COUNT_EVAL_TOL = 1e-10  # zeta error along the zero-counting contour
+# lowest height counted: the counting segment passes at distance T above
+# the pole at s = 1, and fails to resolve there by T = 1e-100
+COUNT_BOTTOM = 0.1
+COUNT_EVAL_TOL = 1e-10  # zeta error along the zero-counting segment
 _EM_N_CAP = 1 << 22
 _BERNOULLI_ORDER_CAP = 30
 _EM_BLOCK = 1 << 18  # entries of one n^{-s} matrix block
 _EM_ROWS = 1024  # points per block of Bernoulli terms
 _STIRLING_SHIFT = 8  # log Gamma's Stirling series runs at z + 8
 _STIRLING_ORDER = 12  # and sums its terms j = 1..12
-_SPLIT_DEPTH = 48  # halvings of one contour step before the winding is refused
+_SPLIT_DEPTH = 48  # halvings of one segment step before the count is refused
 
 
 @lru_cache(maxsize=None)
@@ -381,6 +384,9 @@ def critical_line_zeros(T: float) -> list[ZeroRecord]:
 
 @dataclass(frozen=True)
 class ZeroCountReport:
+    """``winding_count`` is the Riemann-von Mangoldt count, with
+    multiplicity; ``sign_change_count`` counts sign changes of Z(t)."""
+
     T: float
     winding_count: int
     sign_change_count: int
@@ -423,30 +429,16 @@ def _phase_change(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) 
 
 
 def _winding_count(T: float) -> int:
-    """Zeros of zeta in (-0.5, 1.5) x (COUNT_BOTTOM, T), with multiplicity,
-    by its winding around that rectangle."""
-    corners = [
-        complex(1.5, COUNT_BOTTOM),
-        complex(1.5, T),
-        complex(-0.5, T),
-        complex(-0.5, COUNT_BOTTOM),
-        complex(1.5, COUNT_BOTTOM),
-    ]
-    # seed each edge with enough samples that the adaptive splitter
-    # starts near the expected winding density
-    total = 0.0
-    for a, b in zip(corners, corners[1:]):
-        length = abs(b - a)
-        pieces = max(8, int(4 * length))
-        # the corners themselves, not a rounded step, end each edge
-        i = np.arange(pieces + 1)
-        pts = np.empty(pieces + 1, dtype=np.complex128)
-        pts.real = a.real + (b.real - a.real) * i / pieces
-        pts.imag = a.imag + (b.imag - a.imag) * i / pieces
-        pts[-1] = b
-        vals = _zeta_on(pts, COUNT_EVAL_TOL)
-        total += _phase_change(pts[:-1], pts[1:], vals[:-1], vals[1:])
-    winding = total / (2 * math.pi)
+    """N(T), the zeros of zeta with 0 < Im s <= T, with multiplicity, by the
+    Riemann-von Mangoldt formula N(T) = theta(T)/pi + 1 + arg zeta(1/2 + iT)/pi,
+    the argument tracked along one segment from 1.5 + iT.  There it is the
+    principal value: log zeta(s) sums p^{-js}/j over prime powers, so
+    |arg zeta(s)| <= log zeta(1.5) < pi/2 wherever Re s >= 1.5."""
+    pts = np.empty(17, dtype=np.complex128)
+    pts.real, pts.imag = 1.5 - np.arange(17) / 16, T  # ends 1.5 and 0.5 exactly
+    vals = _zeta_on(pts, COUNT_EVAL_TOL)
+    arg = float(np.angle(vals[0])) + _phase_change(pts[:-1], pts[1:], vals[:-1], vals[1:])
+    winding = (float(rs_theta(T)) + arg) / math.pi + 1
     nearest = round(winding)
     if abs(winding - nearest) > 1e-3:
         raise ContourError(
@@ -459,10 +451,10 @@ def _winding_count(T: float) -> int:
 def zero_count_report(T: float) -> ZeroCountReport:
     """Count zeros with 0 < Im s <= T two independent ways.
 
-    The winding of zeta around the rectangle (-0.5, 1.5) x (COUNT_BOTTOM, T)
-    counts all strip zeros with multiplicity (the pole at 1 and the
-    trivial zeros lie outside); the sign-change count sees only odd-order
-    critical-line zeros.  A discrepancy means a missed or off-line zero.
+    The Riemann-von Mangoldt formula, theta(T) plus the change of arg zeta
+    along the segment 1.5 + iT -> 0.5 + iT, counts all strip zeros with
+    multiplicity; the sign-change count sees only odd-order critical-line
+    zeros.  A discrepancy means a missed or off-line zero.
     """
     _check_count_height(T)
     winding = _winding_count(T)
@@ -496,8 +488,9 @@ class RatioRow:
 def tlogt_ratio_table(T_list: list[float]) -> list[RatioRow]:
     """(T, N(T), N(T)/(T log10 T)) rows for the supplied heights.
 
-    Each height gets its own winding count, checked as in zero_count
-    against a sign-change count read off one sweep to the largest height.
+    Each height gets its own Riemann-von Mangoldt count, one short segment
+    at that height, checked as in zero_count against a sign-change count
+    read off one sweep to the largest height.
     """
     for T in T_list:
         if T <= 1:

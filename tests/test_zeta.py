@@ -203,15 +203,14 @@ class TestKernel:
             assert abs(zi - float(mpmath.siegelz(ti))) <= e, ti
         assert [hardy_z(ti) for ti in t] == z.tolist()
 
-    def test_contour_edges_against_mpmath(self):
-        T = 200.0
-        corners = [complex(1.5, zeta.COUNT_BOTTOM), complex(1.5, T), complex(-0.5, T),
-                   complex(-0.5, zeta.COUNT_BOTTOM), complex(1.5, zeta.COUNT_BOTTOM)]
-        for a, b in zip(corners, corners[1:]):
-            pts = _edge(a, b, max(8, int(4 * abs(b - a))))
-            value, err, _, _ = zeta._em_kernel(pts, zeta.COUNT_EVAL_TOL)
-            for k in range(0, len(pts), max(1, len(pts) // 30)):
-                assert abs(value[k] - mp_zeta(complex(pts[k]))) <= err[k], pts[k]
+    @pytest.mark.parametrize("T", [200.0, 999.9])
+    def test_count_segment_against_mpmath(self, T):
+        # the counting segment's points and the midpoints of its first halving
+        pts = _edge(complex(1.5, T), complex(0.5, T), 16)
+        pts = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])])
+        value, err, _, _ = zeta._em_kernel(pts, zeta.COUNT_EVAL_TOL)
+        for k in range(len(pts)):
+            assert abs(value[k] - mp_zeta(complex(pts[k]))) <= err[k], pts[k]
 
     def test_zeta_em_is_a_one_point_call(self):
         for s in (0.5 + 30j, 2.0, -0.5 + 50j):
@@ -278,7 +277,7 @@ class TestHeightLimit:
             critical_line_zeros(1000)
 
     def test_largest_accepted_height_evaluates(self):
-        # every contour point, edge ends included, stays inside the radius
+        # every segment point, 1.5 + iT included, stays inside the radius
         lo, hi = 999.0, 1000.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -332,3 +331,47 @@ class TestZeroCount:
         counts = zeta._sign_change_counts(Ts)
         assert counts == [len(zeta._sign_change_cells(T)[0]) for T in Ts]
         assert counts == [mpmath.nzeros(T) for T in Ts]
+
+    # the oracle heights: the bottom edge, the top of the range, just below
+    # the 649th zero, and 20 seeded heights in between
+    @pytest.mark.parametrize(
+        "T", [0.1, 999.9, pytest.param(None, id="gamma649-1e-6")]
+        + np.random.default_rng(16).uniform(1, 999.99, 20).tolist())
+    def test_counts_against_nzeros(self, T):
+        if T is None:
+            with mpmath.workdps(15):
+                T = float(mpmath.zetazero(649).imag) - 1e-6
+        assert zero_count_report(T).winding_count == mpmath.nzeros(T)
+
+    def test_below_bottom_refused(self):
+        with pytest.raises(DomainError, match="must exceed the bottom edge 0.1"):
+            zero_count_report(0.05)
+
+    def test_count_work(self, monkeypatch):
+        # N(998) from the 17 points of one segment, plus any halving
+        # midpoints; a rectangle around the strip evaluates thousands
+        points, swept = [], []
+        zeta_on, hardy = zeta._zeta_on, zeta._hardy_z
+
+        def counting(s, tol):
+            points.append(len(s))
+            return zeta_on(s, tol)
+
+        def sweep(t):
+            swept.append(len(t))
+            return hardy(t)
+
+        monkeypatch.setattr(zeta, "_zeta_on", counting)
+        monkeypatch.setattr(zeta, "_hardy_z", sweep)
+        assert zero_count_report(998).agree
+        assert sum(points) - sum(swept) <= 200
+
+    def test_principal_branch_at_1_5(self):
+        # log zeta(s) = sum over prime powers of p^{-js}/j, so at Re s = 1.5
+        # |arg zeta(s)| = |Im log zeta(s)| <= log zeta(1.5) < pi/2: the
+        # count's start angle is the principal value, and needs no vertical edge
+        t = np.arange(0.0, 999.99, 0.5)
+        s = np.empty(len(t), dtype=np.complex128)
+        s.real, s.imag = 1.5, t
+        arg = np.abs(np.angle(zeta._zeta_on(s, zeta.COUNT_EVAL_TOL)))
+        assert arg.max() <= float(mpmath.log(mpmath.zeta(1.5))) < math.pi / 2
