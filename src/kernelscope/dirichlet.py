@@ -195,7 +195,8 @@ class _ColumnEngine:
 
     Every node of the recursion is an array over the column's imaginary
     parts: systems are solved through the context's resolvent polynomials
-    and the strip sums are products against the n^{-s} row of each point.
+    and the strip sums are products of the phase matrix n^{-iy} (a row per
+    point, shared by every column of a scan) with real weights n^{-x-o} U_n.
     Points whose top system is near-singular are refused; points that meet
     a near-singular system strictly inside the recursion are evaluated
     again as one column at y +- h and averaged.  ``Q`` defaults to the
@@ -206,10 +207,22 @@ class _ColumnEngine:
     offset o >= levels is summed directly.  The solve runs from the highest
     offset down, so every child is ready before its parents, and each
     offset's cut, strip, resolvent and weights are computed once.
+
+    The settings are validated here: the continued region Re s > 1.25 + d -
+    levels (d the growth degree) puts every direct tail at Re s >= 1.25 + d.
     """
 
     def __init__(self, ctx: ContinuationContext, x: float, ys: np.ndarray,
-                 levels: int, m_max: int, Q: int | None = None):
+                 levels: int, m_max: int, Q: int | None = None, phases=None):
+        if levels < 0:
+            raise DomainError(f"levels must be >= 0, got {levels}")
+        if m_max < 2:
+            raise DomainError(f"m_max must be >= 2, got {m_max}")
+        edge = BASE_STRIP_SIGMA + ctx.rep.growth[1] - levels
+        if x <= edge:
+            raise DomainError(
+                f"Re s = {x} outside the continued region Re s > {edge} for levels={levels}"
+            )
         self.ctx = ctx
         self.x = x
         self.ys = ys
@@ -227,9 +240,8 @@ class _ColumnEngine:
         self.truncated = False
         self.terms = 0
         self.nodes = 0  # nodes solved
-        # n^{-s_j} for n = 1 .. the longest strip below _CHUNK, set by _plan
-        self._e: np.ndarray | None = None
-        self._logn: np.ndarray | None = None
+        # log n and n^{-iy}, n = 1 .. the longest strip below _CHUNK (a scan's: longer)
+        self.phases: tuple[np.ndarray, np.ndarray] | None = phases
 
     def _direct_len(self, offset: int) -> tuple[int, float]:
         """Terms N of the direct tail at an offset (at least 2Q), and the
@@ -260,35 +272,32 @@ class _ColumnEngine:
         """sum_{n=lo}^{hi-1} U_n n^{-s-offset} for the whole column, and
         its mass sum_n n^{-sigma-offset} |U_n|_inf.
 
-        Strips ending at n <= _CHUNK use the shared n^{-s} matrix, which
-        every node of the column reuses; longer ones are summed in blocks
-        so a long direct tail never holds a whole n^{-s} row.
+        One formula: a phase block n^{-iy} times the real weights
+        n^{-(x+offset)} U_n, whose weights also give the mass.  Strips inside
+        the engine's phase matrix slice it; longer ones build their phase
+        blocks in turn, so a long direct tail never holds a whole row.
         """
+        vals, mass = np.zeros((self.ny, self.ctx.rep.dim), dtype=np.complex128), 0.0
         if hi <= lo:
-            return np.zeros((self.ny, self.ctx.rep.dim), dtype=np.complex128), 0.0
-        u = self.ctx.u(hi - 1)
-        if hi - 1 <= _CHUNK:
-            e = self._e[:, lo - 1 : hi - 1]
-            logn = self._logn[lo - 1 : hi - 1]
-            vals = e @ (u[lo:hi] * np.exp(-offset * logn)[:, None])
-            mass = float(np.exp(-(self.x + offset) * logn) @ np.abs(u[lo:hi]).max(axis=1))
             return vals, mass
-        vals = np.zeros((self.ny, self.ctx.rep.dim), dtype=np.complex128)
-        mass = 0.0
-        block = max(1, _CHUNK // self.ny)
+        u = self.ctx.u(hi - 1)
+        logn, phase = self.phases
+        block = hi - lo if hi - 1 <= len(logn) else max(1, _CHUNK // self.ny)
         for a in range(lo, hi, block):
             b = min(hi, a + block)
-            logn = np.log(np.arange(a, b, dtype=np.float64))
-            vals += np.exp(np.outer(-(self.s_col + offset), logn)) @ u[a:b]
-            mass += float(np.exp(-(self.x + offset) * logn) @ np.abs(u[a:b]).max(axis=1))
+            lg, ph = ((logn[a - 1 : b - 1], phase[:, a - 1 : b - 1]) if b - 1 <= len(logn)
+                      else _phases(self.ys, a, b))
+            w = np.exp(-(self.x + offset) * lg)
+            vals += ph @ (u[a:b] * w[:, None])
+            mass += float(w @ np.abs(u[a:b]).max(axis=1))
         return vals, mass
 
     def _plan(self) -> tuple[list[tuple[int, float]], int]:
         """The cut (m_eff and its dropped-tail factor, see _m_horizon) of
         every offset below levels, each a recursion node, and the number of
         offsets: the direct tails run from levels to one past the farthest
-        child o + m_eff(o).  Also sizes the U-array and the n^{-s} matrix
-        for the longest strip the nodes sum.
+        child o + m_eff(o).  Also sizes the U-array and, unless one as long
+        was handed in, the phase matrix for the longest strip below _CHUNK.
         """
         levels, k, Q = self.levels, self.ctx.rep.k, self.Q
         cuts = [self._m_horizon(complex(self.x + o, self.y_extreme)) for o in range(levels)]
@@ -297,9 +306,9 @@ class _ColumnEngine:
         lengths = [Q - 1, k * Q - 1 if levels else 0]
         lengths += [self._direct_len(o)[0] for o in range(levels, end)]
         self.ctx.u(max(lengths))
-        n = np.arange(1, max((x for x in lengths if x <= _CHUNK), default=0) + 1, dtype=np.float64)
-        self._logn = np.log(n)
-        self._e = np.exp(np.outer(-self.s_col, self._logn))
+        n = max((x for x in lengths if x <= _CHUNK), default=0)
+        if self.phases is None or len(self.phases[0]) < n:
+            self.phases = _phases(self.ys, 1, n + 1)
         return cuts, end
 
     def _solve_node(self, offset: int, cut: tuple[int, float], gs: np.ndarray,
@@ -442,30 +451,24 @@ class _ColumnEngine:
         return results
 
 
-def _continue(rep, x, ys, levels, m_max, ctx) -> list[EvalResult]:
-    """Validate the descent settings and run one column.  Both public entry
-    points call this, not each other: one evaluation, one public call.
+def _phases(ys: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """log n and the phase matrix n^{-iy} (a row per y in ys) for n = lo .. hi-1."""
+    logn = np.log(np.arange(lo, hi, dtype=np.float64))
+    phase = np.outer(ys, -1j * logn)
+    return logn, np.exp(phase, out=phase)
 
-    The continued region is Re s > 1.25 + d - levels for the growth degree
-    d of the representation: every direct tail then lies at Re s >= 1.25 + d.
-    """
+
+def _continue(rep, x, ys, levels, m_max, ctx, phases=None) -> list[EvalResult]:
+    """Run one column.  The public entry points call this, not each other:
+    one evaluation, one public call.  ``phases`` is a pole scan's shared
+    phase matrix (see _phases)."""
     if levels is None:
         levels = default_levels(complex(x, 0.0), rep.growth[1])
-    if levels < 0:
-        raise DomainError(f"levels must be >= 0, got {levels}")
-    if m_max < 2:
-        raise DomainError(f"m_max must be >= 2, got {m_max}")
-    edge = BASE_STRIP_SIGMA + rep.growth[1] - levels
-    if x <= edge:
-        raise DomainError(
-            f"Re s = {x} outside the continued region Re s > {edge} for levels={levels}"
-        )
     if ctx is None:
         ctx = ContinuationContext(rep)
-    ys = np.asarray(list(ys), dtype=np.float64)
-    if len(ys) == 0:
-        return []
-    return _ColumnEngine(ctx, x, ys, levels, m_max).run()
+    engine = _ColumnEngine(ctx, x, np.asarray(list(ys), dtype=np.float64), levels, m_max,
+                           phases=phases)
+    return engine.run() if engine.ny else []
 
 
 def continue_via_recursion(
@@ -799,6 +802,9 @@ def pole_scan(
     are a subset of the predicted lattice; equality is never asserted.
     Degenerate rectangles (a == b) are allowed.
     """
+    for name, v in (("a", a), ("b", b), ("T", T), ("step", step)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
     if b < a:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
     if T < 0 or step <= 0:
@@ -808,13 +814,17 @@ def pole_scan(
     res = np.arange(0, int((b - a) / step + 1e-9) + 1) * step + a
     ims = np.arange(0, int(T / step + 1e-9) + 1) * step
     ctx = ContinuationContext(rep)
+    # the leftmost column sums the longest strips: its plan sizes the one
+    # n^{-iy} matrix every column slices, built before any column runs
+    lead = _ColumnEngine(ctx, float(a), ims, levels, _M_CAP)
+    lead._plan()
 
     det_eta = max(_NEAR_SINGULAR_DET, step * math.log(rep.k))
     blowup = 1.0 / step
 
     def probe_column(x: float) -> list[ScanPoint]:
         points = []
-        for ev in continue_column(rep, float(x), ims, levels=levels, ctx=ctx):
+        for ev in _continue(rep, float(x), ims, levels, _M_CAP, ctx, lead.phases):
             abs_value = math.nan if ev.value is None else abs(ev.value)
             points.append(ScanPoint(
                 s=ev.s, abs_value=abs_value, det_magnitude=ev.det_magnitude,

@@ -181,6 +181,18 @@ class TestContract:
         assert run(["generate", "--fn", "nth_prime", "--N", "200"]) == 2
         assert "N <= 1000, got 1394" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "nan"), ("--b", "inf"), ("--T", "inf"), ("--T", "nan"), ("--step", "nan"),
+    ])
+    def test_pole_scan_non_finite_bound_exits_1(self, capsys, flag, value):
+        # one error line naming the argument, no uncaught exception
+        bounds = {"--a": "0.9", "--b": "1.1", "--T": "5", "--step": "0.1", flag: value}
+        argv = ["pole-scan", "--fn", "const_one", "--N", "4096", "--k", "2",
+                "--L", "5", "--M", "32"]
+        assert run(argv + [x for kv in bounds.items() for x in kv]) == 1
+        name = flag.removeprefix("--")
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+
     def test_missing_fn_for_table_command(self, capsys):
         assert run(["dirichlet-eval", "--method", "direct", "--s", "2"]) == 1
 

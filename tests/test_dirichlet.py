@@ -537,6 +537,60 @@ class TestPoleScan:
         assert len(rows) == 3 * 21
 
     def test_threads_match_serial(self, const_rep):
+        # the columns only read the scan's finished phase matrix, so threads
+        # change no bit of any point
         a = pole_scan(const_rep, 0.9, 1.1, 3, 0.1, threads=1)
         b = pole_scan(const_rep, 0.9, 1.1, 3, 0.1, threads=4)
         assert a.clusters == b.clusters
+        assert len(a.points) == len(b.points) == 3 * 31
+        for p, q in zip(a.points, b.points):
+            assert p.s == q.s
+            assert repr(p.abs_value) == repr(q.abs_value), p.s
+            assert p.det_magnitude == q.det_magnitude, p.s
+            assert (p.near_singular, p.flagged) == (q.near_singular, q.flagged), p.s
+
+    def test_one_phase_matrix_per_scan(self, const_rep, monkeypatch):
+        # the leftmost column's plan sizes the one n^{-iy} matrix of the scan
+        # and every column slices it; no point here is offset-averaged, which
+        # would build the twin column's own
+        from kernelscope import dirichlet
+
+        levels = dirichlet.default_levels(0.9, const_rep.growth[1])
+        ys = np.arange(31) * 0.1
+        assert not any(ev.offset_averaged for x in (0.9, 1.0, 1.1)
+                       for ev in dirichlet.continue_column(const_rep, x, ys, levels=levels))
+        calls = []
+        phases = dirichlet._phases
+
+        def counted(ys, lo, hi):
+            calls.append((len(ys), lo, hi))
+            return phases(ys, lo, hi)
+
+        monkeypatch.setattr(dirichlet, "_phases", counted)
+        scan = pole_scan(const_rep, 0.9, 1.1, 3, 0.1)
+        assert len(scan.points) == 3 * 31
+        assert len(calls) == 1 and calls[0][:2] == (31, 1)
+
+    @pytest.mark.parametrize("fixture, a", [("const_rep", 0.9), ("tm_rep", 0.4)])
+    def test_sliced_columns_match_one_point(self, request, fixture, a):
+        # columns right of the first sum shorter tails and slice a prefix of
+        # the shared matrix (tm_rep: 512 terms at 0.4, 256 at 0.6)
+        from kernelscope.dirichlet import default_levels
+
+        rep = request.getfixturevalue(fixture)
+        levels = default_levels(a, rep.growth[1])
+        scan = pole_scan(rep, a, a + 0.2, 2, 0.1)
+        assert len({p.s.real for p in scan.points}) == 3
+        for p in scan.points:
+            alone = continue_via_recursion(rep, p.s, levels)
+            if alone.value is None:
+                assert p.near_singular and math.isnan(p.abs_value)
+            else:
+                assert abs(p.abs_value - abs(alone.value)) <= 1e-9, p.s
+
+    @pytest.mark.parametrize("name", ["a", "b", "T", "step"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bounds_refused(self, const_rep, name, bad):
+        bounds = {"a": 0.9, "b": 1.1, "T": 3.0, "step": 0.1, name: bad}
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+            pole_scan(const_rep, **bounds)
