@@ -57,12 +57,7 @@ def _emit(args, payload_json, payload_csv, elapsed: float) -> None:
 def _load_table(args) -> seqgen.ValueTable:
     if args.fn is None or args.N is None:
         raise DomainError("this command needs --fn and --N")
-    fid = seqgen.FunctionId(args.fn, args.fn_param)
-    ft = seqgen.build_factor_table(max(2, seqgen.sieve_bound(fid, args.N)))
-    t = seqgen.generate(fid, args.N, ft)
-    if args.mod:
-        t = seqgen.reduce_mod(t, args.mod)
-    return t
+    return seqgen.build_table(seqgen.FunctionId(args.fn, args.fn_param, args.mod), args.N)
 
 
 def _load_rep(args) -> automaton.LinearRepresentation:
@@ -155,7 +150,7 @@ def _cmd_dirichlet_eval(args):
     s = complex(args.s)
     if args.method == "direct":
         t = _load_table(args)
-        res = dirichlet.direct_sum(t, s, args.N_terms or t.N)
+        res = dirichlet.direct_sum(t, s, t.N if args.N_terms is None else args.N_terms)
     elif args.method == "recursion":
         rep = _load_rep(args)
         res = dirichlet.continue_via_recursion(
@@ -171,9 +166,7 @@ def _cmd_dirichlet_eval(args):
 
 def _cmd_verify_identity(args):
     ident = dirichlet.IdentityId(args.id, args.id_param)
-    fid = ident.function_id()
-    ft = seqgen.build_factor_table(args.N)
-    t = seqgen.generate(fid, args.N, ft)
+    t = seqgen.build_table(ident.function_id(), args.N)
     samples = [complex(part) for part in args.s.split(",") if part]
     report = dirichlet.verify_identity(ident, t, samples, args.N)
     return report.to_json(), None
@@ -343,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("zeros", _cmd_zeros, "critical-line zeros up to height T", csv_first)
     p.add_argument("--T", type=float, required=True)
 
-    p = command("zero-count", _cmd_zero_count, "N(T) by the argument principle")
+    p = command("zero-count", _cmd_zero_count, "N(T) by the Riemann-von Mangoldt formula")
     p.add_argument("--T", type=float, required=True)
 
     p = command("tlogt", _cmd_tlogt, "N(T)/(T log10 T) growth table", csv_first)

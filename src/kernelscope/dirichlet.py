@@ -38,7 +38,7 @@ import numpy as np
 from .automaton import (LinearRepresentation, adjugate_poly, average_matrix,
                         lattice_from_char_poly, vector_values)
 from .errors import CapacityError, DomainError
-from .seqgen import FunctionId, ValueTable, build_factor_table, generate
+from .seqgen import FunctionId, ValueTable, build_table
 from .zeta import WORKING_RADIUS, zeta_em
 
 BASE_STRIP_SIGMA = 1.25
@@ -79,15 +79,15 @@ class EvalResult:
 def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
     """Plain truncation sum_{n <= N_terms} f(n) n^{-s}.
 
-    Requires Re s >= 1.25 + d for the recorded growth degree d of f, so
+    Requires Re s >= BASE_STRIP_SIGMA + d for the growth degree d of f, so
     the integral tail bound C N^{1+d-sigma}/(sigma-1-d) is meaningful.
     """
     s = complex(s)
     C, d = t.id.growth_bound()
     sigma = s.real
-    if sigma < 1.25 + d:
+    if sigma < BASE_STRIP_SIGMA + d:
         raise DomainError(
-            f"direct summation of {t.id} needs Re s >= {1.25 + d} "
+            f"direct summation of {t.id} needs Re s >= {BASE_STRIP_SIGMA + d} "
             f"(growth degree {d}), got {sigma}"
         )
     if not 1 <= N_terms <= t.N:
@@ -496,10 +496,9 @@ def continue_column(
     ys,
     levels: int | None = None,
     m_max: int = _M_CAP,
-    ctx: ContinuationContext | None = None,
 ) -> list[EvalResult]:
     """Batched continuation at the points x + i y for every y in ys."""
-    return _continue(rep, x, ys, levels, m_max, ctx)
+    return _continue(rep, x, ys, levels, m_max, None)
 
 
 # --- closed forms -----------------------------------------------------------
@@ -508,14 +507,10 @@ ZETA_TOL = 1e-12  # target error of every zeta value a closed form uses
 IDENTITY_SLACK = 1e-9  # added to the truncation bound of a verified sum
 
 
-def _table(tag: str, limit: int) -> np.ndarray:
-    return generate(FunctionId(tag), limit, build_factor_table(limit)).values
-
-
 @cache
 def _small_table(tag: str) -> list[int]:
     """mu or phi on 0..512, built on first use."""
-    return _table(tag, 512).tolist()
+    return build_table(FunctionId(tag), 512).values.tolist()
 
 
 def _checked_zeta(w: complex) -> complex:
@@ -694,10 +689,8 @@ def verify_identity(
 ) -> IdentityReport:
     """Truncated sum vs closed form; PASS iff residual <= tail bound + IDENTITY_SLACK."""
     want = ident.function_id()
-    if (t.id.tag, t.id.param, t.id.modulus) != (want.tag, want.param, None):
-        raise DomainError(
-            f"identity {ident} describes {want}, but the table holds {t.id}"
-        )
+    if t.id != want:
+        raise DomainError(f"identity {ident} describes {want}, but the table holds {t.id}")
     samples = []
     for s in s_samples:
         lhs = direct_sum(t, s, N_terms)
@@ -731,7 +724,7 @@ def landau_walfisz_singularities(n_max: int) -> list[Fraction]:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    mu = _table("mu", n_max) if n_max > 512 else _small_table("mu")
+    mu = build_table(FunctionId("mu"), n_max).values
     return [Fraction(1, n) for n in range(1, n_max + 1) if mu[n] != 0]
 
 

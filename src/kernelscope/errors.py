@@ -46,7 +46,7 @@ class ConstructionError(KernelscopeError):
 
 
 class ContourError(KernelscopeError):
-    """An argument-principle contour passed too close to a zero."""
+    """Zero counting failed: the segment passed near a zero, or two counts disagreed."""
 
     exit_code = 2
 

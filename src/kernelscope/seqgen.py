@@ -12,6 +12,9 @@ instead of silently wrapping.
 A new function is one ``_TAGS`` row: its table builder, its growth pair
 (C, d) and its parameter floor.
 
+Every table the package builds for itself comes from ``build_table``: it
+sizes the sieve, runs ``generate`` and reduces by the id's modulus.
+
 Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
 ``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only.
 Sequences are indexed from 1; there is no f(0).
@@ -50,7 +53,8 @@ class FunctionId:
     """Identifier of a supported arithmetic function, plus parameters.
 
     ``param`` is the k of tau_k, the m of sigma_m/q_m; None elsewhere.
-    ``modulus`` is set by reduce_mod and marks a reduced table.
+    ``modulus`` marks a reduced table: reduce_mod sets it, build_table
+    reduces by it, and generate refuses it.
     """
 
     tag: str
@@ -67,7 +71,7 @@ class FunctionId:
         elif self.param is None or self.param < low:
             raise DomainError(f"{self.tag} requires an integer parameter >= {low}")
         if self.modulus is not None and self.modulus < 2:
-            raise DomainError("modulus must be >= 2")
+            raise DomainError(f"modulus must be >= 2, got {self.modulus}")
 
     def __str__(self):
         s = self.tag if self.param is None else f"{self.tag}({self.param})"
@@ -80,7 +84,7 @@ class FunctionId:
         row (see _TAGS) or m - 1 for a table reduced mod m.  Used for
         Dirichlet tail bounds."""
         if self.modulus is not None:
-            return float(self.modulus - 1) if self.modulus > 1 else 1.0, 0.0
+            return float(self.modulus - 1), 0.0
         growth = _TAGS[self.tag].growth
         return growth(self.param) if callable(growth) else growth
 
@@ -380,6 +384,14 @@ def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
     vals = _TAGS[fid.tag].table(N, ft, fid.param)
     vals[0] = 0
     return ValueTable(id=fid, N=N, values=vals)
+
+
+def build_table(fid: FunctionId, N: int) -> ValueTable:
+    """The table ``fid`` names on 1..N, reduced mod fid.modulus when set,
+    from a sieve of sieve_bound(fid, N) and at least 2."""
+    ft = build_factor_table(max(2, sieve_bound(fid, N)))
+    t = generate(FunctionId(fid.tag, fid.param), N, ft)
+    return t if fid.modulus is None else reduce_mod(t, fid.modulus)
 
 
 def reduce_mod(t: ValueTable, m: int) -> ValueTable:

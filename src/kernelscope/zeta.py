@@ -359,7 +359,7 @@ def critical_line_zeros(T: float) -> list[ZeroRecord]:
     Bisection only, of every cell in lockstep: one Z evaluation per
     halving covers all cells still wider than ZERO_REFINE_TOL.  A
     same-sign double zero inside one grid cell would be missed, which the
-    argument-principle cross-check in zero_count detects.
+    Riemann-von Mangoldt cross-check in zero_count detects.
     """
     _check_height(T, complex(0.5, T))
     t, t_hi, f_lo = _sign_change_cells(T)
@@ -474,7 +474,7 @@ def _agreed(report: ZeroCountReport) -> int:
 
 
 def zero_count(T: float) -> int:
-    """N(T): zeros in the strip with 0 < Im s <= T (argument principle)."""
+    """N(T): zeros with 0 < Im s <= T, Riemann-von Mangoldt on one segment."""
     return _agreed(zero_count_report(T))
 
 

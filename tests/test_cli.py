@@ -193,6 +193,24 @@ class TestContract:
         name = flag.removeprefix("--")
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
 
+    def test_verify_identity_on_one_term(self, capsys):
+        doc = run_json(capsys, ["verify-identity", "--id", "mu", "--s", "2", "--N", "1"])
+        assert doc["result"]["N_terms"] == 1 and doc["result"]["all_passed"]
+
+    @pytest.mark.parametrize("mod", ["0", "1"])
+    def test_modulus_below_two_exits_1(self, capsys, mod):
+        assert run(["generate", "--fn", "mu", "--N", "10", "--mod", mod]) == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: modulus must be >= 2, got {mod}\n" and out.out == ""
+
+    def test_zero_terms_exits_2(self, capsys):
+        argv = ["dirichlet-eval", "--method", "direct", "--fn", "const_one", "--N", "1000",
+                "--s", "2", "--N-terms"]
+        assert run(argv + ["0"]) == 2
+        assert "N_terms=0 outside the table range" in capsys.readouterr().err
+        doc = run_json(capsys, argv + ["10"])
+        assert doc["result"]["terms"] == 10
+
     def test_missing_fn_for_table_command(self, capsys):
         assert run(["dirichlet-eval", "--method", "direct", "--s", "2"]) == 1
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,6 +20,8 @@ from kernelscope.dirichlet import (
     zeta_quotient_eval,
 )
 from kernelscope.errors import CapacityError, DomainError
+
+from conftest import trial_factorization
 
 mpmath.mp.dps = 30
 
@@ -458,6 +461,12 @@ class TestLandauWalfisz:
         monkeypatch.setenv("KERNELSCOPE_MAX_N", "1000")
         with pytest.raises(CapacityError):
             landau_walfisz_singularities(2000)
+
+    @pytest.mark.parametrize("n_max", [1, 512, 513, 2000])
+    def test_matches_trial_division(self, n_max):
+        squarefree = [n for n in range(1, n_max + 1)
+                      if all(e == 1 for e in trial_factorization(n).values())]
+        assert landau_walfisz_singularities(n_max) == [Fraction(1, n) for n in squarefree]
 
     def test_n_max_10_count(self):
         pts = landau_walfisz_singularities(10)

@@ -12,6 +12,7 @@ from kernelscope.seqgen import (
     ALL_TAGS,
     FunctionId,
     build_factor_table,
+    build_table,
     generate,
     reduce_mod,
     sieve_bound,
@@ -215,6 +216,9 @@ class TestGenerate:
             FunctionId("mu", 3)
         with pytest.raises(DomainError):
             FunctionId("no_such_function")
+        for m in (0, 1, -3):
+            with pytest.raises(DomainError, match=f"^modulus must be >= 2, got {m}$"):
+                FunctionId("mu", modulus=m)
 
 
 class TestReduceMod:
@@ -239,6 +243,25 @@ class TestReduceMod:
     def test_double_reduce_refused(self, table):
         with pytest.raises(DomainError):
             reduce_mod(table("tau", mod=2, N=50), 3)
+
+
+class TestBuildTable:
+    @pytest.mark.parametrize("N", [5, 6, 1000])
+    @pytest.mark.parametrize("tag, param, mod", [
+        ("lambda", None, 3), ("sigma_m", 2, None), ("nth_prime", None, None),
+    ])
+    def test_equals_generate_on_an_explicit_sieve(self, ft_1m, tag, param, mod, N):
+        want = generate(FunctionId(tag, param), N, ft_1m)
+        if mod is not None:
+            want = reduce_mod(want, mod)
+        got = build_table(FunctionId(tag, param, mod), N)
+        assert got.id == want.id == FunctionId(tag, param, mod)
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
+
+    def test_single_entry_table(self):
+        # a table of one entry still gets a sieve of 2
+        assert build_table(FunctionId("mu"), 1).values.tolist() == [0, 1]
 
 
 class TestInvariants:
