@@ -1,7 +1,9 @@
 """Sieve-based generation of arithmetic-function value tables.
 
 One smallest-prime-factor sieve up to N drives every arithmetic function.
-The sieve splits each n once into p = spf(n), the exponent e with
+It strides spf[p*p::p] = p over the primes p <= sqrt(N), largest first, so
+the last write to a composite n is its smallest prime, with no compare or
+mask.  It then splits each n once into p = spf(n), the exponent e with
 p^e || n and rest = n / p^e.  Each function is then just its rule for
 f(p^e): one pass reads f(p^e) (by e alone where the rule allows) and
 combines it with the finished value at rest (a product for multiplicative
@@ -32,6 +34,7 @@ import numpy as np
 from .errors import CapacityError, ConstructionError, DomainError, RangeError
 
 DEFAULT_MAX_N = 10_000_000
+_INT64_MAX = 2**63 - 1
 
 
 def max_table_size() -> int:
@@ -70,8 +73,11 @@ class FunctionId:
                 raise DomainError(f"{self.tag} takes no parameter")
         elif self.param is None or self.param < low:
             raise DomainError(f"{self.tag} requires an integer parameter >= {low}")
-        if self.modulus is not None and self.modulus < 2:
-            raise DomainError(f"modulus must be >= 2, got {self.modulus}")
+        if self.modulus is not None:
+            if self.modulus < 2:
+                raise DomainError(f"modulus must be >= 2, got {self.modulus}")
+            if self.modulus > _INT64_MAX:
+                raise DomainError(f"modulus must be <= 2^63 - 1, got {self.modulus}")
 
     def __str__(self):
         s = self.tag if self.param is None else f"{self.tag}({self.param})"
@@ -128,25 +134,37 @@ def _chunks(N: int):
 def build_factor_table(N: int) -> FactorTable:
     """Sieve smallest prime factors for 2..N (O(N log log N)), then split
     each n = p^e * rest from m = n // p: p divides m exactly when
-    spf[m] == p, and then n shares m's rest with one more factor p."""
+    spf[m] == p, and then n shares m's rest with one more factor p.
+
+    The sieve writes spf[p*p::p] = p for the primes p <= sqrt(N) (from a
+    boolean sieve to sqrt(N)), largest first: a composite n is hit by
+    every prime q with q^2 <= n and q | n, spf(n) among them since
+    spf(n)^2 <= n, and spf(n) is the last of them.  Entries still 0 are
+    the primes."""
     cap = min(max_table_size(), 2**31 - 1)  # spf and rest are int32
     if not 2 <= N <= cap:
         raise CapacityError(f"factor table bound must satisfy 2 <= N <= {cap}, got {N}")
+    root = math.isqrt(N)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
     spf = np.zeros(N + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
     primes = np.flatnonzero(spf[2:] == 0) + 2
     spf[primes] = primes
     rest = np.zeros(N + 1, dtype=np.int32)
     exp = np.zeros(N + 1, dtype=np.int8)
     for a, b in _chunks(N):
-        m = np.arange(a, b, dtype=np.int32) // spf[a:b]
+        p = spf[a:b]
+        m = np.arange(a, b, dtype=np.int32) // p
         exp[a:b], rest[a:b] = 1, m
-        deep = np.flatnonzero(spf[m] == spf[a:b])
-        exp[a + deep] += exp[m[deep]]
-        rest[a + deep] = rest[m[deep]]
+        deep = np.flatnonzero(spf.take(m) == p)
+        below = m.take(deep)
+        exp[a + deep] += exp.take(below)
+        rest[a + deep] = rest.take(below)
     return FactorTable(N=N, spf=spf, rest=rest, exp=exp, primes=primes)
 
 
@@ -182,11 +200,14 @@ class ValueTable:
 
     def write_csv(self, fh) -> None:
         fh.write("n,value\n")
-        # one joined write per block: a single join over all N values would
-        # hold every value as a Python int at once (over 1 GiB at N = 10^7)
+        # one formatted write per block: formatting all N rows at once would
+        # hold every value as a Python int (over 1 GiB at N = 10^7)
         for lo in range(1, self.N + 1, 1 << 16):
-            block = self.values[lo : lo + (1 << 16)].tolist()
-            fh.write("".join(f"{n},{v}\n" for n, v in enumerate(block, lo)))
+            block = self.values[lo : lo + (1 << 16)]
+            rows = np.empty((len(block), 2), dtype=np.int64)
+            rows[:, 0] = np.arange(lo, lo + len(block))
+            rows[:, 1] = block
+            fh.write("%d,%d\n" * len(block) % tuple(rows.ravel().tolist()))
 
 
 def _signature_max(N: int, coef, cap: int) -> int:
@@ -223,23 +244,21 @@ def _signature_max(N: int, coef, cap: int) -> int:
     return best
 
 
-_INT64_MAX = 2**63 - 1
-
-
 def _tabulate(N: int, ft: FactorTable, fpe, additive: bool) -> np.ndarray:
     """f on 1..N from its prime-power values and the split in ``ft``.
 
     For n >= 2 with p^e || n at p = spf[n] and rest = n / p^e, a
     multiplicative f has f(n) = f(p^e) f(rest) and an additive one
     f(n) = f(p^e) + f(rest).  ``fpe(ft, a, b, out)`` returns f(p^e) for the
-    n in [a, b) as int64.  Everything below a is final before the chunk
-    [a, b) starts, rest and p^(e-1) included.
+    n in [a, b).  Everything below a is final before the chunk [a, b)
+    starts, rest and p^(e-1) included; f(rest) is read with ``take`` and
+    combined straight into out[a:b].
     """
     out = np.empty(N + 1, dtype=np.int64)
     out[0], out[1] = 0, 0 if additive else 1
+    combine = np.add if additive else np.multiply
     for a, b in _chunks(N):
-        f, done = fpe(ft, a, b, out), out[ft.rest[a:b]]
-        out[a:b] = f + done if additive else f * done
+        combine(fpe(ft, a, b, out), out.take(ft.rest[a:b]), out=out[a:b])
     return out
 
 
@@ -264,17 +283,18 @@ def _by_exponent(rule, additive: bool = False):
         if not additive:
             _fits_int64(_signature_max(N, f, _INT64_MAX))
         lut = np.array([f(e) for e in range(N.bit_length())], dtype=np.int64)
-        return _tabulate(N, ft, lambda ft, a, b, out: lut[ft.exp[a:b]], additive)
+        return _tabulate(N, ft, lambda ft, a, b, out: lut.take(ft.exp[a:b]), additive)
 
     return table
 
 
 def _phi_table(N: int, ft: FactorTable, m) -> np.ndarray:
-    """phi(p^e) = p^e - p^(e-1), with p^e = n / rest in int64."""
+    """phi(p^e) = p^e - p^(e-1), with p^e = n / rest in int32 (the factor
+    table's layout keeps N below 2^31)."""
     _fits_int64(N)
 
     def fpe(ft, a, b, out):
-        pe = np.arange(a, b, dtype=np.int64) // ft.rest[a:b]
+        pe = np.arange(a, b, dtype=np.int32) // ft.rest[a:b]
         return pe - pe // ft.spf[a:b]
 
     return _tabulate(N, ft, fpe, additive=False)
@@ -290,8 +310,9 @@ def _sigma_table(N: int, ft: FactorTable, m: int) -> np.ndarray:
     _fits_int64(N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m)
 
     def fpe(ft, a, b, out):
-        p = ft.spf[a:b].astype(np.int64)
-        return 1 + p**m * out[np.arange(a, b, dtype=np.int64) // ft.rest[a:b] // p]
+        p = ft.spf[a:b]
+        below = out.take(np.arange(a, b, dtype=np.int32) // ft.rest[a:b] // p)
+        return 1 + p.astype(np.int64) ** m * below
 
     return _tabulate(N, ft, fpe, additive=False)
 
@@ -395,12 +416,14 @@ def build_table(fid: FunctionId, N: int) -> ValueTable:
 
 
 def reduce_mod(t: ValueTable, m: int) -> ValueTable:
-    """Entrywise least non-negative residue mod m; the id records m."""
-    if m < 2:
-        raise DomainError(f"modulus must be >= 2, got {m}")
+    """Entrywise least non-negative residue mod m, 2 <= m <= 2^63 - 1, as
+    v - m * floor(v / m) in one output array (np.mod is slower on negative
+    int64 entries); the id records m."""
     if t.id.modulus is not None:
         raise DomainError("table is already reduced; reduce the unreduced table")
     fid = FunctionId(t.id.tag, t.id.param, modulus=m)
-    vals = np.mod(t.values, m)
+    vals = np.floor_divide(t.values, m)
+    vals *= m
+    np.subtract(t.values, vals, out=vals)
     vals[0] = 0
     return ValueTable(id=fid, N=t.N, values=vals)

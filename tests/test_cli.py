@@ -203,6 +203,12 @@ class TestContract:
         out = capsys.readouterr()
         assert out.err == f"error: modulus must be >= 2, got {mod}\n" and out.out == ""
 
+    def test_modulus_above_int64_exits_1(self, capsys):
+        mod = str(10**23)
+        assert run(["generate", "--fn", "mu", "--N", "10", "--mod", mod]) == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: modulus must be <= 2^63 - 1, got {mod}\n" and out.out == ""
+
     def test_zero_terms_exits_2(self, capsys):
         argv = ["dirichlet-eval", "--method", "direct", "--fn", "const_one", "--N", "1000",
                 "--s", "2", "--N-terms"]

@@ -80,6 +80,33 @@ class TestFactorTable:
             p = min(fac)
             assert (ft_1m.spf[k], ft_1m.exp[k], ft_1m.rest[k]) == (p, fac[p], k // p ** fac[p])
 
+    @pytest.fixture(scope="class")
+    def split_oracle(self):
+        """(spf, exp, rest) of 2..131073 by trial division."""
+        out = {}
+        for k in range(2, 131074):
+            fac = trial_factorization(k)
+            p = min(fac)
+            out[k] = (p, fac[p], k // p ** fac[p])
+        return out
+
+    @staticmethod
+    def _check_against(oracle, N):
+        ft = build_factor_table(N)
+        got = zip(ft.spf[2:].tolist(), ft.exp[2:].tolist(), ft.rest[2:].tolist())
+        assert [*got] == [oracle[k] for k in range(2, N + 1)], N
+        assert ft.primes.tolist() == [k for k in range(2, N + 1) if oracle[k][0] == k], N
+
+    def test_every_table_up_to_300(self, split_oracle):
+        # each bound on or past a prime square changes which strides run
+        for N in range(2, 301):
+            self._check_against(split_oracle, N)
+
+    @pytest.mark.parametrize("N", [961, 962, 65536, 65537, 131073])
+    def test_square_and_chunk_edges(self, split_oracle, N):
+        # 961 = 31^2; 2^16 + 1 and 2^17 + 1 open a new split chunk
+        self._check_against(split_oracle, N)
+
 
 class TestGenerate:
     def test_lambda_at_one(self, table):
@@ -219,6 +246,10 @@ class TestGenerate:
         for m in (0, 1, -3):
             with pytest.raises(DomainError, match=f"^modulus must be >= 2, got {m}$"):
                 FunctionId("mu", modulus=m)
+        for m in (2**63, 10**23):
+            with pytest.raises(DomainError, match=rf"^modulus must be <= 2\^63 - 1, got {m}$"):
+                FunctionId("mu", modulus=m)
+        FunctionId("mu", modulus=2**63 - 1)
 
 
 class TestReduceMod:
@@ -243,6 +274,22 @@ class TestReduceMod:
     def test_double_reduce_refused(self, table):
         with pytest.raises(DomainError):
             reduce_mod(table("tau", mod=2, N=50), 3)
+
+    @pytest.mark.parametrize("m", [0, 2**63])
+    def test_modulus_out_of_range_refused(self, table, m):
+        with pytest.raises(DomainError, match="^modulus must be"):
+            reduce_mod(table("mu", N=50), m)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 2**31 - 1, 2**62 + 1, 2**63 - 1])
+    @pytest.mark.parametrize("tag, param", [
+        ("lambda", None), ("mu", None), ("phi", None), ("sigma_m", 3),
+    ])
+    def test_matches_floored_remainder(self, table, tag, param, m):
+        # Python's % is the floored remainder, in [0, m) for every sign of v
+        t = table(tag, param, N=2**16 + 5)
+        got = reduce_mod(t, m).values
+        assert got.dtype == np.int64 and got[0] == 0
+        assert got[1:].tolist() == [v % m for v in t.values[1:].tolist()]
 
 
 class TestBuildTable:
@@ -351,17 +398,19 @@ class TestExport:
         assert len(lines) == 6
 
     def test_csv_matches_row_writer_across_blocks(self, table):
-        # the joined block writes against one csv.writer row per entry,
-        # on a table that ends just past a 2^16-entry block
-        t = table("lambda", N=2**16 + 5)
-        want = io.StringIO()
-        w = csv.writer(want, lineterminator="\n")
-        w.writerow(["n", "value"])
-        for n in range(1, t.N + 1):
-            w.writerow([n, int(t.values[n])])
-        got = io.StringIO()
-        t.write_csv(got)
-        assert got.getvalue() == want.getvalue()
+        # the formatted block writes against one csv.writer row per entry,
+        # on tables that end just past a 2^16-entry block: lambda's single
+        # digits, sigma_2's up to 10 digits and mu's -1
+        for tag, param in [("lambda", None), ("sigma_m", 2), ("mu", None)]:
+            t = table(tag, param, N=2**16 + 5)
+            want = io.StringIO()
+            w = csv.writer(want, lineterminator="\n")
+            w.writerow(["n", "value"])
+            for n in range(1, t.N + 1):
+                w.writerow([n, int(t.values[n])])
+            got = io.StringIO()
+            t.write_csv(got)
+            assert got.getvalue() == want.getvalue(), tag
 
 
 _ORACLE_N = 3000
