@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -92,20 +93,27 @@ class LinearRepresentation:
 
 
 def rep_from_json(doc: dict) -> LinearRepresentation:
-    k, dim = doc["k"], doc["t"]
-    mats = tuple(
-        np.array(m, dtype=np.int64).reshape(dim, dim) for m in doc["matrices"]
-    )
+    """The representation ``to_json`` wrote; a missing or malformed field
+    raises DomainError naming it."""
+
+    def field(name, read):
+        try:
+            return read(doc[name])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"missing or malformed field {name!r}: {exc!r}") from exc
+
+    k, dim = field("k", operator.index), field("t", operator.index)
     return LinearRepresentation(
         k=k,
         dim=dim,
-        matrices=mats,
-        seeds=np.array(doc["seeds"], dtype=np.int64).reshape(k - 1, dim),
-        output_coord=doc["output_coord"],
-        labels=tuple((int(a), int(b)) for a, b in doc["labels"]),
-        verified_to=doc["verified_to"],
-        automatic=doc["automatic"],
-        growth=(float(doc["growth"][0]), float(doc["growth"][1])),
+        matrices=field("matrices", lambda ms: tuple(
+            np.array(m, dtype=np.int64).reshape(dim, dim) for m in ms)),
+        seeds=field("seeds", lambda v: np.array(v, dtype=np.int64).reshape(k - 1, dim)),
+        output_coord=field("output_coord", operator.index),
+        labels=field("labels", lambda v: tuple((int(a), int(b)) for a, b in v)),
+        verified_to=field("verified_to", operator.index),
+        automatic=field("automatic", lambda v: v),
+        growth=field("growth", lambda g: (float(g[0]), float(g[1]))),
     )
 
 
@@ -140,29 +148,25 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
                     "at this window length"
                 )
             mats[r][i, j] = 1
-    seeds = np.empty((k - 1, dim), dtype=np.int64)
-    for b in range(1, k):
-        for i, (_, _, prefix) in enumerate(reps):
-            seeds[b - 1, i] = prefix[b - 1]
-    value_bound = float(max(1, max(int(np.abs(p).max()) for _, _, p in reps)))
+    # the window matrix: row i is coordinate i's window, column n - 1 is U_n
+    P = np.stack([prefix for _, _, prefix in reps])
     rep = LinearRepresentation(
         k=k,
         dim=dim,
         matrices=tuple(mats),
-        seeds=seeds,
+        seeds=np.array(P[:, : k - 1].T, dtype=np.int64, order="C"),
         output_coord=0,
         labels=tuple((l, r) for l, r, _ in reps),
         verified_to=min(t.N, k * M),
         automatic=True,
-        growth=(value_bound, 0.0),
+        growth=(float(max(1, int(np.abs(P).max()))), 0.0),
     )
-    _verify_against_table(rep, t, reps, M)
+    _verify_against_table(rep, t, P, M)
     return rep
 
 
-def _verify_against_table(rep, t, reps, M):
-    # vector-level check: columns of P are U_n on the window
-    P = np.stack([prefix for _, _, prefix in reps])
+def _verify_against_table(rep, t, P, M):
+    # vector-level check: columns of the window matrix P are U_n on the window
     for r in range(rep.k):
         m_r = (M - r) // rep.k
         if m_r < 1:
@@ -343,10 +347,9 @@ def lattice_from_char_poly(
     degree first, for callers that already ran adjugate_poly."""
     if m_max < 0 or l_max < 0:
         raise DomainError("m_max and l_max must be >= 0")
-    avg = average_matrix(rep)
-    avg_f = np.array([[float(x) for x in row] for row in avg])
     try:
-        eigs = np.linalg.eigvals(avg_f)
+        # the integer sum divided once: the correctly rounded float of each entry
+        eigs = np.linalg.eigvals(sum(rep.matrices) / rep.k)
     except np.linalg.LinAlgError as exc:
         raise PrecisionError(f"eigensolver failed to converge: {exc}") from exc
     # exact certification: if 1 is a root of the characteristic polynomial,

@@ -33,24 +33,28 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FpSeries:
-    """Truncated power series over F_p, exact below ``reliable_len``."""
+    """Truncated power series over F_p, exact on all of ``coeffs``: the
+    reliable window is the coefficients themselves."""
 
     p: int
     coeffs: np.ndarray
-    reliable_len: int
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise DomainError(f"p must be prime, got {self.p}")
-        if self.reliable_len < 1 or len(self.coeffs) < self.reliable_len:
-            raise DomainError("reliable_len must be >= 1 and within the data")
+        if len(self.coeffs) < 1:
+            raise DomainError("a series needs at least one coefficient")
         self.coeffs.flags.writeable = False
+
+    @property
+    def reliable_len(self) -> int:
+        return len(self.coeffs)
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "reliable_len": self.reliable_len,
-            "coeffs": [int(c) for c in self.coeffs[: self.reliable_len]],
+            "coeffs": [int(c) for c in self.coeffs],
         }
 
 
@@ -65,26 +69,20 @@ def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
                             f"table holds {t.N}")
     coeffs = np.zeros(N, dtype=np.int64)
     coeffs[1:] = np.mod(t.values[1:N], p)
-    return FpSeries(p=p, coeffs=coeffs, reliable_len=N)
+    return FpSeries(p=p, coeffs=coeffs)
 
 
 def cartier_section(S: FpSeries, r: int) -> FpSeries:
     """coeffs'[n] = coeffs[p n + r]; the reliable window shrinks by 1/p."""
     if not 0 <= r < S.p:
         raise DomainError(f"section residue must satisfy 0 <= r < {S.p}, got {r}")
-    if S.reliable_len < S.p:
-        raise ExhaustionError(
-            f"series with reliable length {S.reliable_len} cannot be sectioned "
-            f"by p = {S.p}"
-        )
-    new_len = (S.reliable_len - r) // S.p
+    new_len = max(0, (S.reliable_len - r) // S.p)
     if new_len < MIN_WINDOW:
         raise ExhaustionError(
             f"section would leave {new_len} reliable coefficients, below the "
             f"minimum comparison window {MIN_WINDOW}"
         )
-    coeffs = S.coeffs[r : r + S.p * new_len : S.p].copy()
-    return FpSeries(p=S.p, coeffs=coeffs, reliable_len=new_len)
+    return FpSeries(p=S.p, coeffs=S.coeffs[r : r + S.p * new_len : S.p].copy())
 
 
 @dataclass(frozen=True)

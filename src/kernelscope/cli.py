@@ -8,7 +8,8 @@ capacity/precision error.
 
 The exit code of a failure lives on its error class, as ``exit_code`` in
 errors.py: CapacityError, PrecisionError, ContourError and ExhaustionError
-give 2; every other KernelscopeError, a ValueError and a usage error give 1.
+give 2; every other KernelscopeError, a ValueError, an OSError (a file that
+cannot be read or written) and a usage error give 1.
 """
 
 from __future__ import annotations
@@ -62,8 +63,12 @@ def _load_table(args) -> seqgen.ValueTable:
 
 def _load_rep(args) -> automaton.LinearRepresentation:
     if args.rep:
-        with open(args.rep) as fh:
-            return automaton.rep_from_json(json.load(fh))
+        try:
+            with open(args.rep) as fh:
+                return automaton.rep_from_json(json.load(fh))
+        except (OSError, ValueError, DomainError) as exc:
+            why = getattr(exc, "strerror", None) or exc
+            raise DomainError(f"--rep {args.rep}: {why}") from exc
     if args.fn is None or args.N is None:
         raise DomainError("need --rep FILE, or --fn/--N (plus --k/--L/--M) to build")
     t = _load_table(args)
@@ -360,11 +365,10 @@ def run(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         payload_json, payload_csv = args.func(args)
-    except (KernelscopeError, ValueError) as exc:
+        _emit(args, payload_json, payload_csv, time.perf_counter() - start)
+    except (KernelscopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", KernelscopeError.exit_code)
-    elapsed = time.perf_counter() - start
-    _emit(args, payload_json, payload_csv, elapsed)
     return 0
 
 

@@ -200,7 +200,7 @@ class _ColumnEngine:
     Points whose top system is near-singular are refused; points that meet
     a near-singular system strictly inside the recursion are evaluated
     again as one column at y +- h and averaged.  ``Q`` defaults to the
-    split point of the column's largest height.
+    split point of the column's largest height, ``levels`` to default_levels.
 
     Node o is the tail H(s + o), one per offset; the top node is offset 0.
     An offset o < levels recurses on the nodes o + 1 .. o + m_eff(o); an
@@ -213,7 +213,9 @@ class _ColumnEngine:
     """
 
     def __init__(self, ctx: ContinuationContext, x: float, ys: np.ndarray,
-                 levels: int, m_max: int, Q: int | None = None, phases=None):
+                 levels: int | None, m_max: int, Q: int | None = None, phases=None):
+        if levels is None:
+            levels = default_levels(complex(x, 0.0), ctx.rep.growth[1])
         if levels < 0:
             raise DomainError(f"levels must be >= 0, got {levels}")
         if m_max < 2:
@@ -458,16 +460,12 @@ def _phases(ys: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return logn, np.exp(phase, out=phase)
 
 
-def _continue(rep, x, ys, levels, m_max, ctx, phases=None) -> list[EvalResult]:
-    """Run one column.  The public entry points call this, not each other:
-    one evaluation, one public call.  ``phases`` is a pole scan's shared
-    phase matrix (see _phases)."""
-    if levels is None:
-        levels = default_levels(complex(x, 0.0), rep.growth[1])
-    if ctx is None:
-        ctx = ContinuationContext(rep)
-    engine = _ColumnEngine(ctx, x, np.asarray(list(ys), dtype=np.float64), levels, m_max,
-                           phases=phases)
+def _continue(rep, x, ys, levels, m_max) -> list[EvalResult]:
+    """Run one column in a context of its own.  The public entry points call
+    this, not each other: one evaluation, one public call.  pole_scan runs
+    its columns' engines itself, on one context and one phase matrix."""
+    engine = _ColumnEngine(ContinuationContext(rep), x,
+                           np.asarray(list(ys), dtype=np.float64), levels, m_max)
     return engine.run() if engine.ny else []
 
 
@@ -487,7 +485,7 @@ def continue_via_recursion(
     +-i h offset averaging.  This is a column of one point.
     """
     s = complex(s)
-    return _continue(rep, s.real, [s.imag], levels, m_max, None)[0]
+    return _continue(rep, s.real, [s.imag], levels, m_max)[0]
 
 
 def continue_column(
@@ -498,7 +496,7 @@ def continue_column(
     m_max: int = _M_CAP,
 ) -> list[EvalResult]:
     """Batched continuation at the points x + i y for every y in ys."""
-    return _continue(rep, x, ys, levels, m_max, None)
+    return _continue(rep, x, ys, levels, m_max)
 
 
 # --- closed forms -----------------------------------------------------------
@@ -794,6 +792,10 @@ def pole_scan(
     they are reported in the CSV but not clustered).  Observed clusters
     are a subset of the predicted lattice; equality is never asserted.
     Degenerate rectangles (a == b) are allowed.
+
+    The columns share one context.  The leftmost sums the longest strips,
+    so it runs first and its plan sizes the U-array and the one n^{-iy}
+    matrix the others slice; each column becomes ScanPoints when it ends.
     """
     for name, v in (("a", a), ("b", b), ("T", T), ("step", step)):
         if not math.isfinite(v):
@@ -802,22 +804,15 @@ def pole_scan(
         raise DomainError(f"need a <= b, got a={a}, b={b}")
     if T < 0 or step <= 0:
         raise DomainError("need T >= 0 and step > 0")
-    if levels is None:
-        levels = default_levels(complex(a, 0.0), rep.growth[1])
     res = np.arange(0, int((b - a) / step + 1e-9) + 1) * step + a
     ims = np.arange(0, int(T / step + 1e-9) + 1) * step
     ctx = ContinuationContext(rep)
-    # the leftmost column sums the longest strips: its plan sizes the one
-    # n^{-iy} matrix every column slices, built before any column runs
-    lead = _ColumnEngine(ctx, float(a), ims, levels, _M_CAP)
-    lead._plan()
-
     det_eta = max(_NEAR_SINGULAR_DET, step * math.log(rep.k))
     blowup = 1.0 / step
 
-    def probe_column(x: float) -> list[ScanPoint]:
+    def probe(engine: _ColumnEngine) -> list[ScanPoint]:
         points = []
-        for ev in _continue(rep, float(x), ims, levels, _M_CAP, ctx, lead.phases):
+        for ev in engine.run():
             abs_value = math.nan if ev.value is None else abs(ev.value)
             points.append(ScanPoint(
                 s=ev.s, abs_value=abs_value, det_magnitude=ev.det_magnitude,
@@ -825,11 +820,15 @@ def pole_scan(
                 flagged=ev.near_singular or (ev.det_magnitude < det_eta and abs_value > blowup)))
         return points
 
+    lead = _ColumnEngine(ctx, float(a), ims, levels, _M_CAP)
+    columns = [probe(lead)]
+    rest = (_ColumnEngine(ctx, float(x), ims, lead.levels, _M_CAP, phases=lead.phases)
+            for x in res[1:])
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(probe_column, res))
+            columns += pool.map(probe, rest)
     else:
-        columns = [probe_column(x) for x in res]
+        columns += map(probe, rest)
     # row-major grid order (imaginary part outer) for the CSV export
     points = [col[j] for j in range(len(ims)) for col in columns]
     clusters = _cluster([p for p in points if p.flagged], 1.6 * step)

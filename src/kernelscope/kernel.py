@@ -293,15 +293,16 @@ class _ModularRowSpace:
     echelon = T @ basis mod p.  A row that reduces to zero mod p has the
     coefficients row[pivots] @ T on the basis; lifted to rationals they are
     checked on the whole integer row, so the rank is exact over Q.  A row
-    that fails the check makes p a bad prime and raises _BadPrime.
+    that fails the check makes p a bad prime and raises _BadPrime.  The
+    arrays hold ``max_rank`` rows, a bound on the rank the caller gives.
     """
 
-    def __init__(self, width: int, p: int):
+    def __init__(self, width: int, max_rank: int, p: int):
         self.p = p
         self.pivots: list[int] = []
-        self.basis = np.zeros((width, width), dtype=np.int64)
-        self.echelon = np.zeros((width, width), dtype=np.int64)
-        self.transform = np.zeros((width, width), dtype=np.int64)
+        self.basis = np.zeros((max_rank, width), dtype=np.int64)
+        self.echelon = np.zeros((max_rank, width), dtype=np.int64)
+        self.transform = np.zeros((max_rank, max_rank), dtype=np.int64)
 
     @property
     def rank(self) -> int:
@@ -321,7 +322,7 @@ class _ModularRowSpace:
             r, pc = self.rank, int(nz[0])
             inv = pow(int(w[i, pc]), p - 2, p)
             e = w[i] * inv % p
-            t = np.zeros(width, dtype=np.int64)
+            t = np.zeros(len(self.transform), dtype=np.int64)
             t[:r] = -_dot_mod(res[i : i + 1, P], self.transform[:r, :r], p)[0] * inv % p
             t[r] = inv
             f = self.echelon[:r, pc : pc + 1].copy()
@@ -359,7 +360,7 @@ def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
     reps, counts = _enumerate_distinct(t, k, L, M)
     p = _PRIME
     while True:
-        space = _ModularRowSpace(M, p)
+        space = _ModularRowSpace(M, min(M, len(reps)), p)
         ranks: list[int] = []
         try:
             for l in range(L + 1):

@@ -329,28 +329,20 @@ def _changes_sign(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (lo == 0.0) | (lo * hi < 0)
 
 
-def _sign_change_cells(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells (t, t_hi, Z(t)), as three arrays, of the _hardy_sweep grid on
-    [1, T] where the Hardy Z-function is zero at t or changes sign between
-    t and t_hi."""
-    if T <= 1:
-        empty = np.empty(0)
-        return empty, empty, empty
-    grid, z = _hardy_sweep(T)
-    cell = _changes_sign(z[:-1], z[1:])
-    return grid[:-1][cell], grid[1:][cell], z[:-1][cell]
-
-
 def _sign_change_counts(Ts: list[float]) -> list[int]:
-    """len(_sign_change_cells(T)[0]) for every T > 1 in Ts, from one sweep to
-    the largest: the cells below T are a prefix of its cells, and the cell
-    clamped at T takes its sign from Z(T), one extra point per height."""
-    grid, z = _hardy_sweep(max(Ts))
-    before = np.concatenate(([0], np.cumsum(_changes_sign(z[:-1], z[1:]))))
+    """The number of _hardy_sweep cells on [1, T] where Z is zero at the
+    left end or changes sign, for every T in Ts (0 for T <= 1), from one
+    sweep to the largest: the cells below T are a prefix of its cells, and
+    the cell clamped at T takes its sign from Z(T), one extra point per height."""
     heights = np.array(Ts, dtype=np.float64)
-    below = np.searchsorted(grid, heights) - 1  # the last grid point below T
-    clamped = _changes_sign(z[below], _hardy_z(heights))
-    return (before[below] + clamped).tolist()
+    counts = np.zeros(len(heights), dtype=np.int64)
+    above = heights > 1
+    if above.any():
+        grid, z = _hardy_sweep(float(heights[above].max()))
+        before = np.concatenate(([0], np.cumsum(_changes_sign(z[:-1], z[1:]))))
+        below = np.searchsorted(grid, heights[above]) - 1  # the last grid point below T
+        counts[above] = before[below] + _changes_sign(z[below], _hardy_z(heights[above]))
+    return counts.tolist()
 
 
 def critical_line_zeros(T: float) -> list[ZeroRecord]:
@@ -362,7 +354,11 @@ def critical_line_zeros(T: float) -> list[ZeroRecord]:
     Riemann-von Mangoldt cross-check in zero_count detects.
     """
     _check_height(T, complex(0.5, T))
-    t, t_hi, f_lo = _sign_change_cells(T)
+    if T <= 1:
+        return []
+    grid, z = _hardy_sweep(T)
+    cell = _changes_sign(z[:-1], z[1:])
+    t, t_hi, f_lo = grid[:-1][cell], grid[1:][cell], z[:-1][cell]
     a, b, fa = t.copy(), t_hi.copy(), f_lo.copy()
     live = np.flatnonzero((f_lo != 0.0) & (b - a > ZERO_REFINE_TOL))
     while len(live):
@@ -457,10 +453,9 @@ def zero_count_report(T: float) -> ZeroCountReport:
     zeros.  A discrepancy means a missed or off-line zero.
     """
     _check_count_height(T)
-    winding = _winding_count(T)
     # one zero per sign-change cell; counting needs no bisection
-    sign_changes = len(_sign_change_cells(T)[0])
-    return ZeroCountReport(T=T, winding_count=winding, sign_change_count=sign_changes)
+    return ZeroCountReport(T=T, winding_count=_winding_count(T),
+                           sign_change_count=_sign_change_counts([T])[0])
 
 
 def _agreed(report: ZeroCountReport) -> int:
@@ -496,8 +491,6 @@ def tlogt_ratio_table(T_list: list[float]) -> list[RatioRow]:
         if T <= 1:
             raise DomainError(f"heights must exceed 1, got {T}")
         _check_count_height(T)
-    if not T_list:
-        return []
     rows = []
     for T, changes in zip(T_list, _sign_change_counts(T_list)):
         n = _agreed(ZeroCountReport(T=T, winding_count=_winding_count(T),

@@ -110,6 +110,12 @@ class TestCartierSection:
         with pytest.raises(ExhaustionError):
             cartier_section(first, 1)
 
+    def test_series_shorter_than_p(self):
+        short = FpSeries(p=5, coeffs=np.ones(3, dtype=np.int64))
+        for r in range(5):
+            with pytest.raises(ExhaustionError):
+                cartier_section(short, r)
+
     def test_bad_residue(self, tm_series):
         with pytest.raises(DomainError):
             cartier_section(tm_series, 2)
@@ -208,9 +214,9 @@ class TestVerdictMapping:
 class TestValidation:
     def test_series_field_checks(self):
         with pytest.raises(DomainError):
-            FpSeries(p=4, coeffs=np.zeros(40, dtype=np.int64), reliable_len=40)
+            FpSeries(p=4, coeffs=np.zeros(40, dtype=np.int64))
         with pytest.raises(DomainError):
-            FpSeries(p=2, coeffs=np.zeros(4, dtype=np.int64), reliable_len=9)
+            FpSeries(p=2, coeffs=np.zeros(0, dtype=np.int64))
 
     def test_json_export(self, table):
         s = series_from_table(table("mu", N=100), 2, 6)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kernelscope import cli, errors
+from kernelscope import __version__, cli, errors
 from kernelscope.cli import run
 
 
@@ -246,3 +246,92 @@ class TestContract:
         monkeypatch.setattr(cli, "_cmd_zeta", fail)
         assert run(["zeta", "--re", "2"]) == code
         assert capsys.readouterr().err == "error: boom\n"
+
+
+REP_ARGV = ["build-rep", "--fn", "thue_morse_pm", "--k", "2", "--L", "5", "--M", "32",
+            "--N", "4096"]
+
+
+class TestOutsideFiles:
+    """A bad --rep file or --out path is one error line and exit 1."""
+
+    def rep_doc(self, capsys):
+        return run_json(capsys, REP_ARGV)["result"]
+
+    def check_refused(self, capsys, argv, *words):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+
+    def test_missing_rep_file(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.json")
+        self.check_refused(capsys, ["eval-rep", "--rep", path, "--n", "5"], path)
+
+    def test_rep_is_a_directory(self, capsys, tmp_path):
+        self.check_refused(capsys, ["eval-rep", "--rep", str(tmp_path), "--n", "5"],
+                           str(tmp_path))
+
+    def test_rep_without_a_field(self, capsys, tmp_path):
+        doc = self.rep_doc(capsys)
+        del doc["t"]
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        self.check_refused(capsys, ["eval-rep", "--rep", str(path), "--n", "5"],
+                           str(path), "'t'")
+
+    def test_rep_field_of_wrong_type(self, capsys, tmp_path):
+        doc = self.rep_doc(capsys)
+        doc["t"] = "x"
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        self.check_refused(capsys, ["eval-rep", "--rep", str(path), "--n", "5"],
+                           str(path), "'t'")
+
+    def test_out_under_missing_directory(self, capsys, tmp_path):
+        path = str(tmp_path / "no" / "such" / "rep.json")
+        self.check_refused(capsys, REP_ARGV + ["--out", path], path)
+
+
+class TestCsvForms:
+    """Byte-exact CSV of the commands whose CSV writers nothing else runs."""
+
+    def csv_of(self, capsys, argv):
+        assert run(argv + ["--format", "csv"]) == 0
+        return capsys.readouterr().out
+
+    def test_density(self, capsys):
+        # mu(n) = 0 for 3 of n <= 10, 39 of n <= 100 and 392 of n <= 1000
+        out = self.csv_of(capsys, ["density", "--fn", "mu", "--N", "1000", "--value", "0",
+                                   "--lengths", "10,100,1000"])
+        assert out == (
+            f"# tool=kernelscope version={__version__}\n"
+            '# config={"N": 1000, "command": "density", "fn": "mu", "fn_param": null, '
+            '"format": "csv", "lengths": "10,100,1000", "mod": null, "value": 0}\n'
+            "X,count,density,approx_num,approx_den,residual\n"
+            "10,3,0.3,3,10,0.0\n"
+            "100,39,0.39,23,59,0.00016949152542372882\n"
+            "1000,392,0.392,20,51,0.00015686274509803922\n"
+        )
+
+    def test_singularities(self, capsys):
+        # 1/n for the squarefree n <= 6
+        out = self.csv_of(capsys, ["singularities", "--n-max", "6"])
+        assert out == (
+            f"# tool=kernelscope version={__version__}\n"
+            '# config={"command": "singularities", "format": "csv", "n_max": 6}\n'
+            "numerator,denominator,value\n"
+            "1,1,1.0\n1,2,0.5\n1,3,0.3333333333333333\n1,5,0.2\n1,6,0.16666666666666666\n"
+        )
+
+    def test_rank_profile(self, capsys):
+        # the ranks test_kernel's Fraction elimination gives for these windows
+        out = self.csv_of(capsys, ["rank-profile", "--fn", "phi", "--k", "2", "--L", "4",
+                                   "--M", "8", "--N", "256"])
+        assert out == (
+            f"# tool=kernelscope version={__version__}\n"
+            '# config={"L": 4, "M": 8, "N": 256, "command": "rank-profile", "fn": "phi", '
+            '"fn_param": null, "format": "csv", "k": 2, "mod": null}\n'
+            "depth,rank\n0,1\n1,3\n2,5\n3,8\n4,8\n"
+        )

@@ -20,6 +20,7 @@ from kernelscope.dirichlet import (
     zeta_quotient_eval,
 )
 from kernelscope.errors import CapacityError, DomainError
+from kernelscope.seqgen import FunctionId, build_table
 
 from conftest import trial_factorization
 
@@ -59,6 +60,16 @@ class TestDirectSum:
             direct_sum(table("const_one", N=100), 1.1, 100)
         with pytest.raises(DomainError):
             direct_sum(table("phi", N=100), 2.0, 100)  # growth degree 1
+
+    def test_reduced_table_growth_bound(self):
+        # lambda mod 3 takes the values 1 and 2, so C = m - 1 = 2 and d = 0
+        t = build_table(FunctionId("lambda", modulus=3), 10**6)
+        assert t.id.growth_bound() == (2.0, 0.0)
+        short, full = direct_sum(t, 2.0, 10**4), direct_sum(t, 2.0, 10**6)
+        # every term is positive, so the terms past 10^4 summed here are
+        # part of the true tail the short sum's estimate bounds
+        gap = full.value.real - short.value.real
+        assert 0 < gap <= short.error_estimate
 
     def test_terms_beyond_table(self, table):
         with pytest.raises(CapacityError):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,23 @@ class TestRankProfile:
         vals = [0, a, 2 * a, c.numerator, 4 * a, 2 * c.numerator]
         t = ValueTable(FunctionId("identity_n"), 5, np.array(vals, dtype=np.int64))
         assert rank_profile(t, 2, 1, 2).ranks == (1, 1)
+
+    def test_wide_window_few_rows(self, table):
+        # three distinct windows of width 40000: the elimination holds
+        # three rows, not 40000 x 40000 arrays of 12.8 GB each
+        t = table("mu", N=100_000)
+        M = 40_000
+        windows = np.stack([t.values[1 : M + 1], t.values[2 : 2 * M + 1 : 2],
+                            t.values[3 : 2 * M + 2 : 2]]).astype(np.float64)
+        tracemalloc.start()
+        try:
+            prof = rank_profile(t, 2, 1, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.ranks == (np.linalg.matrix_rank(windows[:1]),
+                              np.linalg.matrix_rank(windows)) == (1, 3)
+        assert peak < 64 * 2**20
 
     def test_phi_benchmark_profile(self, table):
         # the profile reads only values[1 : 2^9 * 129]

@@ -329,7 +329,7 @@ class TestZeroCount:
     @pytest.mark.parametrize("Ts", [[50, 100, 200, 400], [400, 14.12, 2, 100.5]])
     def test_one_sweep_counts_every_height(self, Ts):
         counts = zeta._sign_change_counts(Ts)
-        assert counts == [len(zeta._sign_change_cells(T)[0]) for T in Ts]
+        assert counts == [len(critical_line_zeros(T)) for T in Ts]
         assert counts == [mpmath.nzeros(T) for T in Ts]
 
     # the oracle heights: the bottom edge, the top of the range, just below
