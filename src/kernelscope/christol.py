@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, ExhaustionError
-from .seqgen import ValueTable
+from .seqgen import ValueTable, residues
 
 MIN_WINDOW = 32
 
@@ -67,8 +67,8 @@ def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
     if N - 1 > t.N:
         raise CapacityError(f"series length {N} needs table values up to {N - 1}, "
                             f"table holds {t.N}")
-    coeffs = np.zeros(N, dtype=np.int64)
-    coeffs[1:] = np.mod(t.values[1:N], p)
+    coeffs = residues(t.values[:N], p)
+    coeffs[0] = 0
     return FpSeries(p=p, coeffs=coeffs)
 
 

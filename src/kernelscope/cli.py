@@ -65,7 +65,11 @@ def _load_rep(args) -> automaton.LinearRepresentation:
     if args.rep:
         try:
             with open(args.rep) as fh:
-                return automaton.rep_from_json(json.load(fh))
+                doc = json.load(fh)
+            # build-rep --out writes the CLI envelope around the representation
+            if isinstance(doc, dict) and "tool" in doc and "result" in doc:
+                doc = doc["result"]
+            return automaton.rep_from_json(doc)
         except (OSError, ValueError, DomainError) as exc:
             why = getattr(exc, "strerror", None) or exc
             raise DomainError(f"--rep {args.rep}: {why}") from exc

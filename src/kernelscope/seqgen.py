@@ -415,15 +415,20 @@ def build_table(fid: FunctionId, N: int) -> ValueTable:
     return t if fid.modulus is None else reduce_mod(t, fid.modulus)
 
 
+def residues(values: np.ndarray, m: int) -> np.ndarray:
+    """Entrywise least non-negative residues mod m in one new array, as
+    v - m * floor(v / m) (np.mod is slower on negative int64 entries)."""
+    out = np.floor_divide(values, m)
+    out *= m
+    np.subtract(values, out, out=out)
+    return out
+
+
 def reduce_mod(t: ValueTable, m: int) -> ValueTable:
-    """Entrywise least non-negative residue mod m, 2 <= m <= 2^63 - 1, as
-    v - m * floor(v / m) in one output array (np.mod is slower on negative
-    int64 entries); the id records m."""
+    """The table's residues mod m, 2 <= m <= 2^63 - 1; the id records m."""
     if t.id.modulus is not None:
         raise DomainError("table is already reduced; reduce the unreduced table")
     fid = FunctionId(t.id.tag, t.id.param, modulus=m)
-    vals = np.floor_divide(t.values, m)
-    vals *= m
-    np.subtract(t.values, vals, out=vals)
+    vals = residues(t.values, m)
     vals[0] = 0
     return ValueTable(id=fid, N=t.N, values=vals)

@@ -73,6 +73,17 @@ class TestSeriesFromTable:
         s = series_from_table(table("mu", N=100), 2, 5)
         assert s.coeffs.tolist() == [0, 1, 1, 1, 0]
 
+    def test_reduced_tables(self, table):
+        # mod p: the coefficients as they stand; mod another m: their residues
+        for mod in (None, 3, 9, 2):
+            t = table("mu", N=1000, mod=mod)
+            want = np.mod(t.values[:500], 3)
+            want[0] = 0
+            s = series_from_table(t, 3, 500)
+            assert s.coeffs.dtype == np.int64
+            assert s.coeffs.tolist() == want.tolist(), mod
+            assert not np.shares_memory(s.coeffs, t.values)
+
     def test_nonprime_rejected(self, table):
         with pytest.raises(DomainError):
             series_from_table(table("mu", N=100), 6, 50)

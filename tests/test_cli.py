@@ -69,11 +69,14 @@ class TestCommands:
         assert code == 0
         doc = json.loads(rep_path.read_text())
         assert doc["result"]["t"] == 2
-        # eval through the exported file (wrapped result -> rewrap plain rep)
+        # the --out file, envelope and all, feeds --rep as it is
+        out = run_json(capsys, ["eval-rep", "--rep", str(rep_path), "--n", "27"])
+        assert out["result"]["value"] == (-1) ** bin(27).count("1")
+        # and so does the bare representation inside it
         plain = tmp_path / "plain.json"
         plain.write_text(json.dumps(doc["result"]))
-        out = run_json(capsys, ["eval-rep", "--rep", str(plain), "--n", "27"])
-        assert out["result"]["value"] == (-1) ** bin(27).count("1")
+        bare = run_json(capsys, ["eval-rep", "--rep", str(plain), "--n", "27"])
+        assert bare["result"] == out["result"]
 
     def test_pole_lattice(self, capsys):
         doc = run_json(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -6,21 +7,24 @@ import numpy as np
 import pytest
 from mpmath.libmp import gammazeta
 
+from kernelscope import dirichlet
 from kernelscope.automaton import average_matrix, build_representation
 from kernelscope.dirichlet import (
     IDENTITY_TAGS,
     ContinuationContext,
     IdentityId,
     _ColumnEngine,
+    _unit_phase,
     continue_via_recursion,
     direct_sum,
+    direct_sums,
     landau_walfisz_singularities,
     pole_scan,
     verify_identity,
     zeta_quotient_eval,
 )
 from kernelscope.errors import CapacityError, DomainError
-from kernelscope.seqgen import FunctionId, build_table
+from kernelscope.seqgen import FunctionId, ValueTable, build_table
 
 from conftest import trial_factorization
 
@@ -90,6 +94,83 @@ class TestDirectSum:
         finally:
             gammazeta.sieve_cache, gammazeta.primes_cache, gammazeta.mult_cache = saved
         assert abs(res.value - truth) <= 5e-15
+
+
+class TestDirectSums:
+    # corners and inner points of 1.3 <= Re s <= 4.3, |Im s| <= 300; each
+    # mpmath.zeta(s, 10**6 + 1) takes about a second
+    GRID = [1.3 - 300j, 1.3, 2.8 - 41.5j, 2.8 + 120j, 4.3 + 7j, 4.3 + 300j]
+
+    def test_each_point_is_its_one_point_call(self, table):
+        for tag in ("const_one", "chi_P", "mu", "lambda"):
+            t = table(tag)
+            ss = [2.0, 2.5 - 3j, 3.3 + 11j, 1.7 + 250j]
+            for N in (1, 1000, 10**6):
+                for got, s in zip(direct_sums(t, ss, N), ss):
+                    assert got == direct_sum(t, s, N), (tag, s, N)
+
+    def test_one_bad_point_refused_before_any_sum(self, table, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dirichlet, "_unit_phase", lambda theta: calls.append(theta))
+        with pytest.raises(DomainError):
+            direct_sums(table("const_one"), [2.0, 3 + 1j, 1.2, 2.5], 10**6)
+        with pytest.raises(DomainError):  # phi: Re s >= 1.25 + 1
+            direct_sums(table("phi"), [3.0, 2.2], 10**6)
+        with pytest.raises(CapacityError):
+            direct_sums(table("mu", N=100), [2.0, 3.0], 101)
+        assert calls == []
+
+    def test_empty_support(self, table):
+        # chi_P(1) = 0, and a table of zeros has no support at all
+        zeros = ValueTable(FunctionId("mu"), 50, np.zeros(51, dtype=np.int64))
+        for t, N in ((table("chi_P", N=100), 1), (zeros, 50)):
+            C, d = t.id.growth_bound()
+            for res in direct_sums(t, [2.0, 3 - 5j], N):
+                sigma = res.s.real
+                assert res.value == 0
+                assert res.error_estimate == (C * N ** (1 + d - sigma) / (sigma - 1 - d)
+                                              + 1e-15 * math.log2(N + 1))
+                assert res.truncated and res.terms == N
+
+    def test_memory_stays_at_one_block(self):
+        # a float64 array over this table's support alone is 30.5 MiB
+        N = 4 * 10**6
+        t = build_table(FunctionId("const_one"), N)
+        tracemalloc.start()
+        try:
+            res = direct_sums(t, [2.0, 3.3 - 11j], N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res[0].value - math.pi**2 / 6) <= res[0].error_estimate
+        assert peak < 8 * 2**20
+
+    def test_grid_against_hurwitz(self, table):
+        N = 10**6
+        results = direct_sums(table("const_one"), self.GRID, N)
+        # see test_long_sum_against_hurwitz for why the sieve caches are restored
+        saved = gammazeta.sieve_cache, gammazeta.primes_cache, gammazeta.mult_cache
+        try:
+            truths = [complex(mpmath.zeta(s) - mpmath.zeta(s, N + 1)) for s in self.GRID]
+        finally:
+            gammazeta.sieve_cache, gammazeta.primes_cache, gammazeta.mult_cache = saved
+        for res, truth in zip(results, truths):
+            assert abs(res.value - truth) <= res.error_estimate, res.s
+
+    def test_unit_phase_against_complex_exp(self):
+        rng = np.random.default_rng(5)
+        odd_pi = np.pi * np.arange(1, 319, 2)  # odd multiples of pi up to 10^3
+        theta = np.concatenate([
+            rng.uniform(-1e3, 1e3, 10**5),
+            odd_pi, odd_pi + 1e-9, odd_pi - 1e-9,
+            (odd_pi[:, None] + rng.uniform(-1e-9, 1e-9, (len(odd_pi), 20))).ravel(),
+            np.array([0.0, -0.0, 1e-300, 1e3, -1e3]),
+        ])
+        re, im = _unit_phase(theta)
+        want = np.exp(-1j * theta)
+        assert np.max(np.abs(re - want.real)) <= 4.5e-16
+        assert np.max(np.abs(im - want.imag)) <= 4.5e-16
+        assert np.max(np.abs(np.tan(odd_pi / 2))) > 1e13  # the huge-tangent regime is hit
 
 
 class TestContinuation:
@@ -446,6 +527,15 @@ class TestVerifyIdentity:
     def test_wrong_table_rejected(self, table):
         with pytest.raises(DomainError):
             verify_identity(IdentityId("mu"), table("lambda"), [2.0], 10**6)
+
+    def test_closed_forms_checked_before_the_sums(self, table, monkeypatch):
+        # s - 1 lies 1e-7 from zeta's pole: the closed form refuses it, and
+        # the 10^6-term sum at the good sample before it never starts
+        calls = []
+        monkeypatch.setattr(dirichlet, "direct_sums", lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match="near-singular"):
+            verify_identity(IdentityId("phi"), table("phi"), [3.0, 2 + 1e-7], 10**6)
+        assert calls == []
 
     def test_report_json(self, table):
         report = verify_identity(IdentityId("mu"), table("mu", N=10**4), [2.5], 10**4)
