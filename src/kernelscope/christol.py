@@ -14,21 +14,14 @@ Coefficient index 0 is always 0: the source tables start at n = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, ExhaustionError
-from .seqgen import ValueTable, residues
+from .seqgen import ValueTable, is_prime, residues
 
 MIN_WINDOW = 32
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,7 @@ class FpSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise DomainError(f"p must be prime, got {self.p}")
         if len(self.coeffs) < 1:
             raise DomainError("a series needs at least one coefficient")
@@ -60,7 +53,7 @@ class FpSeries:
 
 def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
     """Coefficients t(n) mod p for 1 <= n < N; coefficient 0 is 0."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     if N < 2:
         raise DomainError(f"series length must be >= 2, got {N}")

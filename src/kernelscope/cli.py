@@ -8,8 +8,9 @@ capacity/precision error.
 
 The exit code of a failure lives on its error class, as ``exit_code`` in
 errors.py: CapacityError, PrecisionError, ContourError and ExhaustionError
-give 2; every other KernelscopeError, a ValueError, an OSError (a file that
-cannot be read or written) and a usage error give 1.
+give 2, and so does a MemoryError (an allocation past the machine's memory);
+every other KernelscopeError, a ValueError, an OSError (a file that cannot
+be read or written) and a usage error give 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 
 from . import __version__
 from . import automaton, christol, dirichlet, kernel, seqgen, zeta
-from .errors import DomainError, KernelscopeError
+from .errors import CapacityError, DomainError, KernelscopeError
 
 
 def _config_string(args: argparse.Namespace) -> str:
@@ -79,6 +80,27 @@ def _load_rep(args) -> automaton.LinearRepresentation:
     return automaton.build_representation(t, args.k, args.L, args.M)
 
 
+class _CommaList(str):
+    """A comma list as given, which the config echoes, with its entries
+    parsed into ``items``."""
+
+    items: list
+
+
+def _comma_list(convert):
+    """argparse type: a comma list of ``convert`` values, refused when empty."""
+
+    def parse(text: str) -> _CommaList:
+        out = _CommaList(text)
+        out.items = [convert(part) for part in text.split(",") if part]
+        if not out.items:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+        return out
+
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
+
+
 def _add_function_args(p, required=True):
     p.add_argument("--fn", required=required, choices=sorted(seqgen.ALL_TAGS))
     p.add_argument("--fn-param", type=int, default=None,
@@ -122,8 +144,7 @@ def _cmd_rank_profile(args):
 
 def _cmd_density(args):
     t = _load_table(args)
-    lengths = [int(x) for x in args.lengths.split(",") if x]
-    ests = kernel.value_density(t, args.value, lengths)
+    ests = kernel.value_density(t, args.value, args.lengths.items)
 
     def to_csv(fh):
         import csv as _csv
@@ -176,8 +197,7 @@ def _cmd_dirichlet_eval(args):
 def _cmd_verify_identity(args):
     ident = dirichlet.IdentityId(args.id, args.id_param)
     t = seqgen.build_table(ident.function_id(), args.N)
-    samples = [complex(part) for part in args.s.split(",") if part]
-    report = dirichlet.verify_identity(ident, t, samples, args.N)
+    report = dirichlet.verify_identity(ident, t, args.s.items, args.N)
     return report.to_json(), None
 
 
@@ -238,8 +258,7 @@ def _cmd_zero_count(args):
 
 
 def _cmd_tlogt(args):
-    Ts = [float(x) for x in args.T_list.split(",") if x]
-    rows = zeta.tlogt_ratio_table(Ts)
+    rows = zeta.tlogt_ratio_table(args.T_list.items)
     return (
         [{"T": r.T, "N": r.N, "ratio_TlogT": r.ratio} for r in rows],
         lambda fh: zeta.ratio_table_to_csv(rows, fh),
@@ -292,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("density", _cmd_density, "value occurrence densities", both)
     _add_function_args(p)
     p.add_argument("--value", type=int, required=True)
-    p.add_argument("--lengths", required=True, help="comma list of prefix lengths")
+    p.add_argument("--lengths", required=True, type=_comma_list(int),
+                   help="comma list of prefix lengths")
 
     p = command("build-rep", _cmd_build_rep, "build a linear representation")
     _add_function_args(p)
@@ -321,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify-identity", _cmd_verify_identity, "truncated sum vs closed form")
     p.add_argument("--id", choices=sorted(dirichlet.IDENTITY_TAGS), required=True)
     p.add_argument("--id-param", type=int, default=None)
-    p.add_argument("--s", required=True, help="comma list of complex points")
+    p.add_argument("--s", required=True, type=_comma_list(complex),
+                   help="comma list of complex points")
     p.add_argument("--N", type=int, required=True)
 
     p = command("pole-scan", _cmd_pole_scan, "grid scan for pole candidates", both)
@@ -349,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
 
     p = command("tlogt", _cmd_tlogt, "N(T)/(T log10 T) growth table", csv_first)
-    p.add_argument("--T-list", required=True, help="comma list of heights")
+    p.add_argument("--T-list", required=True, type=_comma_list(float),
+                   help="comma list of heights")
 
     p = command("christol-orbit", _cmd_christol_orbit, "Cartier section orbit over F_p")
     _add_function_args(p)
@@ -373,6 +395,9 @@ def run(argv: list[str] | None = None) -> int:
     except (KernelscopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", KernelscopeError.exit_code)
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return CapacityError.exit_code
     return 0
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .automaton import (LinearRepresentation, adjugate_poly, average_matrix,
                         lattice_from_char_poly, vector_values)
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, require_finite
 from .seqgen import FunctionId, ValueTable, build_table
 from .zeta import WORKING_RADIUS, zeta_em
 
@@ -120,6 +120,7 @@ def direct_sums(t: ValueTable, ss: Iterable[complex], N_terms: int) -> list[Eval
     ss = [complex(s) for s in ss]
     C, d = t.id.growth_bound()
     for s in ss:
+        require_finite("s", s)
         if s.real < BASE_STRIP_SIGMA + d:
             raise DomainError(
                 f"direct summation of {t.id} needs Re s >= {BASE_STRIP_SIGMA + d} "
@@ -513,8 +514,10 @@ def _continue(rep, x, ys, levels, m_max) -> list[EvalResult]:
     """Run one column in a context of its own.  The public entry points call
     this, not each other: one evaluation, one public call.  pole_scan runs
     its columns' engines itself, on one context and one phase matrix."""
-    engine = _ColumnEngine(ContinuationContext(rep), x,
-                           np.asarray(list(ys), dtype=np.float64), levels, m_max)
+    ys = np.asarray(list(ys), dtype=np.float64)
+    require_finite("Re s", x)
+    require_finite("Im s", ys)
+    engine = _ColumnEngine(ContinuationContext(rep), x, ys, levels, m_max)
     return engine.run() if engine.ny else []
 
 
@@ -664,6 +667,7 @@ def zeta_quotient_eval(ident: IdentityId, s: complex) -> EvalResult:
     or a zeta zero are refused as near-singular.
     """
     s = complex(s)
+    require_finite("s", s)
     row = _IDENTITIES[ident.tag]
     if s.real <= row.sigma_min:
         raise DomainError(f"identity {ident} is valid for Re s > {row.sigma_min}, got {s}")
@@ -737,11 +741,14 @@ def verify_identity(
     """Truncated sum vs closed form; PASS iff residual <= tail bound + IDENTITY_SLACK.
 
     Every closed form is evaluated first, so a near-singular sample is
-    refused before any sum runs; the sums are one direct_sums call.
+    refused before any sum runs; the sums are one direct_sums call.  No
+    samples is refused too: all_passed would hold with nothing checked.
     """
     want = ident.function_id()
     if t.id != want:
         raise DomainError(f"identity {ident} describes {want}, but the table holds {t.id}")
+    if not s_samples:
+        raise DomainError("verify_identity needs at least one sample point s")
     rhss = [zeta_quotient_eval(ident, s) for s in s_samples]
     for s, rhs in zip(s_samples, rhss):
         if rhs.value is None:
@@ -851,8 +858,7 @@ def pole_scan(
     matrix the others slice; each column becomes ScanPoints when it ends.
     """
     for name, v in (("a", a), ("b", b), ("T", T), ("step", step)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v}")
+        require_finite(name, v)
     if b < a:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
     if T < 0 or step <= 0:

@@ -3,8 +3,11 @@
 Each class carries the exit code the CLI returns for it, as ``exit_code``:
 1 for domain/validation problems (the base class's value), 2 for the
 capacity/precision problems CapacityError, PrecisionError, ContourError
-and ExhaustionError.
+and ExhaustionError.  ``require_finite`` is the one refusal of a NaN or
+infinite argument, shared by every module that takes one.
 """
+
+import numpy as np
 
 
 class KernelscopeError(Exception):
@@ -55,3 +58,12 @@ class ExhaustionError(KernelscopeError):
     """A reliable comparison window shrank below the required minimum."""
 
     exit_code = 2
+
+
+def require_finite(name: str, values) -> None:
+    """Refuse a NaN or infinite entry of ``values`` (a number or an array),
+    naming the first one, with a DomainError."""
+    values = np.asarray(values)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"{name} must be finite, got {values[bad].flat[0]}")

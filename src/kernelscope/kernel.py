@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .seqgen import ValueTable
+from .seqgen import ValueTable, is_prime
 
 
 @dataclass(frozen=True)
@@ -215,14 +215,6 @@ class _BadPrime(Exception):
     """A row dependent mod p is independent over Q."""
 
 
-def _prime_below(n: int) -> int:
-    """The largest prime below n, by trial division."""
-    n -= 1
-    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
-        n -= 1
-    return n
-
-
 def _dot_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """x @ y mod p for residues below 2^31, exact in int64.
 
@@ -284,93 +276,98 @@ def _spans(coeffs: list[Fraction], basis: np.ndarray, row: np.ndarray) -> bool:
     return bool(np.all(lhs == row.astype(dtype) * den))
 
 
-class _ModularRowSpace:
-    """Incremental row space over Q, eliminated mod a prime and certified.
+class _FpRowSpace:
+    """Row space over F_p, for a prime p < 2^31, of the rows absorbed so far.
 
-    The basis rows are table rows independent mod p, hence over Q.
-    ``echelon`` is their reduced row echelon form mod p (1 at its own pivot
-    column, 0 at the others) and ``transform`` the T with
-    echelon = T @ basis mod p.  A row that reduces to zero mod p has the
-    coefficients row[pivots] @ T on the basis; lifted to rationals they are
-    checked on the whole integer row, so the rank is exact over Q.  A row
-    that fails the check makes p a bad prime and raises _BadPrime.  The
-    arrays hold ``max_rank`` rows, a bound on the rank the caller gives.
+    Row i of ``aug`` is [E_i | T_i]: E is the reduced row echelon form of
+    the absorbed rows mod p (1 at its own pivot column, 0 at the others)
+    and E_i = T_i @ absorbed mod p.  Reducing [x | 0] by it leaves
+    [x - x[P] E | -x[P] T], so a row whose left part vanishes carries minus
+    its coefficients on the absorbed rows, and an independent row joins by
+    setting a 1 in its own slot.  The slots from the rank up are zero, so
+    every update touches only the live columns.  ``cap`` bounds the rank.
     """
 
-    def __init__(self, width: int, max_rank: int, p: int):
+    def __init__(self, p: int, width: int, cap: int):
         self.p = p
         self.pivots: list[int] = []
-        self.basis = np.zeros((max_rank, width), dtype=np.int64)
-        self.echelon = np.zeros((max_rank, width), dtype=np.int64)
-        self.transform = np.zeros((max_rank, max_rank), dtype=np.int64)
+        self.aug = np.zeros((cap, width + cap), dtype=np.int64)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_rows(self, rows: np.ndarray) -> None:
-        """Add the integer rows of ``rows``, stopping at full rank."""
-        p, width, P = self.p, rows.shape[1], self.pivots
-        res = rows % p
-        w = (res - _dot_mod(res[:, P], self.echelon[: self.rank], p)) % p
-        dependent = []
-        for i in range(len(rows)):
-            nz = np.flatnonzero(w[i])
+    def absorb(self, res: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+        """Absorb the residue rows of ``res`` in order, stopping at full rank.
+
+        Returns the indices of the rows absorbed, the indices of the rows
+        that reduced to zero, and the latter's coefficients mod p on all
+        the rows absorbed so far, a row each.
+        """
+        p, n, P, aug = self.p, res.shape[1], self.pivots, self.aug
+        live = n + self.rank
+        w = np.pad(res, ((0, 0), (0, len(aug))))
+        w[:, :live] = (w[:, :live] - _dot_mod(res[:, P], aug[: self.rank, :live], p)) % p
+        absorbed, dependent = [], []
+        for i in range(len(res)):
+            nz = np.flatnonzero(w[i, :n])
             if not nz.size:
                 dependent.append(i)
                 continue
             r, pc = self.rank, int(nz[0])
-            inv = pow(int(w[i, pc]), p - 2, p)
-            e = w[i] * inv % p
-            t = np.zeros(len(self.transform), dtype=np.int64)
-            t[:r] = -_dot_mod(res[i : i + 1, P], self.transform[:r, :r], p)[0] * inv % p
-            t[r] = inv
-            f = self.echelon[:r, pc : pc + 1].copy()
-            self.echelon[:r] = (self.echelon[:r] - f * e) % p
-            self.transform[:r] = (self.transform[:r] - f * t) % p
-            self.echelon[r], self.transform[r], self.basis[r] = e, t, rows[i]
+            live = n + r + 1
+            w[i, n + r] = 1
+            e = w[i, :live] * pow(int(w[i, pc]), p - 2, p) % p
+            aug[:r, :live] = (aug[:r, :live] - aug[:r, pc : pc + 1] * e) % p
+            aug[r, :live] = e
             P.append(pc)
-            if self.rank == width:
-                return  # the basis spans Q^width: nothing left to certify
-            w[i + 1 :] = (w[i + 1 :] - w[i + 1 :, pc : pc + 1] * e) % p
-        if dependent:
-            self._certify(rows[dependent], res[dependent])
+            absorbed.append(i)
+            if self.rank == n:
+                break
+            w[i + 1 :, :live] = (w[i + 1 :, :live] - w[i + 1 :, pc : pc + 1] * e) % p
+        return absorbed, dependent, -w[dependent, n : n + self.rank] % p
 
-    def _certify(self, rows: np.ndarray, res: np.ndarray) -> None:
-        """Prove each row in the span of the basis over Q."""
-        p, r, P = self.p, self.rank, self.pivots
-        basis = self.basis[:r]
-        coef = _dot_mod(res[:, P], self.transform[:r, :r], p)
-        for row, c in zip(rows, coef.tolist()):
-            coeffs = _rational_lift(c, p)
-            if coeffs is None or not _spans(coeffs, basis, row):
-                coeffs = _solve_exact(basis[:, P], row[P])
-                if not _spans(coeffs, basis, row):
-                    raise _BadPrime
+
+def _certify(basis: np.ndarray, pivots: list[int], rows: np.ndarray, coef: np.ndarray,
+             p: int) -> None:
+    """Prove each row, with coefficients ``coef`` mod p on the integer basis
+    rows, in their span over Q; a row outside it makes p a bad prime."""
+    for row, c in zip(rows, coef.tolist()):
+        coeffs = _rational_lift(c, p)
+        if coeffs is None or not _spans(coeffs, basis, row):
+            coeffs = _solve_exact(basis[:, pivots], row[pivots])
+            if not _spans(coeffs, basis, row):
+                raise _BadPrime
 
 
 def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
     """Rank over Q of the stacked kernel windows, cumulatively per depth.
 
     Equal windows add nothing, so only the distinct ones are eliminated.
-    Elimination runs mod a prime and every dependency it finds is checked
-    exactly over Q; a prime that fails the check is replaced by the next
-    prime below it and the profile starts again.
+    Elimination runs mod a prime (_FpRowSpace); the rows it absorbs are
+    independent over Q too, and every dependency it finds is checked
+    exactly over Q (_certify).  A prime that fails the check is replaced by
+    the next prime below it and the profile starts again.
     """
     reps, counts = _enumerate_distinct(t, k, L, M)
     p = _PRIME
     while True:
-        space = _ModularRowSpace(M, min(M, len(reps)), p)
+        space = _FpRowSpace(p, M, min(M, len(reps)))
+        basis = np.empty((0, M), dtype=np.int64)
         ranks: list[int] = []
         try:
             for l in range(L + 1):
                 new = reps[counts[l - 1] if l else 0 : counts[l]]
                 if new and space.rank < M:
-                    space.add_rows(np.array([prefix for _, _, prefix in new]))
+                    rows = np.array([prefix for _, _, prefix in new])
+                    absorbed, dependent, coef = space.absorb(rows % p)
+                    basis = np.concatenate([basis, rows[absorbed]])
+                    if space.rank < M:  # at full rank the basis spans Q^M
+                        _certify(basis, space.pivots, rows[dependent], coef, p)
                 ranks.append(space.rank)
             break
         except _BadPrime:
-            p = _prime_below(p)
+            p = next(q for q in range(p - 1, 1, -1) if is_prime(q))
     return RankProfile(
         k=k, M=M, L=L, ranks=tuple(ranks), verdict=_classify(ranks, L, cap=lambda: M)
     )

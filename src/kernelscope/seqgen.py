@@ -415,6 +415,11 @@ def build_table(fid: FunctionId, N: int) -> ValueTable:
     return t if fid.modulus is None else reduce_mod(t, fid.modulus)
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division: for single small moduli, not tables."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def residues(values: np.ndarray, m: int) -> np.ndarray:
     """Entrywise least non-negative residues mod m in one new array, as
     v - m * floor(v / m) (np.mod is slower on negative int64 entries)."""

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContourError, DomainError, PoleError, PrecisionError
+from .errors import ContourError, DomainError, PoleError, PrecisionError, require_finite
 
 WORKING_RADIUS = 1000.0
 HARDY_Z_TOL = 1e-10  # zeta error behind each critical-line sample
@@ -109,7 +109,8 @@ def _mod(z: np.ndarray) -> np.ndarray:
 
 
 def _check_points(s: np.ndarray) -> None:
-    """zeta_em's pole and working-range checks, on every element of s."""
+    """zeta_em's finiteness, pole and working-range checks, on every element of s."""
+    require_finite("s", s)
     if (s == 1).any():
         raise PoleError("zeta has its pole at s = 1")
     far = (_mod(s) > WORKING_RADIUS) | (np.abs(s.imag) > WORKING_RADIUS)

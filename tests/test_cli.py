@@ -250,6 +250,49 @@ class TestContract:
         assert run(["zeta", "--re", "2"]) == code
         assert capsys.readouterr().err == "error: boom\n"
 
+    @pytest.mark.parametrize("why", ["", "Unable to allocate 7.28 EiB for an array"])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, why):
+        # an allocation past memory is a capacity problem, not a traceback
+        def fail(args):
+            raise MemoryError(why)
+
+        monkeypatch.setattr(cli, "_cmd_zeta", fail)
+        assert run(["zeta", "--re", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {why or 'out of memory'}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["dirichlet-eval", "--method", "direct", "--fn", "mu", "--N", "100", "--s", "nan"],
+        ["dirichlet-eval", "--method", "recursion", "--fn", "const_one", "--N", "4096",
+         "--k", "2", "--L", "5", "--M", "32", "--s", "inf"],
+        ["dirichlet-eval", "--method", "zeta-quotient", "--id", "mu", "--s", "nan"],
+        ["verify-identity", "--id", "mu", "--s", "2,nan", "--N", "100"],
+        ["zeta", "--re", "nan"],
+        ["zeta", "--re", "2", "--im=-inf"],
+    ])
+    def test_non_finite_s_exits_1(self, capsys, argv):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "s must be finite, got " in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify-identity", "--id", "mu", "--N", "1000", "--s"], "--s"),
+        (["density", "--fn", "mu", "--N", "100", "--value", "0", "--lengths"], "--lengths"),
+        (["tlogt", "--T-list"], "--T-list"),
+    ])
+    @pytest.mark.parametrize("text", ["", ",", ",,"])
+    def test_empty_comma_list_exits_1(self, capsys, argv, flag, text):
+        # an empty --s once gave "all_passed": true over no samples
+        assert run(argv + [text]) == 1
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: needs at least one value, got {text!r}\n" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+    def test_comma_list_config_echoes_the_text(self, capsys):
+        doc = run_json(capsys, ["verify-identity", "--id", "mu", "--s", "2,,3", "--N", "100"])
+        assert doc["config"]["s"] == "2,,3"
+        assert [x["s"] for x in doc["result"]["samples"]] == [[2.0, 0.0], [3.0, 0.0]]
+
 
 REP_ARGV = ["build-rep", "--fn", "thue_morse_pm", "--k", "2", "--L", "5", "--M", "32",
             "--N", "4096"]

@@ -15,6 +15,7 @@ from kernelscope.dirichlet import (
     IdentityId,
     _ColumnEngine,
     _unit_phase,
+    continue_column,
     continue_via_recursion,
     direct_sum,
     direct_sums,
@@ -25,6 +26,7 @@ from kernelscope.dirichlet import (
 )
 from kernelscope.errors import CapacityError, DomainError
 from kernelscope.seqgen import FunctionId, ValueTable, build_table
+from kernelscope.zeta import zeta_em
 
 from conftest import trial_factorization
 
@@ -542,6 +544,32 @@ class TestVerifyIdentity:
         doc = report.to_json()
         assert doc["all_passed"] is True
         assert doc["samples"][0]["pass"] is True
+
+    def test_no_samples_refused(self, table):
+        # all_passed over no samples would be a verdict no window supports
+        with pytest.raises(DomainError, match="at least one sample"):
+            verify_identity(IdentityId("mu"), table("mu", N=10**4), [], 10**4)
+
+
+class TestNonFiniteArguments:
+    # each entry point refuses NaN and infinite s before any work: a NaN
+    # compares False against every bound, and an infinity overflows math.ceil
+    ENTRIES = {
+        "direct_sums": lambda s, table, rep: direct_sums(table("mu", N=100), [2.0, s], 100),
+        "zeta_quotient_eval": lambda s, table, rep: zeta_quotient_eval(IdentityId("mu"), s),
+        "continue_via_recursion": lambda s, table, rep: continue_via_recursion(rep, s),
+        "continue_column": lambda s, table, rep: continue_column(
+            rep, s.real, [0.0, s.imag]),
+        "zeta_em": lambda s, table, rep: zeta_em(s),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("s", [complex(math.nan, 0), complex(math.inf, 0),
+                                   complex(-math.inf, 0), complex(2, math.nan),
+                                   complex(2, math.inf)])
+    def test_refused(self, table, const_rep, entry, s):
+        with pytest.raises(DomainError, match=r"^(Re |Im )?s must be finite, got "):
+            self.ENTRIES[entry](s, table, const_rep)
 
 
 class TestLandauWalfisz:

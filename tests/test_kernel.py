@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kernelscope.errors import CapacityError, DomainError
 from kernelscope.kernel import (
     _depth_windows,
+    _FpRowSpace,
     _enumerate_distinct,
     kernel_element,
     kernel_profile,
@@ -268,6 +269,61 @@ class TestRankProfile:
         prof = rank_profile(table("phi", N=2**17), 2, 9, 128)
         assert prof.ranks == (1, 3, 5, 9, 17, 33, 65, 128, 128, 128)
         assert str(prof.verdict) == "window_capped_at(8, size=128)"
+
+
+def fp_rank(rows, p):
+    """Rank mod p by Fraction elimination on the residues, each pivot row
+    scaled to 1 and every entry reduced mod p."""
+    rows = [[Fraction(int(x) % p) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(int(rows[rank][col]), -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestFpRowSpace:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("p", [3, 5, P31])
+    def test_coefficients_and_rank(self, p, seed):
+        # rows mixed from a few random ones, so many depend on earlier rows,
+        # absorbed in three batches so coefficients span batches
+        rng = np.random.default_rng([p, seed])
+        width = int(rng.integers(1, 9))
+        base = rng.integers(0, p, size=(int(rng.integers(1, width + 2)), width))
+        mix = rng.integers(0, p, size=(3 * width, len(base)))
+        rows = np.vstack([base, (mix.astype(object) @ base.astype(object)) % p])
+        rows = rows[rng.permutation(len(rows))].astype(np.int64)
+        space = _FpRowSpace(p, width, min(width, len(rows)))
+        absorbed, offset, found = [], 0, 0
+        for batch in np.array_split(rows, 3):
+            got, dependent, coef = space.absorb(batch)
+            absorbed += [offset + i for i in got]
+            assert coef.shape == (len(dependent), space.rank)
+            for i, c in zip(dependent, coef.tolist()):
+                combo = [sum(a * int(x) for a, x in zip(c, col)) % p
+                         for col in rows[absorbed].T]
+                assert combo == batch[i].tolist()
+            found += len(dependent)
+            offset += len(batch)
+        assert space.rank == len(absorbed) == fp_rank(rows[absorbed], p)
+        assert space.rank == fp_rank(rows, p)
+        assert found or space.rank == width
+
+    def test_full_rank_stops_the_batch(self):
+        space = _FpRowSpace(5, 2, 2)
+        absorbed, dependent, coef = space.absorb(np.array([[1, 2], [2, 4], [0, 1], [3, 3]]))
+        assert (absorbed, dependent, space.rank) == ([0, 2], [1], 2)
+        assert coef.tolist() == [[2, 0]]
 
 
 class TestDepthWindows:

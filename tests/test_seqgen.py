@@ -14,6 +14,7 @@ from kernelscope.seqgen import (
     build_factor_table,
     build_table,
     generate,
+    is_prime,
     reduce_mod,
     sieve_bound,
 )
@@ -309,6 +310,12 @@ class TestBuildTable:
     def test_single_entry_table(self):
         # a table of one entry still gets a sieve of 2
         assert build_table(FunctionId("mu"), 1).values.tolist() == [0, 1]
+
+
+def test_is_prime_matches_the_sieve():
+    sieve = bool_prime_sieve(3000)
+    assert [is_prime(n) for n in range(-3, 3001)] == [False] * 3 + sieve.tolist()
+    assert is_prime(2**31 - 1) and not is_prime(2**31 - 3)
 
 
 class TestInvariants:
