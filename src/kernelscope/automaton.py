@@ -148,13 +148,14 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
                     "at this window length"
                 )
             mats[r][i, j] = 1
-    # the window matrix: row i is coordinate i's window, column n - 1 is U_n
-    P = np.stack([prefix for _, _, prefix in reps])
+    # the window matrix: row i is coordinate i's window, column n - 1 is U_n;
+    # int64, since np.abs and the products below wrap in a narrow table's type
+    P = np.stack([prefix for _, _, prefix in reps], dtype=np.int64)
     rep = LinearRepresentation(
         k=k,
         dim=dim,
         matrices=tuple(mats),
-        seeds=np.array(P[:, : k - 1].T, dtype=np.int64, order="C"),
+        seeds=np.array(P[:, : k - 1].T, order="C"),
         output_coord=0,
         labels=tuple((l, r) for l, r, _ in reps),
         verified_to=min(t.N, k * M),

@@ -60,7 +60,7 @@ def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
     if N - 1 > t.N:
         raise CapacityError(f"series length {N} needs table values up to {N - 1}, "
                             f"table holds {t.N}")
-    coeffs = residues(t.values[:N], p)
+    coeffs = residues(t.values[:N], p).astype(np.int64)
     coeffs[0] = 0
     return FpSeries(p=p, coeffs=coeffs)
 

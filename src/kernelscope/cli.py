@@ -11,6 +11,11 @@ errors.py: CapacityError, PrecisionError, ContourError and ExhaustionError
 give 2, and so does a MemoryError (an allocation past the machine's memory);
 every other KernelscopeError, a ValueError, an OSError (a file that cannot
 be read or written) and a usage error give 1.
+
+argparse takes any token that starts with "-" and is not a plain real for
+an option, so ``run`` first joins an option and a following negative
+number or comma list of numbers (``--s -0.5+3j``, ``--re -1e-3``) into
+``--opt=value``.
 """
 
 from __future__ import annotations
@@ -381,8 +386,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_numbers(text: str) -> bool:
+    """Whether every comma-separated part of ``text`` reads as a complex."""
+    try:
+        for part in text.split(","):
+            complex(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each ``--opt`` followed by a token that starts with "-" and
+    reads as numbers joined into one ``--opt=token``."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and len(prev) > 2 and "=" not in prev
+                and tok.startswith("-") and _is_numbers(tok)):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

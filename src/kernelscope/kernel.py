@@ -359,7 +359,8 @@ def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
             for l in range(L + 1):
                 new = reps[counts[l - 1] if l else 0 : counts[l]]
                 if new and space.rank < M:
-                    rows = np.array([prefix for _, _, prefix in new])
+                    # int64: rows % p and the exact checks overflow a narrow table's type
+                    rows = np.array([prefix for _, _, prefix in new], dtype=np.int64)
                     absorbed, dependent, coef = space.absorb(rows % p)
                     basis = np.concatenate([basis, rows[absorbed]])
                     if space.rank < M:  # at full rank the basis spans Q^M
@@ -399,10 +400,15 @@ class DensityEstimate:
 
 
 def value_density(t: ValueTable, v: int, prefix_lengths: list[int]) -> list[DensityEstimate]:
-    """#{n <= X : t(n) = v} / X for each X, with a rational approximation."""
+    """#{n <= X : t(n) = v} / X for each X, with a rational approximation.
+
+    A prefix length below 1 is a DomainError, one past the table a
+    CapacityError."""
     out = []
     for X in prefix_lengths:
-        if not 1 <= X <= t.N:
+        if X < 1:
+            raise DomainError(f"prefix length must be >= 1, got {X}")
+        if X > t.N:
             raise CapacityError(f"prefix length {X} outside table range 1..{t.N}")
         count = int(np.count_nonzero(t.values[1 : X + 1] == v))
         exact = Fraction(count, X)

@@ -7,9 +7,12 @@ mask.  It then splits each n once into p = spf(n), the exponent e with
 p^e || n and rest = n / p^e.  Each function is then just its rule for
 f(p^e): one pass reads f(p^e) (by e alone where the rule allows) and
 combines it with the finished value at rest (a product for multiplicative
-functions, a sum for additive ones).  Values are stored as int64 behind an
-a-priori exact overflow bound, so construction refuses (CapacityError)
-instead of silently wrapping.
+functions, a sum for additive ones).  Each table is stored in the narrowest
+of int8, int16, int32 and int64 that holds an a-priori exact bound on |f|
+over 1..N, so every intermediate fits; past int64 construction refuses
+(CapacityError) instead of silently wrapping.  numpy wraps narrow integers
+silently, so a caller that does arithmetic on the values (products,
+powers, sums, np.abs) widens them to int64 first.
 
 A new function is one ``_TAGS`` row: its table builder, its growth pair
 (C, d) and its parameter floor.
@@ -173,7 +176,9 @@ class ValueTable:
     """An arithmetic function tabulated on 1..N.
 
     ``values`` has length N+1 and is index-aligned (values[0] is padding);
-    it is frozen after construction and safe to share across threads.
+    it is frozen after construction and safe to share across threads.  Its
+    type is the narrowest signed integer type that holds the function's
+    bound (see _int_type), so arithmetic on it widens to int64 first.
     """
 
     id: FunctionId
@@ -244,8 +249,9 @@ def _signature_max(N: int, coef, cap: int) -> int:
     return best
 
 
-def _tabulate(N: int, ft: FactorTable, fpe, additive: bool) -> np.ndarray:
-    """f on 1..N from its prime-power values and the split in ``ft``.
+def _tabulate(N: int, ft: FactorTable, fpe, additive: bool, dtype) -> np.ndarray:
+    """f on 1..N from its prime-power values and the split in ``ft``, in
+    ``dtype``.
 
     For n >= 2 with p^e || n at p = spf[n] and rest = n / p^e, a
     multiplicative f has f(n) = f(p^e) f(rest) and an additive one
@@ -254,7 +260,7 @@ def _tabulate(N: int, ft: FactorTable, fpe, additive: bool) -> np.ndarray:
     starts, rest and p^(e-1) included; f(rest) is read with ``take`` and
     combined straight into out[a:b].
     """
-    out = np.empty(N + 1, dtype=np.int64)
+    out = np.empty(N + 1, dtype=dtype)
     out[0], out[1] = 0, 0 if additive else 1
     combine = np.add if additive else np.multiply
     for a, b in _chunks(N):
@@ -262,42 +268,59 @@ def _tabulate(N: int, ft: FactorTable, fpe, additive: bool) -> np.ndarray:
     return out
 
 
-def _fits_int64(bound: int) -> None:
-    if bound > _INT64_MAX:
-        raise CapacityError(f"values would exceed int64 (max |f| bound {bound} > {_INT64_MAX})")
+_INT_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
-# Table builders: table(N, ft, m) returns int64 values on 0..N for the
-# parameter m.  A multiplicative builder checks its int64 bound before any
-# f(p^e) is formed; every intermediate of _tabulate is at most a value of f
-# at some divisor of n, so the bound covers the whole pass.
+def _int_type(bound: int) -> type:
+    """The first of int8, int16, int32 and int64 whose maximum is at least
+    ``bound``; CapacityError past int64."""
+    for dtype in _INT_TYPES:
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise CapacityError(f"values would exceed int64 (max |f| bound {bound} > {_INT64_MAX})")
+
+
+def _largest_abs(values: np.ndarray) -> int:
+    """max |v| over the entries, as a Python int (so int64's minimum fits)."""
+    return max(-int(values.min()), int(values.max()))
+
+
+# Table builders: table(N, ft, m) returns the values on 0..N for the
+# parameter m in _int_type of an exact bound on |f| over 1..N.  A builder
+# takes its bound before any f(p^e) is formed; every intermediate of
+# _tabulate is a value of f at some divisor of n, so the bound covers the
+# whole pass.
 
 
 def _by_exponent(rule, additive: bool = False):
     """Builder for f(p^e) = rule(e, m), read from one table over
     0 <= e < bit_length(N).  A multiplicative rule is bounded by the exact
-    _signature_max; an additive f is at most max rule times log2 N."""
+    _signature_max.  An additive f sums rule(e_i) over the p_i^e_i || n,
+    so |f(n)| <= Omega(n) max_e |rule(e)| / e with Omega(n) <= log2 N."""
 
     def table(N: int, ft: FactorTable, m) -> np.ndarray:
         f = lambda e: rule(e, m)
-        if not additive:
-            _fits_int64(_signature_max(N, f, _INT64_MAX))
-        lut = np.array([f(e) for e in range(N.bit_length())], dtype=np.int64)
-        return _tabulate(N, ft, lambda ft, a, b, out: lut.take(ft.exp[a:b]), additive)
+        top = N.bit_length() - 1  # floor(log2 N): no exponent is larger
+        if additive:
+            bound = max((top * abs(f(e)) // e for e in range(1, top + 1)), default=0)
+        else:
+            bound = _signature_max(N, f, _INT64_MAX)
+        dtype = _int_type(bound)
+        lut = np.array([f(e) for e in range(top + 1)], dtype=dtype)
+        return _tabulate(N, ft, lambda ft, a, b, out: lut.take(ft.exp[a:b]), additive, dtype)
 
     return table
 
 
 def _phi_table(N: int, ft: FactorTable, m) -> np.ndarray:
     """phi(p^e) = p^e - p^(e-1), with p^e = n / rest in int32 (the factor
-    table's layout keeps N below 2^31)."""
-    _fits_int64(N)
+    table's layout keeps N below 2^31); phi(n) <= N."""
 
     def fpe(ft, a, b, out):
         pe = np.arange(a, b, dtype=np.int32) // ft.rest[a:b]
         return pe - pe // ft.spf[a:b]
 
-    return _tabulate(N, ft, fpe, additive=False)
+    return _tabulate(N, ft, fpe, additive=False, dtype=_int_type(N))
 
 
 def _sigma_table(N: int, ft: FactorTable, m: int) -> np.ndarray:
@@ -307,28 +330,35 @@ def _sigma_table(N: int, ft: FactorTable, m: int) -> np.ndarray:
     if m == 0:
         return _TAGS["tau"].table(N, ft, m)
     # sigma_m(n) <= n^m * zeta(m) for m >= 2; <= n (1 + ln n) for m = 1
-    _fits_int64(N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m)
+    dtype = _int_type(N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m)
 
     def fpe(ft, a, b, out):
         p = ft.spf[a:b]
         below = out.take(np.arange(a, b, dtype=np.int32) // ft.rest[a:b] // p)
-        return 1 + p.astype(np.int64) ** m * below
+        return 1 + p.astype(dtype) ** m * below
 
-    return _tabulate(N, ft, fpe, additive=False)
+    return _tabulate(N, ft, fpe, additive=False, dtype=dtype)
 
 
 def _read_off(tag: str, op):
-    """Builder for op applied to the table of ``tag``."""
-    return lambda N, ft, m: op(_TAGS[tag].table(N, ft, m))
+    """Builder for op applied to the table of ``tag``, in the type that
+    the largest |value| of the result needs."""
+
+    def table(N: int, ft: FactorTable, m) -> np.ndarray:
+        v = op(_TAGS[tag].table(N, ft, m))
+        return v.astype(_int_type(_largest_abs(v)), copy=False)
+
+    return table
 
 
 def _nth_prime_table(N: int, ft: FactorTable, m) -> np.ndarray:
+    """The first N primes, in the type that p_N needs."""
     if len(ft.primes) < N:
         raise RangeError(
             f"need the first {N} primes but the sieve up to {ft.N} "
             f"holds only {len(ft.primes)}"
         )
-    out = np.zeros(N + 1, dtype=np.int64)
+    out = np.zeros(N + 1, dtype=_int_type(int(ft.primes[N - 1])))
     out[1:] = ft.primes[:N]
     return out
 
@@ -361,17 +391,17 @@ _TAGS = {
     # 2 r(n) = rho(n) has no integer solution at n = 1 (rho(1) = 1);
     # r(1) = 0 keeps (r mod 2) equal to the prime-power indicator.
     "r_half_rho": _Tag(_read_off("rho", lambda v: v >> 1), (4.25, 0.25)),
-    "chi_P": _Tag(_read_off("big_omega", lambda v: (v == 1).astype(np.int64)), (1.0, 0.0)),
-    "chi_PP": _Tag(_read_off("omega", lambda v: (v == 1).astype(np.int64)), (1.0, 0.0)),
+    "chi_P": _Tag(_read_off("big_omega", lambda v: v == 1), (1.0, 0.0)),
+    "chi_PP": _Tag(_read_off("omega", lambda v: v == 1), (1.0, 0.0)),
     "nth_prime": _Tag(_nth_prime_table, (2.0, 1.25)),
     "tau_of_square": _Tag(_by_exponent(lambda e, m: 2 * e + 1), (8.45, 0.5)),
     "tau_squared": _Tag(_by_exponent(lambda e, m: (e + 1) ** 2), (72.0, 0.5)),
-    "const_one": _Tag(lambda N, ft, m: np.ones(N + 1, dtype=np.int64), (1.0, 0.0)),
+    "const_one": _Tag(lambda N, ft, m: np.ones(N + 1, dtype=np.int8), (1.0, 0.0)),
     "thue_morse_pm": _Tag(_read_off("sum_binary_digits", lambda v: 1 - 2 * (v & 1)), (1.0, 0.0)),
     "sum_binary_digits": _Tag(
-        lambda N, ft, m: np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int64),
+        lambda N, ft, m: np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int8),
         (2.6, 0.25)),
-    "identity_n": _Tag(lambda N, ft, m: np.arange(N + 1, dtype=np.int64), (1.0, 1.0)),
+    "identity_n": _Tag(lambda N, ft, m: np.arange(N + 1, dtype=_int_type(N)), (1.0, 1.0)),
     "tau_k": _Tag(_by_exponent(lambda e, m: math.comb(e + m - 1, e)),
                   lambda m: (8.45 ** (m - 1), 0.25 * (m - 1)), param_min=1),
     "sigma_m": _Tag(_sigma_table, lambda m: (8.45, 0.25) if m == 0
@@ -394,8 +424,8 @@ def sieve_bound(fid: FunctionId, N: int) -> int:
 
 def generate(fid: FunctionId, N: int, ft: FactorTable) -> ValueTable:
     """Tabulate the function named by ``fid`` on 1..N from the sieve ``ft``
-    with the builder of its _TAGS row.  Raises CapacityError when int64
-    cannot hold the result."""
+    with the builder of its _TAGS row, in _int_type of the row's bound.
+    Raises CapacityError when int64 cannot hold the result."""
     if N < 1:
         raise DomainError(f"table bound must be >= 1, got {N}")
     if fid.tag != "nth_prime" and ft.N < N:
@@ -421,16 +451,30 @@ def is_prime(n: int) -> bool:
 
 
 def residues(values: np.ndarray, m: int) -> np.ndarray:
-    """Entrywise least non-negative residues mod m in one new array, as
-    v - m * floor(v / m) (np.mod is slower on negative int64 entries)."""
-    out = np.floor_divide(values, m)
-    out *= m
-    np.subtract(values, out, out=out)
-    return out
+    """Entrywise least non-negative residues mod m in one new array of the
+    narrowest type that holds m - 1.
+
+    Computed as v - m * floor(v / m) (np.mod is slower, most of all on
+    negative entries), whose intermediates lie within |v| + m of 0: in the
+    values' own type when max |v| + m fits it, else in the narrowest wider
+    type that holds it, then narrowed.  Past int64, np.fmod's truncated
+    remainder, which never overflows, is moved up by m where negative.
+    """
+    reach = _largest_abs(values) + m
+    if reach > _INT64_MAX:
+        out = np.fmod(values, m, dtype=np.int64)
+        out[out < 0] += m
+    else:
+        wide = values.astype(np.promote_types(values.dtype, _int_type(reach)), copy=False)
+        out = np.floor_divide(wide, m)
+        out *= m
+        np.subtract(wide, out, out=out)
+    return out.astype(_int_type(m - 1), copy=False)
 
 
 def reduce_mod(t: ValueTable, m: int) -> ValueTable:
-    """The table's residues mod m, 2 <= m <= 2^63 - 1; the id records m."""
+    """The table's residues mod m, 2 <= m <= 2^63 - 1, in the narrowest
+    type that holds m - 1; the id records m."""
     if t.id.modulus is not None:
         raise DomainError("table is already reduced; reduce the unreduced table")
     fid = FunctionId(t.id.tag, t.id.param, modulus=m)

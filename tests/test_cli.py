@@ -288,6 +288,48 @@ class TestContract:
         assert f"error: argument {flag}: needs at least one value, got {text!r}\n" in err
         assert err.count("error:") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, s", [
+        (["dirichlet-eval", "--method", "recursion", "--fn", "const_one", "--N", "4096",
+          "--k", "2", "--L", "5", "--M", "32", "--s", "-0.5+3j"], [-0.5, 3.0]),
+        (["dirichlet-eval", "--method", "recursion", "--fn", "const_one", "--N", "4096",
+          "--k", "2", "--L", "5", "--M", "32", "--s", "-2e-1"], [-0.2, 0.0]),
+        (["zeta", "--re", "-1e-3", "--im", "-2"], [-0.001, -2.0]),
+    ])
+    def test_negative_number_as_option_value(self, capsys, argv, s):
+        # argparse alone reads "-0.5+3j" and "-1e-3" as options
+        doc = run_json(capsys, argv)
+        assert doc["result"]["s"] == s
+        assert doc["config"] == run_json(capsys, argv[:-2] + [f"{argv[-2]}={argv[-1]}"])["config"]
+
+    def test_negative_comma_list_reaches_the_identity(self, capsys):
+        argv = ["verify-identity", "--id", "mu", "--N", "100", "--s", "-1,-2+1j"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: identity mu is valid for Re s > 1.0, got (-1+0j)\n")
+
+    def test_negative_nan_is_still_refused(self, capsys):
+        argv = ["dirichlet-eval", "--method", "recursion", "--fn", "const_one", "--N", "4096",
+                "--k", "2", "--L", "5", "--M", "32", "--s", "-nan"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: Re s must be finite, got nan\n"
+
+    def test_only_numbers_are_joined(self):
+        argv = ["density", "--fn", "mu", "--lengths", "-5,10", "--value", "-1", "--N", "10"]
+        assert cli._join_negative_values(argv) == [
+            "density", "--fn", "mu", "--lengths=-5,10", "--value=-1", "--N", "10"]
+        for tail in (["--s", "-x"], ["--s=-1", "-2"], ["--", "-1"], ["-h", "-1"]):
+            assert cli._join_negative_values(tail) == tail
+
+    @pytest.mark.parametrize("lengths, code, err", [
+        ("10,-5", 1, "error: prefix length must be >= 1, got -5\n"),
+        ("0", 1, "error: prefix length must be >= 1, got 0\n"),
+        ("10,101", 2, "error: prefix length 101 outside table range 1..100\n"),
+    ])
+    def test_density_prefix_out_of_range(self, capsys, lengths, code, err):
+        argv = ["density", "--fn", "mu", "--N", "100", "--value", "0", "--lengths", lengths]
+        assert run(argv) == code
+        assert capsys.readouterr().err == err
+
     def test_comma_list_config_echoes_the_text(self, capsys):
         doc = run_json(capsys, ["verify-identity", "--id", "mu", "--s", "2,,3", "--N", "100"])
         assert doc["config"]["s"] == "2,,3"

@@ -415,6 +415,15 @@ class TestValueDensity:
         assert est.count == expected
         assert abs(est.density - 0.392074) < 1e-6
 
+    @pytest.mark.parametrize("X", [0, -5])
+    def test_non_positive_prefix_is_a_domain_error(self, table, X):
+        with pytest.raises(DomainError, match=f"^prefix length must be >= 1, got {X}$"):
+            value_density(table("mu", N=100), 0, [10, X])
+
+    def test_prefix_past_the_table_is_a_capacity_error(self, table):
+        with pytest.raises(CapacityError, match="^prefix length 101 outside table range"):
+            value_density(table("mu", N=100), 0, [101])
+
     def test_rational_approx_reported(self, table):
         est = value_density(table("thue_morse_pm", N=4096), 1, [4096])[0]
         assert est.approx.denominator <= 64

@@ -175,7 +175,8 @@ class TestGenerate:
         tau = table("tau", N=10**4)
         tsq = table("tau_squared", N=10**4)
         tos = table("tau_of_square", N=10**4)
-        assert np.array_equal(tsq.values[1:], tau.values[1:] ** 2)
+        # tau is narrow (int8 at 10^4); widen before squaring, as numpy wraps
+        assert np.array_equal(tsq.values[1:], tau.values[1:].astype(np.int64) ** 2)
         for n in (1, 2, 12, 144, 9999):
             assert tos.value(n) == len(brute_divisors(n * n))
 
@@ -286,10 +287,12 @@ class TestReduceMod:
         ("lambda", None), ("mu", None), ("phi", None), ("sigma_m", 3),
     ])
     def test_matches_floored_remainder(self, table, tag, param, m):
-        # Python's % is the floored remainder, in [0, m) for every sign of v
+        # Python's % is the floored remainder, in [0, m) for every sign of v;
+        # the residues take the narrowest type that holds m - 1
         t = table(tag, param, N=2**16 + 5)
         got = reduce_mod(t, m).values
-        assert got.dtype == np.int64 and got[0] == 0
+        want_type = {2: np.int8, 3: np.int8, 7: np.int8, 2**31 - 1: np.int32}.get(m, np.int64)
+        assert got.dtype == want_type and got[0] == 0
         assert got[1:].tolist() == [v % m for v in t.values[1:].tolist()]
 
 
@@ -470,6 +473,16 @@ def _oracle_value(tag, m, n, fac, divs, is_prime):
     }[tag]()
 
 
+# the narrowest type holding each row's bound at N = 3000: max tau 48,
+# phi <= 3000, p_3000 = 27449, max tau_of_square 315, max tau^2 2304,
+# max tau_3 540 and tau_4 3360, sigma_1 bound 33000, sigma_2 bound 1.8e7;
+# every other row, sigma_0 = tau included, is int8
+_ORACLE_WIDE = {("phi", None): np.int16, ("nth_prime", None): np.int16,
+                ("tau_of_square", None): np.int16, ("tau_squared", None): np.int16,
+                ("identity_n", None): np.int16, ("tau_k", 3): np.int16, ("tau_k", 4): np.int16,
+                ("sigma_m", 1): np.int32, ("sigma_m", 2): np.int32}
+
+
 class TestOracleEveryTag:
     @pytest.mark.parametrize(
         "tag,param",
@@ -478,7 +491,7 @@ class TestOracleEveryTag:
     def test_table_matches_oracle(self, ft_1m, oracle_data, tag, param):
         facs, divs, is_prime = oracle_data
         got = generate(FunctionId(tag, param), _ORACLE_N, ft_1m).values
-        assert got.dtype == np.int64 and got[0] == 0
+        assert got.dtype == _ORACLE_WIDE.get((tag, param), np.int8) and got[0] == 0
         if tag == "tau_k":
             want = _tau_k_oracle(divs, param)
         else:
