@@ -21,7 +21,6 @@ number or comma list of numbers (``--s -0.5+3j``, ``--re -1e-3``) into
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -36,29 +35,35 @@ def _config_string(args: argparse.Namespace) -> str:
     return json.dumps(cfg, default=str, sort_keys=True)
 
 
-def _emit(args, payload_json, payload_csv, elapsed: float) -> None:
-    """payload_json: dict; payload_csv: callable(fh) writing rows."""
+def _emit(args, payload_json, payload_csv, compute_s: float) -> None:
+    """payload_json: dict; payload_csv: callable(fh) writing rows.  Written
+    straight to --out or stdout; the file is opened only now, after the
+    command body has run."""
+    start = time.perf_counter()  # the write seconds include the formatting
     if args.format == "json":
         doc = {
             "tool": "kernelscope",
             "version": __version__,
             "config": json.loads(_config_string(args)),
-            "wall_time_s": round(elapsed, 6),
+            "wall_time_s": round(compute_s, 6),
             "result": payload_json,
         }
         text = json.dumps(doc, indent=2, default=str) + "\n"
+
+        def write(fh):
+            fh.write(text)
     else:
-        buf = io.StringIO()
-        buf.write(f"# tool=kernelscope version={__version__}\n")
-        buf.write(f"# config={_config_string(args)}\n")
-        payload_csv(buf)
-        text = buf.getvalue()
+        def write(fh):
+            fh.write(f"# tool=kernelscope version={__version__}\n")
+            fh.write(f"# config={_config_string(args)}\n")
+            payload_csv(fh)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({elapsed:.3f}s)", file=sys.stderr)
+            write(fh)
+        print(f"wrote {args.out} (compute {compute_s:.3f}s, "
+              f"write {time.perf_counter() - start:.3f}s)", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _load_table(args) -> seqgen.ValueTable:
@@ -132,7 +137,8 @@ def _add_rep_source(p):
 
 def _cmd_generate(args):
     t = _load_table(args)
-    return t.to_json(), t.write_csv
+    # only the requested form: the JSON list is N Python ints
+    return (t.to_json() if args.format == "json" else None), t.write_csv
 
 
 def _cmd_kernel_profile(args):

@@ -21,7 +21,10 @@ Every table the package builds for itself comes from ``build_table``: it
 sizes the sieve, runs ``generate`` and reduces by the id's modulus.
 
 Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
-``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only.
+``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only:
+``to_json`` lists values[1:], and ``write_csv`` formats its rows by array
+arithmetic one block of 2^16 rows at a time, one write per block, so the
+export's memory does not grow with N.
 Sequences are indexed from 1; there is no f(0).
 """
 
@@ -204,15 +207,57 @@ class ValueTable:
         }
 
     def write_csv(self, fh) -> None:
+        """Rows "n,value" for n = 1..N under the header "n,value"."""
         fh.write("n,value\n")
-        # one formatted write per block: formatting all N rows at once would
-        # hold every value as a Python int (over 1 GiB at N = 10^7)
-        for lo in range(1, self.N + 1, 1 << 16):
-            block = self.values[lo : lo + (1 << 16)]
-            rows = np.empty((len(block), 2), dtype=np.int64)
-            rows[:, 0] = np.arange(lo, lo + len(block))
-            rows[:, 1] = block
-            fh.write("%d,%d\n" * len(block) % tuple(rows.ravel().tolist()))
+        # one write per block of rows, each block one uint8 matrix whose row
+        # is [n digits | ',' | '-' or NUL | value digits | '\n'], the digit
+        # fields right-aligned and NUL-padded; dropping the NULs leaves the
+        # row's text, with the '-' just left of the leading digit
+        for lo in range(1, self.N + 1, _CSV_ROWS):
+            v = self.values[lo : lo + _CSV_ROWS]
+            hi = lo + len(v)
+            # np.abs wraps a type's minimum onto itself, and that value's
+            # bits read unsigned are its magnitude (2^63 for int64's)
+            mag = np.abs(v).view(np.dtype(f"u{v.itemsize}"))
+            top = int(mag.max())
+            neg = v < 0
+            sign = int(neg.any())
+            wn, wv = len(str(hi - 1)), len(str(top))
+            rows = np.empty((len(v), wn + 1 + sign + wv + 1), dtype=np.uint8)
+            _ascii_digits(rows[:, :wn], np.arange(lo, hi, dtype=_digit_type(hi - 1)))
+            rows[:, wn] = ord(",")
+            if sign:
+                np.multiply(neg, ord("-"), out=rows[:, wn + 1], casting="unsafe")
+            _ascii_digits(rows[:, wn + 1 + sign : -1], mag.astype(_digit_type(top)))
+            rows[:, -1] = ord("\n")
+            fh.write(rows[rows != 0].tobytes().decode("ascii"))
+
+
+# rows per CSV block; a row of its matrix takes at most the digits of N
+# plus 22 bytes (int64's minimum is 20 characters), 30 at N = 10^7
+_CSV_ROWS = 1 << 16
+
+
+def _digit_type(top: int) -> type:
+    """The unsigned type digit extraction runs in for magnitudes <= top:
+    floor division of uint32 by a scalar is the fast path."""
+    return np.uint32 if top < 2**32 else np.uint64
+
+
+def _ascii_digits(out: np.ndarray, mag: np.ndarray) -> None:
+    """Write the decimal digits of the unsigned ``mag`` into the uint8
+    columns ``out``, one row per entry, right-aligned as ASCII with NUL
+    left of the leading digit; ``out`` is as wide as the largest entry."""
+    ten = mag.dtype.type(10)
+    last = out.shape[1] - 1
+    for j in range(last, -1, -1):
+        # digit = mag - 10 * (mag // 10): array % is ~12x slower than this
+        q = mag // ten
+        col = out[:, j]
+        np.subtract(mag, q * ten, out=col, casting="unsafe")
+        # the units digit always shows, a higher one while digits remain
+        col += np.uint8(48) if j == last else np.uint8(48) * (mag != 0)
+        mag = q
 
 
 def _signature_max(N: int, coef, cap: int) -> int:

@@ -11,6 +11,7 @@ from kernelscope.errors import CapacityError, DomainError, RangeError
 from kernelscope.seqgen import (
     ALL_TAGS,
     FunctionId,
+    ValueTable,
     build_factor_table,
     build_table,
     generate,
@@ -421,6 +422,27 @@ class TestExport:
             got = io.StringIO()
             t.write_csv(got)
             assert got.getvalue() == want.getvalue(), tag
+        # the array formatter against one "%d,%d\n" per row: every tag at the
+        # oracle tests' params, phi with n crossing 99 999 -> 100 000 inside
+        # its second block, and hand-built tables of each integer type
+        tables = [table(tag, m, N=2**16 + 5)
+                  for tag in ALL_TAGS for m in _ORACLE_PARAMS.get(tag, (None,))]
+        tables.append(table("phi", N=100_005))
+        picks = [0, 9, -9, 10, -10, 99, -99, 100, -100]
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            info = np.iinfo(dtype)
+            values = np.array([0, info.min, info.max, *picks], dtype)
+            tables.append(ValueTable(FunctionId("mu"), len(values) - 1, values))
+        # a block below 2^32 formats in uint32, one at 2^32 in uint64
+        for top in (2**32 - 1, 2**32):
+            tables.append(ValueTable(FunctionId("mu"), 3, np.array([0, top, -top, 7], np.int64)))
+        for t in tables:
+            want = "n,value\n" + "".join("%d,%d\n" % (n, v)
+                                          for n, v in enumerate(t.values.tolist()) if n)
+            got = io.StringIO()
+            t.write_csv(got)
+            # as lines, so that a failure names the first bad row, not a text diff
+            assert got.getvalue().splitlines() == want.splitlines(), (t.id, t.values.dtype)
 
 
 _ORACLE_N = 3000
