@@ -35,10 +35,33 @@ def _config_string(args: argparse.Namespace) -> str:
     return json.dumps(cfg, default=str, sort_keys=True)
 
 
+_JSON_ROWS = 1 << 16  # values per written block of a streamed JSON array
+_ROWS_MARK = "\0rows"  # stands for a _Rows in the dumped text, where argv has no NUL
+
+
+class _Rows:
+    """An integer array in a JSON payload, written by _emit in blocks of
+    _JSON_ROWS values, as json.dumps(..., indent=2) would lay out its list,
+    rather than built as one list and one text."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def write(self, fh, indent: int) -> None:
+        """The array, never empty, at a key whose line is indented by
+        ``indent`` spaces."""
+        sep = ",\n" + " " * (indent + 2)
+        fh.write("[")
+        for lo in range(0, len(self.values), _JSON_ROWS):
+            fh.write(sep[1:] if lo == 0 else sep)
+            fh.write(sep.join(map(str, self.values[lo:lo + _JSON_ROWS].tolist())))
+        fh.write("\n" + " " * indent + "]")
+
+
 def _emit(args, payload_json, payload_csv, compute_s: float) -> None:
-    """payload_json: dict; payload_csv: callable(fh) writing rows.  Written
-    straight to --out or stdout; the file is opened only now, after the
-    command body has run."""
+    """payload_json: dict, in which a _Rows stands for a streamed array;
+    payload_csv: callable(fh) writing rows.  Written straight to --out or
+    stdout; the file is opened only now, after the command body has run."""
     start = time.perf_counter()  # the write seconds include the formatting
     if args.format == "json":
         doc = {
@@ -48,10 +71,22 @@ def _emit(args, payload_json, payload_csv, compute_s: float) -> None:
             "wall_time_s": round(compute_s, 6),
             "result": payload_json,
         }
-        text = json.dumps(doc, indent=2, default=str) + "\n"
+        rows = []
+
+        def default(obj):
+            if isinstance(obj, _Rows):
+                rows.append(obj)
+                return _ROWS_MARK
+            return str(obj)
+
+        parts = (json.dumps(doc, indent=2, default=default) + "\n").split(json.dumps(_ROWS_MARK))
 
         def write(fh):
-            fh.write(text)
+            for part, r in zip(parts, rows + [None]):
+                fh.write(part)
+                if r is not None:
+                    line = part[part.rfind("\n") + 1:]
+                    r.write(fh, len(line) - len(line.lstrip(" ")))
     else:
         def write(fh):
             fh.write(f"# tool=kernelscope version={__version__}\n")
@@ -137,8 +172,10 @@ def _add_rep_source(p):
 
 def _cmd_generate(args):
     t = _load_table(args)
-    # only the requested form: the JSON list is N Python ints
-    return (t.to_json() if args.format == "json" else None), t.write_csv
+    # only the requested form, and the JSON values in blocks, never one list
+    if args.format == "csv":
+        return None, t.write_csv
+    return {**t.json_head(), "values": _Rows(t.values[1:])}, None
 
 
 def _cmd_kernel_profile(args):

@@ -45,7 +45,7 @@ from .automaton import (LinearRepresentation, adjugate_poly, average_matrix,
                         lattice_from_char_poly, vector_values)
 from .errors import CapacityError, DomainError, require_finite
 from .seqgen import FunctionId, ValueTable, build_table
-from .zeta import WORKING_RADIUS, zeta_em
+from .zeta import WORKING_RADIUS, _zeta_on, zeta_em
 
 BASE_STRIP_SIGMA = 1.25
 _DIRECT_TOL = 1e-9
@@ -563,41 +563,61 @@ def _small_table(tag: str) -> list[int]:
     return build_table(FunctionId(tag), 512).values.tolist()
 
 
-def _checked_zeta(w: complex) -> complex:
-    """zeta(w), refused within 1e-6 of the pole or of a zero.
+def _checked_zetas(ws: list[complex]) -> list[complex]:
+    """zeta at every w of ws, refused within 1e-6 of the pole or of a zero.
 
     The log series ask for zeta(n s) with n up to ~25.  Past zeta_em's
     working radius an argument with Re w >= 50 is summed to n = 4: the
     terms from n = 5 on add at most 5^{-Re w} + 5^{1-Re w}/(Re w - 1),
     below 1e-35.  Any other argument past the radius is refused there.
+    Every w inside the radius with Re w >= -0.5 is one element of a single
+    kernel call, whose values are zeta_em's to the bit; the rules are then
+    applied in the order of ws, so the first w refused is the one a call
+    per w would refuse.
     """
-    w = complex(w)
-    if abs(w - 1) < 1e-6:
-        raise _NearZetaSingular(w, abs(w - 1))
-    if abs(w) > WORKING_RADIUS and w.real >= 50:
-        return 1 + 2**-w + 3**-w + 4**-w
-    val = zeta_em(w, ZETA_TOL).value
-    if abs(val) < 1e-6:
-        raise _NearZetaSingular(w, abs(val))
-    return val
+    ws = [complex(w) for w in ws]
+    batch = [i for i, w in enumerate(ws)
+             if w.real >= -0.5 and w != 1 and abs(w) <= WORKING_RADIUS]
+    kernel = dict(zip(batch, _zeta_on(np.array([ws[i] for i in batch]), ZETA_TOL).tolist()))
+    out = []
+    for i, w in enumerate(ws):
+        if abs(w - 1) < 1e-6:
+            raise _NearZetaSingular(w, abs(w - 1))
+        if abs(w) > WORKING_RADIUS and w.real >= 50:
+            out.append(1 + 2**-w + 3**-w + 4**-w)
+            continue
+        val = kernel[i] if i in kernel else zeta_em(w, ZETA_TOL).value
+        if abs(val) < 1e-6:
+            raise _NearZetaSingular(w, abs(val))
+        out.append(val)
+    return out
 
 
-def _log_series(z: Callable[[complex], complex], s: complex, weights: str) -> complex:
+def _checked_zeta(w: complex) -> complex:
+    """zeta(w) by the rules of _checked_zetas."""
+    return _checked_zetas([w])[0]
+
+
+def _log_series(s: complex, weights: str) -> complex:
     """sum_n w(n)/n log zeta(ns) for w = mu or phi.
 
     With |w(n)| <= C n^d and log zeta(w) ~ 2^{-w}, the terms fall off like
     C n^{d-1} 2^{-n sigma}; the sum stops where six times that is below
     1e-16.  Principal branch: callers keep s real or Re s >= 2, where every
-    zeta(ns) stays in the right half-plane around 1.
+    zeta(ns) stays in the right half-plane around 1.  All the zeta(ns)
+    come from one _checked_zetas call.
     """
     w = _small_table(weights)
     C, d = FunctionId(weights).growth_bound()
-    acc = 0j
+    ns = []
     for n in range(1, 400):
         if 6.0 * C * 2.0 ** (-n * s.real) / n ** (1 - d) < 1e-16:
             break
         if w[n]:
-            acc += w[n] / n * cmath.log(z(n * s))
+            ns.append(n)
+    acc = 0j
+    for n, val in zip(ns, _checked_zetas([n * s for n in ns])):
+        acc += w[n] / n * cmath.log(val)
     return acc
 
 
@@ -621,14 +641,14 @@ _IDENTITIES = {
     "tau_of_square": _Identity("zeta(s)^3/zeta(2s)", lambda z, s, m: z(s) ** 3 / z(2 * s)),
     "tau_squared": _Identity("zeta(s)^4/zeta(2s)", lambda z, s, m: z(s) ** 4 / z(2 * s)),
     "chi_P": _Identity("sum_n mu(n)/n log zeta(ns)",
-                       lambda z, s, m: _log_series(z, s, "mu"), log_series=True),
+                       lambda z, s, m: _log_series(s, "mu"), log_series=True),
     # the double sum is sum_m phi(m)/m log zeta(ms), as sum_{d|m} mu(d)/d = phi(m)/m
     "chi_PP": _Identity("sum_j sum_n mu(n)/n log zeta(jns)",
-                        lambda z, s, m: _log_series(z, s, "phi"), log_series=True),
+                        lambda z, s, m: _log_series(s, "phi"), log_series=True),
     "omega": _Identity("zeta(s) sum_n mu(n)/n log zeta(ns)",
-                       lambda z, s, m: z(s) * _log_series(z, s, "mu"), log_series=True),
+                       lambda z, s, m: z(s) * _log_series(s, "mu"), log_series=True),
     "big_omega": _Identity("zeta(s) sum_n phi(n)/n log zeta(ns)",
-                           lambda z, s, m: z(s) * _log_series(z, s, "phi"), log_series=True),
+                           lambda z, s, m: z(s) * _log_series(s, "phi"), log_series=True),
 }
 
 IDENTITY_TAGS = tuple(_IDENTITIES)

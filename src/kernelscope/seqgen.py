@@ -198,13 +198,17 @@ class ValueTable:
             raise RangeError(f"index {n} outside table range 1..{self.N}")
         return int(self.values[n])
 
-    def to_json(self) -> dict:
+    def json_head(self) -> dict:
+        """to_json without its last field, the value list, for a writer
+        that streams the values."""
         return {
             "id": self.id.tag,
             "params": {"param": self.id.param, "modulus": self.id.modulus},
             "N": self.N,
-            "values": self.values[1:].tolist(),
         }
+
+    def to_json(self) -> dict:
+        return {**self.json_head(), "values": self.values[1:].tolist()}
 
     def write_csv(self, fh) -> None:
         """Rows "n,value" for n = 1..N under the header "n,value"."""

@@ -6,6 +6,10 @@ critical strip.  One array kernel evaluates any number of points at once;
 a single zeta_em call is a batch of one.  Zeros are located by sign
 changes of the phase-corrected critical-line restriction on a grid
 evaluated in one batch, and refined by bisecting every cell in lockstep.
+Those signs come from the Riemann-Siegel formula from t = RS_FROM up,
+wherever its value exceeds Gabcke's bound on its remainder plus its
+rounding, and from Euler-Maclaurin everywhere else; hardy_z itself is
+always Euler-Maclaurin.
 Counting is the Riemann-von Mangoldt formula: theta(T) and the change of
 arg zeta along one segment at height T, one batch subdivided in rounds, so
 no branch of the argument is ever guessed; the sign changes check it.
@@ -24,7 +28,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -32,6 +36,8 @@ from .errors import ContourError, DomainError, PoleError, PrecisionError, requir
 
 WORKING_RADIUS = 1000.0
 HARDY_Z_TOL = 1e-10  # zeta error behind each critical-line sample
+# lowest height of Riemann-Siegel sign samples, where Gabcke's bound starts
+RS_FROM = 200.0
 ZERO_GRID_STEP = 0.1  # spacing of the sign-change scan along the critical line
 ZERO_REFINE_TOL = 1e-6  # bisection stops at this bracket width
 # lowest height counted: the counting segment passes at distance T above
@@ -45,6 +51,13 @@ _EM_ROWS = 1024  # points per block of Bernoulli terms
 _STIRLING_SHIFT = 8  # log Gamma's Stirling series runs at z + 8
 _STIRLING_ORDER = 12  # and sums its terms j = 1..12
 _SPLIT_DEPTH = 48  # halvings of one segment step before the count is refused
+_GABCKE_R4 = 0.017  # |R_4(t)| <= 0.017 t^{-11/4} for t >= 200 (Gabcke 1979)
+_PSI_SAMPLES = 96  # points of the Cauchy integral for Psi's Taylor coefficients
+_PSI_RADIUS = 2.0  # its circle, clear of the real zeros +-1/2, +-3/2 of cos(pi z)
+_PSI_DEGREE = 52  # coefficients kept; the next is below 1e-25
+# the rounding of C_0..C_4 as evaluated: the largest error against mpmath's
+# derivatives of Psi (40 digits) at 23 points of p in (0, 1) was 8.0e-16
+_RS_CORRECTION_ROUNDING = 1e-14
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +307,95 @@ def hardy_z(t: float) -> float:
     return float(_hardy_z(np.array([float(t)]))[0])
 
 
+@cache
+def _rs_corrections() -> tuple[np.ndarray, ...]:
+    """C_0..C_4 of the Riemann-Siegel remainder as polynomials in z = 1 - 2p,
+    np.polyval coefficients, built on first use.
+
+    Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p is -cos(pi z^2/2 - 5pi/8) /
+    cos(pi z), entire and even in z.  Its Taylor coefficients are a Cauchy
+    integral on |z| = _PSI_RADIUS, and the C_k are the combinations of
+    derivatives d/dp = -2 d/dz given by Edwards (1974, ch. 7).
+    """
+    j = np.arange(_PSI_SAMPLES)
+    z = _PSI_RADIUS * np.exp(2j * math.pi * j / _PSI_SAMPLES)
+    psi = -np.cos(math.pi * z * z / 2 - 5 * math.pi / 8) / np.cos(math.pi * z)
+    k = j[:_PSI_DEGREE]
+    a = (np.exp(-2j * math.pi * np.outer(k, j) / _PSI_SAMPLES) @ psi).real
+    a /= _PSI_SAMPLES * _PSI_RADIUS**k
+    a[1::2] = 0.0  # Psi is even in z
+
+    def deriv(order: int) -> np.ndarray:
+        c = a
+        for _ in range(order):
+            c = -2.0 * c[1:] * np.arange(1, len(c))
+        return np.pad(c, (0, order))
+
+    pi2 = math.pi**2
+    rows = (
+        ((1.0, 0),),
+        ((-1 / (96 * pi2), 3),),
+        ((1 / (64 * pi2), 2), (1 / (18432 * pi2**2), 6)),
+        ((-1 / (64 * pi2), 1), (-1 / (3840 * pi2**2), 5), (-1 / (5308416 * pi2**3), 9)),
+        ((1 / (128 * pi2), 0), (19 / (24576 * pi2**2), 4), (11 / (5898240 * pi2**3), 8),
+         (1 / (2038431744 * pi2**4), 12)),
+    )
+    return tuple(sum(w * deriv(order) for w, order in row)[::-1] for row in rows)
+
+
+def _riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z and a bound on its error at every element of t, all t >= RS_FROM.
+
+    Z(t) = 2 sum_{n <= m} n^{-1/2} cos(theta(t) - t log n)
+           + (-1)^{m-1} (2pi/t)^{1/4} sum_{k <= 4} C_k(p) (2pi/t)^{k/2} + R_4(t)
+    with m + p = sqrt(t / 2pi), p in [0, 1) (Siegel 1932).  The bound is
+    Gabcke's on R_4, plus the rounding of each phase theta(t) - t log n
+    (four ulps of the moduli of the terms behind theta and of t log n, and
+    m half-ulps for the cosine and the sum) carried through the main sum,
+    plus the rounding of the C_k.
+    """
+    a = np.sqrt(t / (2 * math.pi))
+    m = a.astype(np.int64)
+    n = np.arange(1, int(m.max()) + 1)
+    logn = np.log(n)
+    weight = np.where(n <= m[:, None], 2 / np.sqrt(n), 0.0)
+    theta = rs_theta(t)
+    main = (weight * np.cos(theta[:, None] - t[:, None] * logn)).sum(axis=1)
+    u = np.sqrt(2 * math.pi / t)
+    z = 1 - 2 * (a - m)
+    corr = np.zeros_like(t)
+    for c in reversed(_rs_corrections()):
+        corr = corr * u + np.polyval(c, z)
+    sign = 1 - 2 * ((m - 1) & 1)  # (-1)^{m-1}
+    w = np.hypot(0.25 + _STIRLING_SHIFT, t / 2)  # the Stirling point of theta
+    theta_err = 8.9e-16 * (w * (np.log(w) + 1) + t)
+    phase_err = theta_err[:, None] + 8.9e-16 * t[:, None] * logn + m[:, None] * 1.2e-16
+    err = (_GABCKE_R4 * t**-2.75 + (weight * phase_err).sum(axis=1)
+           + _RS_CORRECTION_ROUNDING)
+    return main + sign * np.sqrt(u) * corr, err
+
+
+def _sign_samples(t: np.ndarray) -> np.ndarray:
+    """Z at every element of t, for its sign.
+
+    From RS_FROM up the Riemann-Siegel value stands wherever its modulus
+    exceeds its error bound, so its sign is certified; every other point,
+    and every point below RS_FROM, takes _hardy_z.  The values differ from
+    _hardy_z's; the signs agree wherever both are certain.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    z = np.empty(len(t))
+    em = t < RS_FROM
+    rs = np.flatnonzero(~em)
+    if len(rs):
+        value, err = _riemann_siegel(t[rs])
+        z[rs] = value
+        em[rs[np.abs(value) <= err]] = True
+    if em.any():
+        z[em] = _hardy_z(t[em])
+    return z
+
+
 def _check_height(T: float, farthest: complex) -> None:
     """Refuse T unless ``farthest``, the point of largest modulus a routine
     evaluates, passes the same |s| <= WORKING_RADIUS test as zeta_em."""
@@ -315,14 +417,16 @@ class ZeroRecord:
 
 
 def _hardy_sweep(T: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ZERO_GRID_STEP grid on [1, T], T > 1, and Z on all of it at once.
-    The grid is the running sum 1, 1 + step, ... below T, then T itself, so
-    the grid to a lower height is a prefix of this one plus that height."""
+    """The ZERO_GRID_STEP grid on [1, T], T > 1, and _sign_samples of Z on
+    all of it at once: values to read signs from, Riemann-Siegel's where
+    certified.  The grid is the running sum 1, 1 + step, ... below T, then
+    T itself, so the grid to a lower height is a prefix of this one plus
+    that height."""
     steps = np.full(int((T - 1) / ZERO_GRID_STEP) + 3, ZERO_GRID_STEP)
     steps[0] = 1.0
     grid = np.cumsum(steps)
     grid = np.append(grid[grid < T], T)
-    return grid, _hardy_z(grid)
+    return grid, _sign_samples(grid)
 
 
 def _changes_sign(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -342,15 +446,17 @@ def _sign_change_counts(Ts: list[float]) -> list[int]:
         grid, z = _hardy_sweep(float(heights[above].max()))
         before = np.concatenate(([0], np.cumsum(_changes_sign(z[:-1], z[1:]))))
         below = np.searchsorted(grid, heights[above]) - 1  # the last grid point below T
-        counts[above] = before[below] + _changes_sign(z[below], _hardy_z(heights[above]))
+        counts[above] = before[below] + _changes_sign(z[below], _sign_samples(heights[above]))
     return counts.tolist()
 
 
 def critical_line_zeros(T: float) -> list[ZeroRecord]:
     """All sign-change zeros of the critical-line restriction up to height T.
 
-    Bisection only, of every cell in lockstep: one Z evaluation per
-    halving covers all cells still wider than ZERO_REFINE_TOL.  A
+    Bisection only, of every cell in lockstep: one _sign_samples call per
+    halving covers all cells still wider than ZERO_REFINE_TOL.  Every
+    bracket and ordinate depends on signs alone, which are the
+    Euler-Maclaurin ones wherever Riemann-Siegel cannot certify its own.  A
     same-sign double zero inside one grid cell would be missed, which the
     Riemann-von Mangoldt cross-check in zero_count detects.
     """
@@ -364,7 +470,7 @@ def critical_line_zeros(T: float) -> list[ZeroRecord]:
     live = np.flatnonzero((f_lo != 0.0) & (b - a > ZERO_REFINE_TOL))
     while len(live):
         mid = 0.5 * (a[live] + b[live])
-        fm = _hardy_z(mid)
+        fm = _sign_samples(mid)
         hit, left = fm == 0.0, fa[live] * fm < 0
         right = ~hit & ~left
         a[live[hit | right]] = mid[hit | right]

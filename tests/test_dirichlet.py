@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -475,6 +476,46 @@ class TestZetaQuotientEval:
 
     def test_all_tags_enumerated(self):
         assert len(IDENTITY_TAGS) == 11
+
+    # inside the radius; 2.2 + 40i reaches 25s = 55 + 1000i, a 4-term sum
+    # past it; 2.5 + 300i is refused at 4s (phi) or, mu(4) being 0, at 5s
+    @pytest.mark.parametrize("s", [1.05, 1.5, 2.0, 3.7, 2.2 + 40j, 2.5 + 300j])
+    @pytest.mark.parametrize("weights", ["mu", "phi"])
+    def test_log_series_matches_one_zeta_em_per_n(self, s, weights):
+        # the loop the batched series replaced, as the reference: same bits,
+        # or the same refusal at the same n
+        def loop():
+            w = dirichlet._small_table(weights)
+            C, d = FunctionId(weights).growth_bound()
+            acc = 0j
+            for n in range(1, 400):
+                if 6.0 * C * 2.0 ** (-n * s.real) / n ** (1 - d) < 1e-16:
+                    break
+                if w[n]:
+                    x = n * s
+                    far = abs(x) > 1000 and x.real >= 50
+                    val = (1 + 2**-x + 3**-x + 4**-x) if far else zeta_em(x, 1e-12).value
+                    acc += w[n] / n * cmath.log(val)
+            return acc
+
+        def outcome(f):
+            try:
+                return f()
+            except DomainError as exc:
+                return str(exc)
+
+        s = complex(s)
+        assert outcome(loop) == outcome(lambda: dirichlet._log_series(s, weights))
+
+    def test_checked_zetas_refuse_in_order(self):
+        # a near-zero value at the second argument is refused before the
+        # argument past the radius that follows it
+        zero = complex(0.5, float(mpmath.zetazero(1).imag))
+        with pytest.raises(dirichlet._NearZetaSingular) as exc:
+            dirichlet._checked_zetas([2.0, zero, 5 + 1200j])
+        assert exc.value.at == zero
+        with pytest.raises(DomainError, match=r"s=\(5\+1200j\) outside"):
+            dirichlet._checked_zetas([2.0, 5 + 1200j, zero])
 
 
 # (tag, param, s) per identity: a real s, plus a complex one (for a log-zeta

@@ -421,7 +421,10 @@ class TestExport:
                 w.writerow([n, int(t.values[n])])
             got = io.StringIO()
             t.write_csv(got)
-            assert got.getvalue() == want.getvalue(), tag
+            # as lines with their ends, which join back to the whole text, so
+            # that a failure names the first bad row rather than diffing 0.5 MB
+            assert (got.getvalue().splitlines(keepends=True)
+                    == want.getvalue().splitlines(keepends=True)), tag
         # the array formatter against one "%d,%d\n" per row: every tag at the
         # oracle tests' params, phi with n crossing 99 999 -> 100 000 inside
         # its second block, and hand-built tables of each integer type
@@ -441,8 +444,8 @@ class TestExport:
                                           for n, v in enumerate(t.values.tolist()) if n)
             got = io.StringIO()
             t.write_csv(got)
-            # as lines, so that a failure names the first bad row, not a text diff
-            assert got.getvalue().splitlines() == want.splitlines(), (t.id, t.values.dtype)
+            assert (got.getvalue().splitlines(keepends=True)
+                    == want.splitlines(keepends=True)), (t.id, t.values.dtype)
 
 
 _ORACLE_N = 3000

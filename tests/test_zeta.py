@@ -220,6 +220,39 @@ class TestKernel:
                 value[-1], err[-1], terms[-1], order[-1])
 
 
+class TestRiemannSiegel:
+    def test_against_siegelz(self):
+        # RS_FROM itself and 150 seeded heights, each within its own bound
+        t = np.concatenate([[zeta.RS_FROM], np.random.default_rng(26).uniform(200, 1000, 150)])
+        value, err = zeta._riemann_siegel(t)
+        with mpmath.workdps(20):
+            for ti, v, e in zip(t, value, err):
+                assert abs(v - float(mpmath.siegelz(ti))) <= e, ti
+
+    def test_uncertain_sign_falls_back(self):
+        # at a zero's ordinate |Z| is far below the bound, so the sample is
+        # the Euler-Maclaurin value
+        with mpmath.workdps(15):
+            t = np.array([float(mpmath.zetazero(80).imag)])
+        assert zeta.RS_FROM < t[0] < 202
+        value, err = zeta._riemann_siegel(t)
+        assert abs(value[0]) <= err[0]
+        assert zeta._sign_samples(t).tobytes() == zeta._hardy_z(t).tobytes()
+
+    def test_samples_split_at_rs_from(self):
+        t = np.array([150.0, zeta.RS_FROM, 500.25, 199.99])
+        z = zeta._sign_samples(t)
+        assert z[[0, 3]].tolist() == zeta._hardy_z(t[[0, 3]]).tolist()
+        assert z[1:3].tolist() == zeta._riemann_siegel(t[1:3])[0].tolist()
+
+    def test_same_zeros_and_counts_without_rs(self, monkeypatch):
+        Ts = np.random.default_rng(40).uniform(0.1, 999.99, 40).tolist()
+        fast = critical_line_zeros(999.9), zeta._sign_change_counts(Ts)
+        monkeypatch.setattr(zeta, "RS_FROM", math.inf)
+        assert (critical_line_zeros(999.9), zeta._sign_change_counts(Ts)) == fast
+        assert len(fast[0]) == 649
+
+
 class TestCriticalLineZeros:
     def test_first_zero(self):
         zs = critical_line_zeros(15)
