@@ -20,7 +20,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     PrecisionError,
     VerdictError,
 )
-from .kernel import _classify, _distinct_cap, _enumerate_distinct, kernel_element
+from .kernel import _distinct_verdict, _enumerate_distinct
 from .seqgen import ValueTable
 
 LATTICE_ZERO_TOL = 1e-10  # eigenvalues of Abar this small give no lattice points
@@ -45,7 +44,10 @@ class LinearRepresentation:
     ``automatic`` marks row-selection mode; hand-built representations
     with general integer matrices model the regular case.
     ``growth`` is a pair (C, d) with |U_n|_inf <= C n^d, used for
-    Dirichlet tail bounds.
+    Dirichlet tail bounds.  ``verified_to`` is the window the construction
+    proves: a built representation's output coordinate equals its source
+    table for every n <= verified_to (see build_representation); a
+    hand-built one with no source table sets it to 0.
     """
 
     k: int
@@ -94,26 +96,32 @@ class LinearRepresentation:
 
 def rep_from_json(doc: dict) -> LinearRepresentation:
     """The representation ``to_json`` wrote; a missing or malformed field
-    raises DomainError naming it."""
+    raises DomainError naming it.  k must be at least 2, the growth pair
+    (C, d) finite with C > 0 and d >= 0, ``automatic`` a bool and
+    ``output_coord`` in 0..t-1."""
 
-    def field(name, read):
+    def field(name, read, ok=lambda v: True):
         try:
-            return read(doc[name])
+            value = read(doc[name])
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"missing or malformed field {name!r}: {exc!r}") from exc
+        if not ok(value):
+            raise DomainError(f"field {name!r} out of range: {doc[name]!r}")
+        return value
 
-    k, dim = field("k", operator.index), field("t", operator.index)
+    k, dim = field("k", operator.index, lambda k: k >= 2), field("t", operator.index)
     return LinearRepresentation(
         k=k,
         dim=dim,
         matrices=field("matrices", lambda ms: tuple(
             np.array(m, dtype=np.int64).reshape(dim, dim) for m in ms)),
         seeds=field("seeds", lambda v: np.array(v, dtype=np.int64).reshape(k - 1, dim)),
-        output_coord=field("output_coord", operator.index),
+        output_coord=field("output_coord", operator.index, lambda i: 0 <= i < dim),
         labels=field("labels", lambda v: tuple((int(a), int(b)) for a, b in v)),
         verified_to=field("verified_to", operator.index),
-        automatic=field("automatic", lambda v: v),
-        growth=field("growth", lambda g: (float(g[0]), float(g[1]))),
+        automatic=field("automatic", lambda v: v, lambda v: isinstance(v, bool)),
+        growth=field("growth", lambda g: (float(g[0]), float(g[1])), lambda g: (
+            all(map(math.isfinite, g)) and g[0] > 0 and g[1] >= 0)),
     )
 
 
@@ -121,40 +129,35 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
     """Construct the representation induced by a saturated kernel.
 
     Coordinates are the distinct kernel windows in first-seen order, so
-    coordinate 0 is the (0, 0) element (the sequence itself).  A_r sends
-    coordinate (l, r') to the coordinate matching the refinement
-    (l+1, r' + r k^l); the result is verified against the table up to
-    min(t.N, k M).
+    coordinate 0 is the (0, 0) element (the sequence itself).  Saturation
+    (kernel._classify) puts every distinct window at a depth below L - 1,
+    so each refinement (l + 1, r' + r k^l) of a coordinate (l, r') is a
+    window the enumeration already classed, and row i of A_r is the unit
+    vector of that class.
+
+    Why the result needs no check against the table: A_r sends coordinate
+    i to the class whose window equals i's refinement on n = 1..M, so
+    U_{kn+r} = A_r U_n holds exactly for n <= M.  By induction from the
+    seeds U_1..U_{k-1} the output coordinate then equals t(n) for every
+    n <= min(N, k M + k - 1), which contains ``verified_to`` = min(N, k M).
     """
     if M < k:
         raise DomainError(f"window must cover the seeds: need M >= k = {k}")
-    reps, counts = _enumerate_distinct(t, k, L, M)
-    verdict = _classify(counts, L, partial(_distinct_cap, t, k, L, M))
+    (reps, classes), counts = _enumerate_distinct(t, k, L, M)
+    verdict = _distinct_verdict(t, k, L, M, counts)
     if verdict.kind != "saturated":
         raise VerdictError(
             f"kernel profile of {t.id} is {verdict}; a saturated kernel is required"
         )
-    by_key = {prefix.tobytes(): i for i, (_, _, prefix) in enumerate(reps)}
-    dim = len(reps)
-    mats = [np.zeros((dim, dim), dtype=np.int64) for _ in range(k)]
-    for i, (l, r0, _) in enumerate(reps):
-        for r in range(k):
-            target = kernel_element(t, k, l + 1, r0 + r * k**l, M)
-            j = by_key.get(target.prefix.tobytes())
-            if j is None:
-                raise ConstructionError(
-                    f"refinement (l={l + 1}, r={r0 + r * k**l}) of coordinate {i} "
-                    "matches no distinct kernel window; saturation was spurious "
-                    "at this window length"
-                )
-            mats[r][i, j] = 1
+    unit = np.eye(len(reps), dtype=np.int64)
+    mats = tuple(unit[[classes[l + 1][r0 + r * k**l] for l, r0, _ in reps]] for r in range(k))
     # the window matrix: row i is coordinate i's window, column n - 1 is U_n;
-    # int64, since np.abs and the products below wrap in a narrow table's type
+    # int64, since np.abs wraps in a narrow table's type
     P = np.stack([prefix for _, _, prefix in reps], dtype=np.int64)
-    rep = LinearRepresentation(
+    return LinearRepresentation(
         k=k,
-        dim=dim,
-        matrices=tuple(mats),
+        dim=len(reps),
+        matrices=mats,
         seeds=np.array(P[:, : k - 1].T, order="C"),
         output_coord=0,
         labels=tuple((l, r) for l, r, _ in reps),
@@ -162,28 +165,6 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
         automatic=True,
         growth=(float(max(1, int(np.abs(P).max()))), 0.0),
     )
-    _verify_against_table(rep, t, P, M)
-    return rep
-
-
-def _verify_against_table(rep, t, P, M):
-    # vector-level check: columns of the window matrix P are U_n on the window
-    for r in range(rep.k):
-        m_r = (M - r) // rep.k
-        if m_r < 1:
-            continue
-        lhs = rep.matrices[r] @ P[:, :m_r]
-        cols = rep.k * np.arange(1, m_r + 1) + r - 1
-        if not np.array_equal(lhs, P[:, cols]):
-            raise ConstructionError(
-                f"vector recursion check failed for digit {r} of {t.id}"
-            )
-    got = vector_values(rep, rep.verified_to)[1:, rep.output_coord]
-    wrong = np.flatnonzero(got != t.values[1 : rep.verified_to + 1])
-    if len(wrong):
-        raise ConstructionError(
-            f"representation of {t.id} disagrees with the table at n={wrong[0] + 1}"
-        )
 
 
 def vector_values(rep: LinearRepresentation, N: int) -> np.ndarray:

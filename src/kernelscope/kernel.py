@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .seqgen import ValueTable, is_prime
+from .seqgen import ValueTable, _largest_abs, is_prime
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,12 @@ class Verdict:
     """Outcome of a growth profile.
 
     kind is one of "saturated" (depth and size set), "window_capped"
-    (likewise), "growing", or "inconclusive".  Saturation requires two
-    consecutive depths that add nothing new; a single stable depth can be a
-    small-M coincidence.  A profile that stalls at the largest value the
-    window can hold is "window_capped": the window, not the kernel, stopped
-    it.
+    (likewise), "growing", or "inconclusive".  Saturation at depth d means
+    the count is flat from depth d - 1 through the last depth L, with
+    d <= L - 1: at least two depths add nothing new (a single stable depth
+    can be a small-M coincidence) and none adds anything after them.  A
+    profile that stalls at the largest value the window can hold is
+    "window_capped": the window, not the kernel, stopped it.
     """
 
     kind: str
@@ -62,17 +63,20 @@ class Verdict:
 
 
 def _classify(counts: list[int], L: int, cap: Callable[[], int | None]) -> Verdict:
-    """Classify a profile; ``cap()`` is the largest value it can reach,
-    asked for only when the counts stall.  A single depth (L = 0) shows
+    """Classify a non-decreasing profile; ``cap()`` is the largest value it
+    can reach, asked for only when the counts stall.  With j the first
+    depth whose count equals counts[L], the stall is at d = j + 1 if
+    d <= L - 1; a stall the count rises after means M is too short to
+    resolve the kernel and gives no verdict.  A single depth (L = 0) shows
     neither growth nor a stall."""
     if L == 0:
         return Verdict("inconclusive")
-    for d in range(1, L):
-        if counts[d] == counts[d - 1] and counts[d + 1] == counts[d]:
-            limit = cap()
-            capped = limit is not None and counts[d] >= limit
-            kind = "window_capped" if capped else "saturated"
-            return Verdict(kind, depth=d, size=counts[d])
+    d = counts.index(counts[L]) + 1
+    if d <= L - 1:
+        limit = cap()
+        capped = limit is not None and counts[L] >= limit
+        kind = "window_capped" if capped else "saturated"
+        return Verdict(kind, depth=d, size=counts[L])
     if all(counts[d] > counts[d - 1] for d in range(1, L + 1)):
         return Verdict("growing")
     return Verdict("inconclusive")
@@ -154,28 +158,31 @@ def kernel_element(t: ValueTable, k: int, l: int, r: int, M: int) -> KernelEleme
 def _enumerate_distinct(t: ValueTable, k: int, L: int, M: int):
     """All (l, r) up to depth L, deduplicated by exact window comparison.
 
-    Returns (representatives, counts): representatives holds the
-    first-seen (l, r, prefix) of each distinct window in breadth-first
-    order; counts[d] is the number of distinct windows at depth <= d.
-    Set keys are the raw window bytes, so hash collisions still fall
-    back to full content comparison.
+    Returns ((representatives, classes), counts): representatives holds
+    the first-seen (l, r, prefix) of each distinct window in breadth-first
+    order, classes[l][r] is the index there of the window of (l, r), and
+    counts[d] is the number of distinct windows at depth <= d.  Dict keys
+    are the raw window bytes, so hash collisions still fall back to full
+    content comparison.
     """
     if L < 0:
         raise DomainError(f"max depth must be >= 0, got {L}")
     _validate_geometry(t, k, L, k**L - 1, M)
-    seen: set[bytes] = set()
+    seen: dict[bytes, int] = {}
     rep_list: list[tuple[int, int, np.ndarray]] = []
+    classes: list[list[int]] = []
     counts: list[int] = []
     for l in range(L + 1):
         block = _depth_windows(t, k, l, M)
         block.flags.writeable = False
+        classes.append([])
         for r, row in enumerate(block):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
+            c = seen.setdefault(row.tobytes(), len(rep_list))
+            if c == len(rep_list):
                 rep_list.append((l, r, row))
+            classes[l].append(c)
         counts.append(len(rep_list))
-    return rep_list, counts
+    return (rep_list, classes), counts
 
 
 def _depth_windows(t: ValueTable, k: int, l: int, M: int) -> np.ndarray:
@@ -199,10 +206,15 @@ def _distinct_cap(t: ValueTable, k: int, L: int, M: int) -> int | None:
     return letters**M if letters > 1 else None
 
 
+def _distinct_verdict(t: ValueTable, k: int, L: int, M: int, counts: list[int]) -> Verdict:
+    """The verdict on the distinct counts of _enumerate_distinct(t, k, L, M)."""
+    return _classify(counts, L, partial(_distinct_cap, t, k, L, M))
+
+
 def kernel_profile(t: ValueTable, k: int, L: int, M: int) -> KernelProfile:
     """Count distinct kernel windows per depth and classify the growth."""
     _, counts = _enumerate_distinct(t, k, L, M)
-    verdict = _classify(counts, L, partial(_distinct_cap, t, k, L, M))
+    verdict = _distinct_verdict(t, k, L, M, counts)
     return KernelProfile(k=k, M=M, L=L, distinct_counts=tuple(counts), verdict=verdict)
 
 
@@ -262,15 +274,11 @@ def _solve_exact(a: np.ndarray, b: np.ndarray) -> list[Fraction]:
     return [m[i][n] for i in range(n)]
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return max(-int(a.min()), int(a.max())) if a.size else 0
-
-
 def _spans(coeffs: list[Fraction], basis: np.ndarray, row: np.ndarray) -> bool:
     """Exactly whether row = coeffs @ basis over Q."""
     den = math.lcm(*(c.denominator for c in coeffs))
     num = [c.numerator * (den // c.denominator) for c in coeffs]
-    big = den * _max_abs(row) + sum(map(abs, num)) * _max_abs(basis) >= 2**63
+    big = den * _largest_abs(row) + sum(map(abs, num)) * _largest_abs(basis) >= 2**63
     dtype = object if big else np.int64
     lhs = np.array(num, dtype=dtype) @ basis.astype(dtype)
     return bool(np.all(lhs == row.astype(dtype) * den))
@@ -349,7 +357,7 @@ def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
     exactly over Q (_certify).  A prime that fails the check is replaced by
     the next prime below it and the profile starts again.
     """
-    reps, counts = _enumerate_distinct(t, k, L, M)
+    (reps, _), counts = _enumerate_distinct(t, k, L, M)
     p = _PRIME
     while True:
         space = _FpRowSpace(p, M, min(M, len(reps)))

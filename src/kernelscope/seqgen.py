@@ -330,8 +330,9 @@ def _int_type(bound: int) -> type:
 
 
 def _largest_abs(values: np.ndarray) -> int:
-    """max |v| over the entries, as a Python int (so int64's minimum fits)."""
-    return max(-int(values.min()), int(values.max()))
+    """max |v| over the entries, as a Python int (so int64's minimum fits);
+    0 for no entries."""
+    return max(-int(values.min()), int(values.max())) if values.size else 0
 
 
 # Table builders: table(N, ft, m) returns the values on 0..N for the

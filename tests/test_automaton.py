@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from kernelscope.automaton import (
     vector_values,
 )
 from kernelscope.errors import DomainError, VerdictError
+from kernelscope.kernel import kernel_profile
+from kernelscope.seqgen import FunctionId, ValueTable
 
 
 def identity_regular_rep():
@@ -89,6 +92,69 @@ class TestBuild:
 
     def test_verified_bound_recorded(self, tm_rep):
         assert tm_rep.verified_to == 128
+
+
+def automaton_values(delta, out, k, N):
+    """t(0..N) of the automaton read least significant digit first from
+    state 0: each n's base-k digits are fed in turn, then out[state]."""
+    delta = np.array(delta)
+    state = np.zeros(N + 1, dtype=np.int64)
+    m = np.arange(N + 1)
+    while m.any():
+        live = m > 0
+        state[live] = delta[state[live], m[live] % k]
+        m //= k
+    return np.array(out, dtype=np.int64)[state]
+
+
+def rises_after_a_flat_step(counts) -> bool:
+    steps = np.diff(counts)
+    flat = np.flatnonzero(steps == 0)
+    return bool(flat.size and steps[flat[0] :].any())
+
+
+class TestWholeTable:
+    """A saturated build agrees with its whole table, not only the window.
+
+    For an automaton with s states, two states that differ on some n >= 1
+    differ on some n < k^(s-1), so windows of width M >= k^s - 1 tell
+    every pair apart (M = k^s also covers the seeds).  Then the distinct
+    counts rise until one depth adds nothing and stay flat from there (the
+    classes reached are closed under the transitions), they are flat by
+    depth s - 1, and L >= s + 1 makes the profile saturated with dim <= s.
+    """
+
+    @pytest.mark.parametrize("k, s_max", [(2, 6), (3, 4)])
+    def test_random_automata(self, k, s_max):
+        rng = random.Random(20 + k)
+        for case in range(100):
+            s = rng.randint(2, s_max)
+            delta = [[rng.randrange(s) for _ in range(k)] for _ in range(s)]
+            out = [rng.choice((-1, 0, 1, 2)) for _ in range(s)]
+            L, M = s + 1, k**s
+            N = k**L * (M + 1)
+            t = ValueTable(FunctionId("identity_n"), N, automaton_values(delta, out, k, N))
+            where = f"case {case}: delta={delta} out={out}"
+            prof = kernel_profile(t, k, L, M)
+            assert prof.verdict.kind == "saturated", (where, prof.distinct_counts)
+            assert not rises_after_a_flat_step(prof.distinct_counts), where
+            rep = build_representation(t, k, L, M)
+            assert rep.dim <= s, where
+            assert np.array_equal(vector_values(rep, N)[1:, rep.output_coord],
+                                  t.values[1:]), where
+
+    @pytest.mark.parametrize("tag, k, mod", [
+        ("thue_morse_pm", 2, None),
+        ("const_one", 2, None),
+        ("const_one", 3, None),
+        ("sum_binary_digits", 2, 3),
+        ("identity_n", 2, 3),
+    ])
+    def test_fixtures(self, table, tag, k, mod):
+        t = table(tag, N=2**16, mod=mod)
+        assert not rises_after_a_flat_step(kernel_profile(t, k, 6, 64).distinct_counts)
+        rep = build_representation(t, k, 6, 64)
+        assert np.array_equal(vector_values(rep, t.N)[1:, rep.output_coord], t.values[1:])
 
 
 class TestEvaluate:

@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +443,23 @@ class TestOutsideFiles:
         self.check_refused(capsys, ["eval-rep", "--rep", str(path), "--n", "5"],
                            str(path), "'t'")
 
+    @pytest.mark.parametrize("name, value", [
+        ("k", 1),
+        ("growth", [-1, 0]),
+        ("growth", [1, "inf"]),
+        ("growth", ["nan", 0]),
+        ("output_coord", 5),
+        ("output_coord", -1),
+        ("automatic", "yes"),
+    ])
+    def test_rep_field_out_of_range(self, capsys, tmp_path, name, value):
+        doc = self.rep_doc(capsys)
+        doc[name] = value
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        argv = ["dirichlet-eval", "--method", "recursion", "--rep", str(path), "--s", "0.5+3j"]
+        self.check_refused(capsys, argv, str(path), repr(name))
+
     def test_out_under_missing_directory(self, capsys, tmp_path):
         path = str(tmp_path / "no" / "such" / "rep.json")
         self.check_refused(capsys, REP_ARGV + ["--out", path], path)
@@ -485,3 +506,22 @@ class TestCsvForms:
             '"fn_param": null, "format": "csv", "k": 2, "mod": null}\n'
             "depth,rank\n0,1\n1,3\n2,5\n3,8\n4,8\n"
         )
+
+
+def test_import_loads_no_heavy_module():
+    # import time is part of every command's run time; these modules are
+    # slow to load and no kernelscope module needs them at import
+    heavy = ("scipy", "mpmath", "hypothesis", "numpy.fft", "numpy.polynomial", "numpy.random")
+    code = (
+        "import importlib, pkgutil, sys, kernelscope\n"
+        "for m in pkgutil.iter_modules(kernelscope.__path__):\n"
+        "    importlib.import_module('kernelscope.' + m.name)\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = done.stdout.split()
+    assert "kernelscope.cli" in loaded and "kernelscope.zeta" in loaded
+    below = tuple(h + "." for h in heavy)
+    assert [m for m in loaded if m in heavy or m.startswith(below)] == []

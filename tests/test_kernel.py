@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelscope.errors import CapacityError, DomainError
+from kernelscope.automaton import build_representation
+from kernelscope.errors import CapacityError, DomainError, VerdictError
 from kernelscope.kernel import (
+    Verdict,
+    _classify,
     _depth_windows,
     _FpRowSpace,
     _enumerate_distinct,
@@ -154,6 +157,58 @@ class TestKernelProfile:
             counts.append(len(seen))
         prof = kernel_profile(tm, 2, 3, 32)
         assert list(prof.distinct_counts) == counts == [1, 2, 2, 2]
+
+
+def first_double_stall(counts, L, cap):
+    """The verdict rule before saturation meant flat through depth L: the
+    first double stall, whatever the counts do after it."""
+    if L == 0:
+        return Verdict("inconclusive")
+    for d in range(1, L):
+        if counts[d] == counts[d - 1] and counts[d + 1] == counts[d]:
+            limit = cap()
+            capped = limit is not None and counts[d] >= limit
+            kind = "window_capped" if capped else "saturated"
+            return Verdict(kind, depth=d, size=counts[d])
+    if all(counts[d] > counts[d - 1] for d in range(1, L + 1)):
+        return Verdict("growing")
+    return Verdict("inconclusive")
+
+
+class TestSaturationRule:
+    def test_rise_after_a_double_stall_is_inconclusive(self):
+        # t = 1 except t(83) = 2: depth 4 meets 83 = 16 * 5 + 3, depths 1..3 do not
+        N = 2**5 * 9
+        values = np.ones(N + 1, dtype=np.int64)
+        values[83] = 2
+        t = ValueTable(FunctionId("const_one"), N, values)
+        prof = kernel_profile(t, 2, 4, 8)
+        assert prof.distinct_counts == (1, 1, 1, 1, 2)
+        assert prof.verdict == Verdict("inconclusive")
+        with pytest.raises(VerdictError, match="inconclusive"):
+            build_representation(t, 2, 4, 8)
+
+    def test_a_late_rise_is_not_saturated(self):
+        assert _classify([1, 2, 2, 2, 3], 4, cap=lambda: None) == Verdict("inconclusive")
+        assert _classify([1, 2, 2, 2, 2], 4, cap=lambda: None) == Verdict(
+            "saturated", depth=2, size=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=8),
+           st.one_of(st.none(), st.integers(1, 8)))
+    def test_matches_first_double_stall_where_flat_after_it(self, steps, limit):
+        # non-decreasing counts from 1; steps of 0 make stalls
+        counts = np.cumsum([1] + steps).tolist()
+        L = len(steps)
+        want = first_double_stall(counts, L, lambda: limit)
+        got = _classify(counts, L, lambda: limit)
+        if want.depth is not None and len(set(counts[want.depth :])) > 1:
+            # the count rises after the first double stall: no verdict there
+            assert got.depth is None or got.depth > want.depth
+        else:
+            assert got == want
+        if got.depth is not None:
+            assert got.depth <= L - 1 and len(set(counts[got.depth - 1 :])) == 1
 
 
 class TestRankProfile:
@@ -348,7 +403,7 @@ class TestDepthWindows:
                 prefix = kernel_element(t, k, l, r, M).prefix
                 first.setdefault(prefix.tobytes(), (l, r, prefix))
             counts.append(len(first))
-        reps, got_counts = _enumerate_distinct(t, k, L, M)
+        (reps, _), got_counts = _enumerate_distinct(t, k, L, M)
         assert got_counts == counts
         assert [(l, r) for l, r, _ in reps] == [(l, r) for l, r, _ in first.values()]
         for (_, _, got), (_, _, want) in zip(reps, first.values()):
@@ -384,10 +439,9 @@ class TestWindowCap:
         from kernelscope.errors import VerdictError
 
         calls = []
-        for module in (kernel, automaton):
-            real = module._distinct_cap
-            monkeypatch.setattr(module, "_distinct_cap",
-                                lambda *a, real=real: calls.append(a) or real(*a))
+        real = kernel._distinct_cap
+        monkeypatch.setattr(kernel, "_distinct_cap",
+                            lambda *a: calls.append(a) or real(*a))
         lam = table("lambda", N=2**17)
         assert kernel_profile(lam, 2, 8, 256).verdict.kind == "growing"
         with pytest.raises(VerdictError):
