@@ -20,15 +20,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    DomainError,
-    PrecisionError,
-    VerdictError,
-)
+from .errors import DomainError, PrecisionError, VerdictError
 from .kernel import _distinct_verdict, _enumerate_distinct
 from .seqgen import ValueTable
 
@@ -41,13 +37,15 @@ class LinearRepresentation:
 
     seeds[b-1] is the vector U_b for b = 1..k-1 (U_1 alone when k = 2).
     labels[i] is the (l, r) kernel element coordinate i represents.
-    ``automatic`` marks row-selection mode; hand-built representations
-    with general integer matrices model the regular case.
     ``growth`` is a pair (C, d) with |U_n|_inf <= C n^d, used for
     Dirichlet tail bounds.  ``verified_to`` is the window the construction
     proves: a built representation's output coordinate equals its source
     table for every n <= verified_to (see build_representation); a
     hand-built one with no source table sets it to 0.
+
+    Every field is checked here, however the object is built; a value out
+    of range is a DomainError naming its field.  What follows from the
+    matrices, ``automatic`` and ``resolvent_poly``, is derived, not stored.
     """
 
     k: int
@@ -57,28 +55,41 @@ class LinearRepresentation:
     output_coord: int
     labels: tuple[tuple[int, int], ...]
     verified_to: int
-    automatic: bool
     growth: tuple[float, float]
 
     def __post_init__(self):
-        if len(self.matrices) != self.k:
-            raise ConstructionError(f"need {self.k} digit matrices")
+        k, dim, (C, d), mats = self.k, self.dim, self.growth, self.matrices
+        for name, ok, need in (
+            ("k", k >= 2, f"k >= 2, got {k}"),
+            ("matrices", len(mats) == k and all(a.shape == (dim, dim) for a in mats),
+             f"{k} of shape {(dim, dim)}, got {[a.shape for a in mats]}"),
+            ("seeds", self.seeds.shape == (k - 1, dim),
+             f"shape {(k - 1, dim)}, got {self.seeds.shape}"),
+            ("output_coord", 0 <= self.output_coord < dim,
+             f"0..{dim - 1}, got {self.output_coord}"),
+            ("labels", len(self.labels) == dim, f"{dim}, got {len(self.labels)}"),
+            ("verified_to", self.verified_to >= 0, f">= 0, got {self.verified_to}"),
+            ("growth", math.isfinite(C) and math.isfinite(d) and C > 0 and d >= 0,
+             f"finite (C, d) with C > 0 and d >= 0, got {self.growth}"),
+        ):
+            if not ok:
+                raise DomainError(f"field {name!r} out of range: need {need}")
         for a in self.matrices:
-            if a.shape != (self.dim, self.dim):
-                raise ConstructionError("matrix shape mismatch")
             a.flags.writeable = False
-        if self.seeds.shape != (self.k - 1, self.dim):
-            raise ConstructionError("need seed vectors U_1..U_{k-1}")
         self.seeds.flags.writeable = False
 
-    def row_selection_ok(self) -> bool:
-        """True when every matrix row has exactly one 1 and rest 0."""
-        for a in self.matrices:
-            if not np.all((a == 0) | (a == 1)):
-                return False
-            if not np.all(a.sum(axis=1) == 1):
-                return False
-        return True
+    @property
+    def automatic(self) -> bool:
+        """Row-selection mode: every digit matrix row holds one 1 and 0
+        elsewhere, as in a representation built from a saturated kernel."""
+        return all(np.all((a == 0) | (a == 1)) and np.all(a.sum(axis=1) == 1)
+                   for a in self.matrices)
+
+    @cached_property
+    def resolvent_poly(self) -> tuple[list[Fraction], list[list[list[Fraction]]]]:
+        """adjugate_poly of the averaged matrix, derived on first use: the
+        exact det(xI - Abar) and adj(xI - Abar) for lattice and continuation."""
+        return adjugate_poly(average_matrix(self))
 
     def to_json(self) -> dict:
         return {
@@ -95,34 +106,33 @@ class LinearRepresentation:
 
 
 def rep_from_json(doc: dict) -> LinearRepresentation:
-    """The representation ``to_json`` wrote; a missing or malformed field
-    raises DomainError naming it.  k must be at least 2, the growth pair
-    (C, d) finite with C > 0 and d >= 0, ``automatic`` a bool and
-    ``output_coord`` in 0..t-1."""
+    """The representation ``to_json`` wrote, parsed; a missing or malformed
+    field, or an ``automatic`` other than the matrices' bool, raises
+    DomainError naming it (LinearRepresentation checks the ranges)."""
 
-    def field(name, read, ok=lambda v: True):
+    def field(name, read):
         try:
-            value = read(doc[name])
+            return read(doc[name])
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"missing or malformed field {name!r}: {exc!r}") from exc
-        if not ok(value):
-            raise DomainError(f"field {name!r} out of range: {doc[name]!r}")
-        return value
 
-    k, dim = field("k", operator.index, lambda k: k >= 2), field("t", operator.index)
-    return LinearRepresentation(
-        k=k,
+    dim = field("t", operator.index)
+    rep = LinearRepresentation(
+        k=field("k", operator.index),
         dim=dim,
         matrices=field("matrices", lambda ms: tuple(
             np.array(m, dtype=np.int64).reshape(dim, dim) for m in ms)),
-        seeds=field("seeds", lambda v: np.array(v, dtype=np.int64).reshape(k - 1, dim)),
-        output_coord=field("output_coord", operator.index, lambda i: 0 <= i < dim),
+        seeds=field("seeds", lambda v: np.array(v, dtype=np.int64)),
+        output_coord=field("output_coord", operator.index),
         labels=field("labels", lambda v: tuple((int(a), int(b)) for a, b in v)),
         verified_to=field("verified_to", operator.index),
-        automatic=field("automatic", lambda v: v, lambda v: isinstance(v, bool)),
-        growth=field("growth", lambda g: (float(g[0]), float(g[1])), lambda g: (
-            all(map(math.isfinite, g)) and g[0] > 0 and g[1] >= 0)),
+        growth=field("growth", lambda g: (float(g[0]), float(g[1]))),
     )
+    automatic = field("automatic", lambda v: v)
+    if automatic is not rep.automatic:  # a JSON bool, so 1 and 0 are refused too
+        raise DomainError(f"field 'automatic' out of range: the matrices give "
+                          f"{rep.automatic}, got {automatic!r}")
+    return rep
 
 
 def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearRepresentation:
@@ -162,7 +172,6 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
         output_coord=0,
         labels=tuple((l, r) for l, r, _ in reps),
         verified_to=min(t.N, k * M),
-        automatic=True,
         growth=(float(max(1, int(np.abs(P).max()))), 0.0),
     )
 
@@ -192,7 +201,8 @@ def vector_values(rep: LinearRepresentation, N: int) -> np.ndarray:
 
 
 def evaluate(rep: LinearRepresentation, n: int) -> int:
-    """Value at n by peeling base-k digits down to a seed vector."""
+    """Value at n by peeling base-k digits down to a seed vector, exact
+    for every n: the products run on Python ints, never in int64."""
     if n < 1:
         raise DomainError(f"index must be >= 1, got {n}")
     digits = []
@@ -200,7 +210,7 @@ def evaluate(rep: LinearRepresentation, n: int) -> int:
     while m >= rep.k:
         m, r = divmod(m, rep.k)
         digits.append(r)
-    u = rep.seeds[m - 1].copy()
+    u = rep.seeds[m - 1].astype(object)
     for r in reversed(digits):
         u = rep.matrices[r] @ u
     return int(u[rep.output_coord])
@@ -208,14 +218,8 @@ def evaluate(rep: LinearRepresentation, n: int) -> int:
 
 def average_matrix(rep: LinearRepresentation) -> list[list[Fraction]]:
     """Exact (1/k) sum of the digit matrices."""
-    k = rep.k
-    return [
-        [
-            Fraction(sum(int(a[i, j]) for a in rep.matrices), k)
-            for j in range(rep.dim)
-        ]
-        for i in range(rep.dim)
-    ]
+    total = sum(a.astype(object) for a in rep.matrices)
+    return [[Fraction(x, rep.k) for x in row] for row in total.tolist()]
 
 
 def adjugate_poly(
@@ -318,17 +322,12 @@ class PoleLattice:
 
 
 def pole_lattice(rep: LinearRepresentation, m_max: int, l_max: int) -> PoleLattice:
-    """Enumerate candidate poles from eigenvalues of the averaged matrix."""
-    return lattice_from_char_poly(rep, adjugate_poly(average_matrix(rep))[0], m_max, l_max)
-
-
-def lattice_from_char_poly(
-    rep: LinearRepresentation, coeffs: list[Fraction], m_max: int, l_max: int
-) -> PoleLattice:
-    """pole_lattice from the exact coefficients of det(xI - Abar), low
-    degree first, for callers that already ran adjugate_poly."""
+    """Enumerate candidate poles from eigenvalues of the averaged matrix;
+    eigenvalue 1 is certified by the exact det(xI - Abar) of
+    ``rep.resolvent_poly``, which the lattice keeps as ``char_coeffs``."""
     if m_max < 0 or l_max < 0:
         raise DomainError("m_max and l_max must be >= 0")
+    coeffs = rep.resolvent_poly[0]
     try:
         # the integer sum divided once: the correctly rounded float of each entry
         eigs = np.linalg.eigvals(sum(rep.matrices) / rep.k)

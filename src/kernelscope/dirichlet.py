@@ -41,8 +41,7 @@ from functools import cache
 
 import numpy as np
 
-from .automaton import (LinearRepresentation, adjugate_poly, average_matrix,
-                        lattice_from_char_poly, vector_values)
+from .automaton import LinearRepresentation, pole_lattice, vector_values
 from .errors import CapacityError, DomainError, require_finite
 from .seqgen import FunctionId, ValueTable, build_table
 from .zeta import WORKING_RADIUS, _zeta_on, zeta_em
@@ -166,18 +165,17 @@ def direct_sum(t: ValueTable, s: complex, N_terms: int) -> EvalResult:
 class ContinuationContext:
     """s-independent precomputation shared across evaluations of one rep.
 
-    Holds float copies of the digit matrices, of the exact resolvent
-    polynomials of the averaged matrix Abar (the coefficients a_j of
-    det(xI - Abar) and the matrices M_j of adj(xI - Abar)) and of the
-    vectors U_n (the longest prefix asked for so far); grid scans reuse
-    one context for every column.  ``char_coeffs`` keeps the exact a_j,
-    from which a scan's pole lattice is built.
+    Holds float copies of the digit matrices, of the representation's
+    exact resolvent polynomials ``rep.resolvent_poly`` (the coefficients
+    a_j of det(xI - Abar) and the matrices M_j of adj(xI - Abar), derived
+    once per representation, so a scan's pole lattice reuses them) and of
+    the vectors U_n (the longest prefix asked for so far); grid scans
+    reuse one context for every column.
     """
 
     def __init__(self, rep: LinearRepresentation):
         self.rep = rep
-        coeffs, adj = adjugate_poly(average_matrix(rep))
-        self.char_coeffs = coeffs
+        coeffs, adj = rep.resolvent_poly
         d = rep.dim
         # row i holds what multiplies c^i: a_{d-i}, then M_{i+1} row by row (zero at i = d)
         self.poly = np.zeros((d + 1, 1 + d * d))
@@ -913,7 +911,7 @@ def pole_scan(
     clusters = _cluster([p for p in points if p.flagged], 1.6 * step)
     m_hi = int(T * math.log(rep.k) / (2 * math.pi)) + 2
     l_hi = max(0, int(math.ceil(2 - a))) + 1
-    lattice = lattice_from_char_poly(rep, ctx.char_coeffs, m_max=m_hi, l_max=l_hi)
+    lattice = pole_lattice(rep, m_hi, l_hi)
     predicted = tuple(p.s for p in lattice.in_rectangle(a, b, T))
     return ScanResult(
         a=a, b=b, T=T, step=step,

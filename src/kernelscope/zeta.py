@@ -243,12 +243,14 @@ def zeta_em(s: complex, target_tol: float = 1e-12) -> ZetaEval:
     """zeta(s) with |value - zeta(s)| <= error_estimate <= ~target_tol.
 
     Direct Euler-Maclaurin for Re s >= -0.5; functional-equation
-    reflection to the left of that.  s = 1 is the pole.  One point is a
-    one-element call of the array kernel.
+    reflection to the left of that.  s = 1 is the pole, and a NaN or
+    infinite tolerance is refused.  One point is a one-element call of the
+    array kernel.
     """
     s = complex(s)
     one = np.array([s])
     _check_points(one)
+    require_finite("tol", target_tol)
     if s.real >= -0.5:
         value, err, terms, order = _em_kernel(one, target_tol)
         return ZetaEval(s=s, value=complex(value[0]), terms_used=int(terms[0]),

@@ -40,7 +40,6 @@ def identity_regular_rep():
         output_coord=0,
         labels=((0, 0), (0, 0)),
         verified_to=0,
-        automatic=False,
         growth=(1.0, 1.0),
     )
 
@@ -74,12 +73,11 @@ class TestBuild:
         # 0/1 digit-sum parity; all matrices must be pure row selections
         rep = build_representation(table("sum_binary_digits", mod=2, N=2**14), 2, 6, 64)
         assert rep.automatic
-        assert rep.row_selection_ok()
         assert rep.dim == 2
 
     def test_row_selection_property(self, tm_rep, const_rep):
-        assert tm_rep.row_selection_ok()
-        assert const_rep.row_selection_ok()
+        assert tm_rep.automatic
+        assert const_rep.automatic
 
     def test_unsaturated_kernel_refused(self, table):
         with pytest.raises(VerdictError):
@@ -89,6 +87,19 @@ class TestBuild:
         # lambda's width-2 windows stall at 2^2 = 4 forms; that is no automaton
         with pytest.raises(VerdictError, match="window_capped"):
             build_representation(table("lambda", N=2**14), 2, 6, 2)
+
+    def test_window_below_the_seeds_refused(self, table):
+        with pytest.raises(DomainError, match=r"^window must cover the seeds: need M >= k = 3$"):
+            build_representation(table("const_one", N=2**14), 3, 5, 2)
+
+    def test_base_below_two_refused(self):
+        # at k = 1 evaluate's digit peeling would never end; every other
+        # field here is consistent, so the refusal names 'k' alone
+        with pytest.raises(DomainError, match=r"^field 'k' out of range: need k >= 2, got 1$"):
+            LinearRepresentation(
+                k=1, dim=1, matrices=(np.ones((1, 1), dtype=np.int64),),
+                seeds=np.zeros((0, 1), dtype=np.int64), output_coord=0,
+                labels=((0, 0),), verified_to=0, growth=(1.0, 0.0))
 
     def test_verified_bound_recorded(self, tm_rep):
         assert tm_rep.verified_to == 128
@@ -314,6 +325,10 @@ class TestPoleLattice:
         box_small = lat.in_rectangle(0.9, 1.1, 5)
         assert len(box_small) == 1
 
+    def test_negative_bounds_refused(self, const_rep):
+        with pytest.raises(DomainError, match="^m_max and l_max must be >= 0$"):
+            pole_lattice(const_rep, -1, 0)
+
     def test_csv_export(self, const_rep, tmp_path):
         lat = pole_lattice(const_rep, 1, 1)
         p = tmp_path / "lat.csv"
@@ -330,9 +345,14 @@ class TestRegularRepresentation:
         for n in (1, 2, 3, 27, 1000, 2**20 + 17):
             assert evaluate(rep, n) == n
 
+    @pytest.mark.parametrize("n", [2**63 + 5, 10**20, 2**70 + 3])
+    def test_eval_exact_past_int64(self, n):
+        # int64 products would wrap: 2^63 + 5 came back as -2^63 + 5
+        assert evaluate(identity_regular_rep(), n) == n
+
     def test_not_row_selection(self):
         rep = identity_regular_rep()
-        assert not rep.row_selection_ok()
+        assert not rep.automatic
 
     def test_eigenvalue_towers_at_two_and_one(self):
         # Dirichlet vector is (zeta(s-1), zeta(s)): towers at Re 2 and 1

@@ -88,6 +88,10 @@ class TestSeriesFromTable:
         with pytest.raises(DomainError):
             series_from_table(table("mu", N=100), 6, 50)
 
+    def test_length_below_two_rejected(self, table):
+        with pytest.raises(DomainError, match="^series length must be >= 2, got 1$"):
+            series_from_table(table("mu", N=100), 3, 1)
+
     def test_length_beyond_table(self, table):
         with pytest.raises(CapacityError):
             series_from_table(table("mu", N=100), 2, 102)
@@ -195,6 +199,10 @@ class TestOrbits:
         s = series_from_table(table("lambda", N=200), 2, 130)
         rep = orbit_explore(s, 50)
         assert rep.verdict == "inconclusive"
+
+    def test_zero_budget_rejected(self, tm_series):
+        with pytest.raises(DomainError, match="^budget must be >= 1, got 0$"):
+            orbit_explore(tm_series, 0)
 
     def test_too_short_rejected(self, table):
         s = series_from_table(table("lambda", N=100), 2, 60)

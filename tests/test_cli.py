@@ -289,6 +289,20 @@ class TestContract:
     def test_missing_fn_for_table_command(self, capsys):
         assert run(["dirichlet-eval", "--method", "direct", "--s", "2"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dirichlet-eval", "--method", "zeta-quotient", "--s", "2"],
+         "--method zeta-quotient needs --id"),
+        (["eval-rep", "--n", "5"], "need --rep FILE, or --fn/--N (plus --k/--L/--M) to build"),
+    ])
+    def test_missing_source_exits_1(self, capsys, argv, message):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_1(self, capsys, tol):
+        assert run(["zeta", "--re", "2", "--tol", tol]) == 1
+        assert capsys.readouterr().err == f"error: tol must be finite, got {tol}\n"
+
     @pytest.mark.parametrize("argv", [["zeta", "--re", "2"], ["zero-count", "--T", "20"]])
     def test_csv_without_csv_form_exits_1(self, capsys, argv):
         assert run(argv + ["--format", "csv"]) == 1
@@ -404,6 +418,10 @@ class TestContract:
 
 REP_ARGV = ["build-rep", "--fn", "thue_morse_pm", "--k", "2", "--L", "5", "--M", "32",
             "--N", "4096"]
+# U_n = (n, 1), the sequence n: U_{2n} = [[2, 0], [0, 1]] U_n, U_{2n+1} = [[2, 1], [0, 1]] U_n
+REGULAR_REP = {"k": 2, "t": 2, "matrices": [[2, 0, 0, 1], [2, 1, 0, 1]], "seeds": [[1, 1]],
+               "output_coord": 0, "labels": [[0, 0], [0, 0]], "verified_to": 0,
+               "automatic": False, "growth": [1.0, 1.0]}
 
 
 class TestOutsideFiles:
@@ -451,6 +469,10 @@ class TestOutsideFiles:
         ("output_coord", 5),
         ("output_coord", -1),
         ("automatic", "yes"),
+        ("matrices", [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1]]),
+        ("labels", [[0, 0]]),
+        ("verified_to", -3),
+        ("automatic", False),
     ])
     def test_rep_field_out_of_range(self, capsys, tmp_path, name, value):
         doc = self.rep_doc(capsys)
@@ -459,6 +481,19 @@ class TestOutsideFiles:
         path.write_text(json.dumps(doc))
         argv = ["dirichlet-eval", "--method", "recursion", "--rep", str(path), "--s", "0.5+3j"]
         self.check_refused(capsys, argv, str(path), repr(name))
+
+    @pytest.mark.parametrize("n", [2**63 + 5, 10**20, 2**70 + 3])
+    def test_eval_rep_exact_past_int64(self, capsys, tmp_path, n):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(REGULAR_REP))
+        doc = run_json(capsys, ["eval-rep", "--rep", str(path), "--n", str(n)])
+        assert doc["result"] == {"n": n, "value": n}
+
+    def test_regular_rep_claiming_automatic(self, capsys, tmp_path):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({**REGULAR_REP, "automatic": True}))
+        self.check_refused(capsys, ["eval-rep", "--rep", str(path), "--n", "5"],
+                           str(path), "'automatic'")
 
     def test_out_under_missing_directory(self, capsys, tmp_path):
         path = str(tmp_path / "no" / "such" / "rep.json")

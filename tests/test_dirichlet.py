@@ -457,7 +457,7 @@ class TestZetaQuotientEval:
         res = zeta_quotient_eval(IdentityId("chi_PP"), s)
         assert abs(res.value - float(truth)) <= res.error_estimate
 
-    @pytest.mark.parametrize("tag, param", [("q_m", None), ("q_m", 1), ("mu", 3)])
+    @pytest.mark.parametrize("tag, param", [("q_m", None), ("q_m", 1), ("mu", 3), ("nope", None)])
     def test_parameter_rules_name_the_tag(self, tag, param):
         with pytest.raises(DomainError, match=tag):
             IdentityId(tag, param)
@@ -638,6 +638,10 @@ class TestLandauWalfisz:
                       if all(e == 1 for e in trial_factorization(n).values())]
         assert landau_walfisz_singularities(n_max) == [Fraction(1, n) for n in squarefree]
 
+    def test_n_max_zero_refused(self):
+        with pytest.raises(DomainError, match="^n_max must be >= 1, got 0$"):
+            landau_walfisz_singularities(0)
+
     def test_n_max_10_count(self):
         pts = landau_walfisz_singularities(10)
         assert len(pts) == 7
@@ -766,6 +770,15 @@ class TestPoleScan:
                 assert p.near_singular and math.isnan(p.abs_value)
             else:
                 assert abs(p.abs_value - abs(alone.value)) <= 1e-9, p.s
+
+    @pytest.mark.parametrize("a, b, T, step, message", [
+        (1.1, 0.9, 3.0, 0.1, r"^need a <= b, got a=1.1, b=0.9$"),
+        (0.9, 1.1, -1.0, 0.1, r"^need T >= 0 and step > 0$"),
+        (0.9, 1.1, 3.0, 0.0, r"^need T >= 0 and step > 0$"),
+    ])
+    def test_bad_rectangle_refused(self, const_rep, a, b, T, step, message):
+        with pytest.raises(DomainError, match=message):
+            pole_scan(const_rep, a, b, T, step)
 
     @pytest.mark.parametrize("name", ["a", "b", "T", "step"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

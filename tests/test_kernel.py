@@ -139,6 +139,15 @@ class TestKernelProfile:
         assert ranks.ranks == (1,)
         assert ranks.verdict.kind == "inconclusive"
 
+    @pytest.mark.parametrize("k, L, M, message", [
+        (1, 3, 8, "base k must be >= 2, got 1"),
+        (2, 3, 0, "window length must be >= 1, got 0"),
+        (2, -1, 8, "max depth must be >= 0, got -1"),
+    ])
+    def test_geometry_refused(self, table, k, L, M, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            kernel_profile(table("mu", N=100), k, L, M)
+
     def test_counts_monotone(self, table):
         for tag in ("mu", "phi", "thue_morse_pm"):
             prof = kernel_profile(table(tag, N=2**13), 2, 5, 32)

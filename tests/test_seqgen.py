@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelscope.errors import CapacityError, DomainError, RangeError
+from kernelscope.errors import CapacityError, ConstructionError, DomainError, RangeError
 from kernelscope.seqgen import (
     ALL_TAGS,
     FunctionId,
@@ -58,6 +58,15 @@ class TestFactorTable:
         with pytest.raises(CapacityError):
             build_factor_table(200)
         build_factor_table(100)
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "^KERNELSCOPE_MAX_N must be an integer, got 'abc'$"),
+        ("1", "^KERNELSCOPE_MAX_N must be >= 2, got 1$"),
+    ])
+    def test_env_override_refused(self, monkeypatch, raw, message):
+        monkeypatch.setenv("KERNELSCOPE_MAX_N", raw)
+        with pytest.raises(DomainError, match=message):
+            build_factor_table(100)
 
     def test_int32_layout_guard(self, monkeypatch):
         # spf and rest are int32: a cap raised past 2^31 - 1 must not let
@@ -195,6 +204,24 @@ class TestGenerate:
             bound = sieve_bound(FunctionId("nth_prime"), N)
             assert ft_1m.primes[N - 1] <= bound <= max(12, 1.3 * ft_1m.primes[N - 1]), N
         assert sieve_bound(FunctionId("mu"), 77) == 77
+
+    @pytest.mark.parametrize("fid, N, message", [
+        (FunctionId("mu"), 0, "table bound must be >= 1, got 0"),
+        (FunctionId("mu", modulus=3), 10, "generate() produces unreduced tables; use reduce_mod"),
+    ])
+    def test_refused_before_tabulating(self, fid, N, message):
+        with pytest.raises(DomainError) as err:
+            generate(fid, N, build_factor_table(12))
+        assert str(err.value) == message
+
+    def test_value_table_refusals(self):
+        t = ValueTable(FunctionId("mu"), 3, np.array([0, 1, -1, -1], dtype=np.int8))
+        aligned = r"^values must be index-aligned with length N\+1$"
+        with pytest.raises(ConstructionError, match=aligned):
+            ValueTable(FunctionId("mu"), 4, t.values)
+        for n in (0, 4):
+            with pytest.raises(RangeError, match=rf"^index {n} outside table range 1\.\.3$"):
+                t.value(n)
 
     def test_nth_prime_exhaustion(self):
         with pytest.raises(RangeError):

@@ -295,6 +295,9 @@ class TestCriticalLineZeros:
         with pytest.raises(DomainError):
             critical_line_zeros(0)
 
+    def test_no_zero_below_height_one(self):
+        assert critical_line_zeros(0.5) == []
+
 
 class TestHeightLimit:
     def test_t_1000_refused_up_front(self, monkeypatch):
@@ -379,6 +382,10 @@ class TestZeroCount:
     def test_below_bottom_refused(self):
         with pytest.raises(DomainError, match="must exceed the bottom edge 0.1"):
             zero_count_report(0.05)
+
+    def test_ratio_height_one_refused(self):
+        with pytest.raises(DomainError, match="^heights must exceed 1, got 1.0$"):
+            tlogt_ratio_table([1.0])
 
     def test_count_work(self, monkeypatch):
         # N(998) from the 17 points of one segment, plus any halving
