@@ -15,7 +15,6 @@ as seed vectors.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, VerdictError
 from .kernel import _distinct_verdict, _enumerate_distinct
-from .seqgen import ValueTable
+from .seqgen import ValueTable, write_rows
 
 LATTICE_ZERO_TOL = 1e-10  # eigenvalues of Abar this small give no lattice points
 
@@ -300,10 +299,8 @@ class PoleLattice:
         ]
 
     def write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["re", "im", "alpha_index", "m", "l"])
-        for p in self.points:
-            w.writerow([repr(p.s.real), repr(p.s.imag), p.alpha_index, p.m, p.l])
+        write_rows(fh, ["re", "im", "alpha_index", "m", "l"],
+                   ((p.s.real, p.s.imag, p.alpha_index, p.m, p.l) for p in self.points))
 
     def to_json(self) -> dict:
         return {

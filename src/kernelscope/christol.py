@@ -24,17 +24,28 @@ from .seqgen import ValueTable, is_prime, residues
 MIN_WINDOW = 32
 
 
+def _check_prime(p: int) -> None:
+    """Refuse p unless it is a prime below 2^31.  A section needs MIN_WINDOW
+    p coefficients, more than any table the sieve builds (N < 2^31) holds
+    once p >= 2^26, so the bound refuses no series that could have a
+    section, and it caps the trial division at sqrt(2^31) steps."""
+    if p >= 2**31:
+        raise DomainError(f"p must be below 2^31, got {p}")
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+
+
 @dataclass(frozen=True)
 class FpSeries:
     """Truncated power series over F_p, exact on all of ``coeffs``: the
-    reliable window is the coefficients themselves."""
+    reliable window is the coefficients themselves.  p is a prime below
+    2^31 (a DomainError otherwise)."""
 
     p: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"p must be prime, got {self.p}")
+        _check_prime(self.p)
         if len(self.coeffs) < 1:
             raise DomainError("a series needs at least one coefficient")
         self.coeffs.flags.writeable = False
@@ -53,8 +64,7 @@ class FpSeries:
 
 def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
     """Coefficients t(n) mod p for 1 <= n < N; coefficient 0 is 0."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+    _check_prime(p)  # before the reduction, which needs 2 <= p < 2^63
     if N < 2:
         raise DomainError(f"series length must be >= 2, got {N}")
     if N - 1 > t.N:

@@ -79,7 +79,10 @@ def _emit(args, payload_json, payload_csv, compute_s: float) -> None:
                 return _ROWS_MARK
             return str(obj)
 
-        parts = (json.dumps(doc, indent=2, default=default) + "\n").split(json.dumps(_ROWS_MARK))
+        # a NaN or an infinity is refused (ValueError) rather than written as
+        # the NaN or Infinity that strict JSON parsers reject
+        text = json.dumps(doc, indent=2, default=default, allow_nan=False)
+        parts = (text + "\n").split(json.dumps(_ROWS_MARK))
 
         def write(fh):
             for part, r in zip(parts, rows + [None]):
@@ -99,6 +102,13 @@ def _emit(args, payload_json, payload_csv, compute_s: float) -> None:
               f"write {time.perf_counter() - start:.3f}s)", file=sys.stderr)
     else:
         write(sys.stdout)
+
+
+def _rows(header, rows):
+    """A command's JSON objects, one per row keyed by ``header``, and its
+    CSV writer, for a result whose JSON carries exactly its CSV columns."""
+    rows = list(rows)
+    return [dict(zip(header, r)) for r in rows], lambda fh: seqgen.write_rows(fh, header, rows)
 
 
 def _load_table(args) -> seqgen.ValueTable:
@@ -193,17 +203,9 @@ def _cmd_rank_profile(args):
 def _cmd_density(args):
     t = _load_table(args)
     ests = kernel.value_density(t, args.value, args.lengths.items)
-
-    def to_csv(fh):
-        import csv as _csv
-
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["X", "count", "density", "approx_num", "approx_den", "residual"])
-        for e in ests:
-            w.writerow([e.X, e.count, repr(e.density), e.approx.numerator,
-                        e.approx.denominator, repr(e.residual)])
-
-    return [e.to_json() for e in ests], to_csv
+    return _rows(["X", "count", "density", "approx_num", "approx_den", "residual"],
+                 ((e.X, e.count, e.density, e.approx.numerator, e.approx.denominator,
+                   e.residual) for e in ests))
 
 
 def _cmd_build_rep(args):
@@ -260,19 +262,11 @@ def _cmd_pole_scan(args):
 
 def _cmd_singularities(args):
     points = dirichlet.landau_walfisz_singularities(args.n_max)
-
-    def to_csv(fh):
-        import csv as _csv
-
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["numerator", "denominator", "value"])
-        for f in points:
-            w.writerow([f.numerator, f.denominator, repr(float(f))])
-
     return (
         {"count": len(points),
          "points": [{"num": f.numerator, "den": f.denominator} for f in points]},
-        to_csv,
+        lambda fh: seqgen.write_rows(fh, ["numerator", "denominator", "value"], (
+            (f.numerator, f.denominator, float(f)) for f in points)),
     )
 
 
@@ -291,7 +285,8 @@ def _cmd_zeros(args):
     zs = zeta.critical_line_zeros(args.T)
     return (
         [{"index": i, "ordinate": z.ordinate} for i, z in enumerate(zs, start=1)],
-        lambda fh: zeta.zeros_to_csv(zs, fh),
+        lambda fh: seqgen.write_rows(fh, ["index", "ordinate"], (
+            (i, f"{z.ordinate:.6f}") for i, z in enumerate(zs, start=1))),
     )
 
 
@@ -307,10 +302,7 @@ def _cmd_zero_count(args):
 
 def _cmd_tlogt(args):
     rows = zeta.tlogt_ratio_table(args.T_list.items)
-    return (
-        [{"T": r.T, "N": r.N, "ratio_TlogT": r.ratio} for r in rows],
-        lambda fh: zeta.ratio_table_to_csv(rows, fh),
-    )
+    return _rows(["T", "N", "ratio_TlogT"], ((r.T, r.N, r.ratio) for r in rows))
 
 
 def _cmd_christol_orbit(args):

@@ -42,8 +42,8 @@ from functools import cache
 import numpy as np
 
 from .automaton import LinearRepresentation, pole_lattice, vector_values
-from .errors import CapacityError, DomainError, require_finite
-from .seqgen import FunctionId, ValueTable, build_table
+from .errors import CapacityError, DomainError, PrecisionError, require_finite
+from .seqgen import FunctionId, ValueTable, build_table, write_rows
 from .zeta import WORKING_RADIUS, _zeta_on, zeta_em
 
 BASE_STRIP_SIGMA = 1.25
@@ -76,9 +76,14 @@ class EvalResult:
     offset_averaged: bool = False
 
     def to_json(self) -> dict:
+        """The fields as JSON; ``error_estimate`` is null where no finite
+        bound exists (a refused point, a tail past the m horizon), since
+        JSON has no Infinity."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["s"] = [self.s.real, self.s.imag]
         doc["value"] = None if self.value is None else [self.value.real, self.value.imag]
+        if not math.isfinite(self.error_estimate):
+            doc["error_estimate"] = None
         return doc
 
 
@@ -483,6 +488,10 @@ class _ColumnEngine:
             bad = twin.top_bad | twin.inner_bad
             refused[idx] = bad[:n] | bad[n:]
             averaged &= ~refused
+        overflow = np.flatnonzero(~refused & ~np.isfinite(value))
+        if len(overflow):
+            s = complex(self.s_col[overflow[0]])
+            raise PrecisionError(f"continuation at s = {s} overflowed: its value is not finite")
         results = []
         for j, s in enumerate(self.s_col.tolist()):
             det = float(self.top_det[j])
@@ -835,13 +844,11 @@ class ScanResult:
         return len(self.predicted)
 
     def write_csv(self, fh) -> None:
-        # every field is a float repr or a flag name: none needs CSV quoting
-        fh.write("re,im,abs_value,det_magnitude,flags\n")
-        for p in self.points:
-            flags = "|".join(name for name, on in (("near_singular", p.near_singular),
-                                                   ("cluster_candidate", p.flagged)) if on)
-            absval = "nan" if math.isnan(p.abs_value) else repr(p.abs_value)
-            fh.write(f"{p.s.real!r},{p.s.imag!r},{absval},{p.det_magnitude!r},{flags}\n")
+        write_rows(fh, ["re", "im", "abs_value", "det_magnitude", "flags"], (
+            (p.s.real, p.s.imag, p.abs_value, p.det_magnitude,
+             "|".join(name for name, on in (("near_singular", p.near_singular),
+                                            ("cluster_candidate", p.flagged)) if on))
+            for p in self.points))
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,6 @@ not proof.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .seqgen import ValueTable, _largest_abs, is_prime
+from .seqgen import ValueTable, _largest_abs, is_prime, write_rows
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,7 @@ class KernelProfile:
         }
 
     def write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["depth", "count"])
-        for d, c in enumerate(self.distinct_counts):
-            w.writerow([d, c])
+        write_rows(fh, ["depth", "count"], enumerate(self.distinct_counts))
 
 
 @dataclass(frozen=True)
@@ -124,10 +120,7 @@ class RankProfile:
         }
 
     def write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["depth", "rank"])
-        for d, c in enumerate(self.ranks):
-            w.writerow([d, c])
+        write_rows(fh, ["depth", "rank"], enumerate(self.ranks))
 
 
 def _validate_geometry(t: ValueTable, k: int, l: int, r: int, M: int) -> None:
@@ -395,16 +388,6 @@ class DensityEstimate:
     density: float
     approx: Fraction
     residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "X": self.X,
-            "count": self.count,
-            "density": self.density,
-            "approx_num": self.approx.numerator,
-            "approx_den": self.approx.denominator,
-            "residual": self.residual,
-        }
 
 
 def value_density(t: ValueTable, v: int, prefix_lengths: list[int]) -> list[DensityEstimate]:

@@ -24,12 +24,14 @@ Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
 ``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only:
 ``to_json`` lists values[1:], and ``write_csv`` formats its rows by array
 arithmetic one block of 2^16 rows at a time, one write per block, so the
-export's memory does not grow with N.
+export's memory does not grow with N.  Every other CSV the package writes
+is a header and rows through ``write_rows``.
 Sequences are indexed from 1; there is no f(0).
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from collections.abc import Callable
@@ -235,6 +237,15 @@ class ValueTable:
             _ascii_digits(rows[:, wn + 1 + sign : -1], mag.astype(_digit_type(top)))
             rows[:, -1] = ord("\n")
             fh.write(rows[rows != 0].tobytes().decode("ascii"))
+
+
+def write_rows(fh, header, rows) -> None:
+    """CSV of ``header`` and then each of ``rows``, every line ended by a
+    bare line feed: a float is written as its repr (NaN as nan), and a
+    field is quoted only where it holds a comma, a quote or a line break."""
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
 
 
 # rows per CSV block; a row of its matrix takes at most the digits of N

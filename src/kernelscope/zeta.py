@@ -24,7 +24,6 @@ ratios of desk-scale counts in a readable window.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -606,17 +605,3 @@ def tlogt_ratio_table(T_list: list[float]) -> list[RatioRow]:
                                     sign_change_count=changes))
         rows.append(RatioRow(T=T, N=n, ratio=n / (T * math.log10(T))))
     return rows
-
-
-def zeros_to_csv(zeros: list[ZeroRecord], fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["index", "ordinate"])
-    for i, z in enumerate(zeros, start=1):
-        w.writerow([i, f"{z.ordinate:.6f}"])
-
-
-def ratio_table_to_csv(rows: list[RatioRow], fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["T", "N", "ratio_TlogT"])
-    for r in rows:
-        w.writerow([r.T, r.N, repr(r.ratio)])

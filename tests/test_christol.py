@@ -237,6 +237,14 @@ class TestValidation:
         with pytest.raises(DomainError):
             FpSeries(p=2, coeffs=np.zeros(0, dtype=np.int64))
 
+    def test_prime_past_2_31_refused(self, table):
+        # 2^31 + 11 and 2^61 - 1 are prime, but no table holds a section's
+        # 32 p coefficients, and trial division to sqrt(2^61) takes minutes
+        with pytest.raises(DomainError, match=r"^p must be below 2\^31, got 2147483659$"):
+            FpSeries(p=2**31 + 11, coeffs=np.zeros(40, dtype=np.int64))
+        with pytest.raises(DomainError, match="below 2"):
+            series_from_table(table("lambda", N=100), 2**61 - 1, 50)
+
     def test_json_export(self, table):
         s = series_from_table(table("mu", N=100), 2, 6)
         doc = s.to_json()

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,10 @@ import pytest
 
 from kernelscope import __version__, cli, errors, seqgen
 from kernelscope.cli import run
+
+
+# the representation of const_one, built from a table
+CONST_ONE = ["--fn", "const_one", "--N", "4096", "--k", "2", "--L", "5", "--M", "32"]
 
 
 def run_json(capsys, argv):
@@ -298,6 +303,39 @@ class TestContract:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        # the pole; a finite value with no finite bound; zeta's pole in the quotient
+        ["dirichlet-eval", "--method", "recursion", *CONST_ONE, "--s", "1"],
+        ["dirichlet-eval", "--method", "recursion", *CONST_ONE, "--s=-150"],
+        ["dirichlet-eval", "--method", "zeta-quotient", "--id", "mu", "--s", "1.0000001"],
+    ])
+    def test_unbounded_error_is_null(self, capsys, argv):
+        def not_json(name):
+            raise ValueError(f"{name} is not a JSON number")
+
+        assert run(argv) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=not_json)
+        assert doc["result"]["error_estimate"] is None
+
+    def test_overflowed_continuation_exits_2(self):
+        # float64 overflows below s = -250; a subprocess, since the overflow
+        # warns before it is refused
+        argv = ["dirichlet-eval", "--method", "recursion", *CONST_ONE, "--s=-300"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-m", "kernelscope.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2 and done.stdout == ""
+        assert "error: continuation at s = (-300+0j) overflowed" in done.stderr
+
+    def test_prime_past_2_31_exits_1_at_once(self, capsys):
+        # 2^61 - 1 is prime; trial division to its root ran past 30 s
+        start = time.perf_counter()
+        assert run(["christol-orbit", "--fn", "lambda", "--N", "1000",
+                    "--p", str(2**61 - 1)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: p must be below 2^31, got {2**61 - 1}\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_1(self, capsys, tol):
         assert run(["zeta", "--re", "2", "--tol", tol]) == 1
@@ -541,6 +579,51 @@ class TestCsvForms:
             '"fn_param": null, "format": "csv", "k": 2, "mod": null}\n'
             "depth,rank\n0,1\n1,3\n2,5\n3,8\n4,8\n"
         )
+
+    def rows_of(self, capsys, argv):
+        """The CSV after its two comment lines, which test_density pins."""
+        tool, config, rows = self.csv_of(capsys, argv).split("\n", 2)
+        assert tool == f"# tool=kernelscope version={__version__}"
+        assert config.startswith("# config={")
+        return rows
+
+    def test_kernel_profile(self, capsys):
+        out = self.rows_of(capsys, ["kernel-profile", "--fn", "thue_morse_pm", "--k", "2",
+                                    "--L", "4", "--M", "32", "--N", "8192"])
+        assert out == "depth,count\n0,1\n1,2\n2,2\n3,2\n4,2\n"
+
+    def test_pole_lattice(self, capsys):
+        # eigenvalue 1 of base 2: s = 1 - l + 2 pi i m / log 2
+        out = self.rows_of(capsys, ["pole-lattice", *CONST_ONE,
+                                    "--m-max", "1", "--l-max", "1"])
+        assert out == (
+            "re,im,alpha_index,m,l\n"
+            "1.0,-9.064720283654388,0,-1,0\n0.0,-9.064720283654388,0,-1,1\n"
+            "1.0,0.0,0,0,0\n0.0,0.0,0,0,1\n"
+            "1.0,9.064720283654388,0,1,0\n0.0,9.064720283654388,0,1,1\n"
+        )
+
+    @pytest.mark.parametrize("bounds, rows", [
+        # the pole itself: refused, so no value and both flags
+        (["--a", "1", "--b", "1", "--T", "0"],
+         "1.0,0.0,nan,0.0,near_singular|cluster_candidate\n"),
+        # regular points: an empty flags field
+        (["--a", "0.5", "--b", "0.5", "--T", "0.2"],
+         "0.5,0.0,1.4603545089754078,0.4142135623730949,\n"
+         "0.5,0.1,1.433807867851917,0.42233255493199423,\n"
+         "0.5,0.2,1.3627709455449586,0.44576664655248216,\n"),
+    ])
+    def test_pole_scan(self, capsys, bounds, rows):
+        out = self.rows_of(capsys, ["pole-scan", *CONST_ONE, *bounds, "--step", "0.1"])
+        assert out == "re,im,abs_value,det_magnitude,flags\n" + rows
+
+    def test_zeros(self, capsys):
+        assert self.rows_of(capsys, ["zeros", "--T", "15"]) == "index,ordinate\n1,14.134725\n"
+
+    def test_tlogt(self, capsys):
+        # N(50) = 10
+        out = self.rows_of(capsys, ["tlogt", "--T-list", "50"])
+        assert out == "T,N,ratio_TlogT\n50.0,10,0.11771838201355579\n"
 
 
 def test_import_loads_no_heavy_module():

@@ -1,6 +1,7 @@
-"""Every command of the README's CLI block runs and exits 0."""
+"""Every command of the README's CLI block runs, exits 0 and writes strict JSON."""
 
 import argparse
+import json
 import shlex
 from pathlib import Path
 
@@ -37,3 +38,12 @@ def test_readme_command_runs(line, tmp_path):
         argv += ["--out", str(tmp_path / "out")]
     assert cli.run(argv) == 0
     assert any(tmp_path.iterdir())
+    for path in tmp_path.iterdir():
+        text = path.read_text()
+        if text.startswith("{"):
+            json.loads(text, parse_constant=_not_json)
+
+
+def _not_json(name: str):
+    # json.loads accepts NaN, Infinity and -Infinity; RFC 8259 and jq do not
+    raise ValueError(f"{name} is not a JSON number")
