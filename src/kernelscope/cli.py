@@ -253,10 +253,7 @@ def _cmd_verify_identity(args):
 
 def _cmd_pole_scan(args):
     rep = _load_rep(args)
-    res = dirichlet.pole_scan(
-        rep, args.a, args.b, args.T, args.step,
-        levels=args.levels, threads=args.threads,
-    )
+    res = dirichlet.pole_scan(rep, args.a, args.b, args.T, args.step, levels=args.levels)
     return res.to_json(), res.write_csv
 
 
@@ -392,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = command("singularities", _cmd_singularities,
                 "real singular points 1/n of the prime zeta function", both)

@@ -20,8 +20,16 @@ solving for H rather than G keeps the tail's relative precision.  The
 tails H(s + o) at the offsets o below a depth ``levels`` are solved from
 this recursion; the tails at offsets o >= levels are summed directly
 (valid for Re s + o >= 1.25 plus the coefficient growth degree).  One
-engine evaluates a whole vertical column of points at once; a single
-evaluation is a column of one point.  Near-singular systems at the
+engine evaluates a whole grid xs × ys of points at once: a pole scan is
+one grid (a wide one a few grids of whole columns, so memory stays
+bounded), a vertical column a grid with one x, a single evaluation a grid
+of one point.  Each offset's node is solved once for every point of the
+grid, while each column keeps its own cuts and tail lengths.  The strip
+sums of every column run in one pass over n, in phase blocks n^{-iy} of
+at most _PHASE_BLOCK entries, each built once from one half-angle tangent
+as a real matrix (cos and -sin of y log n) and used in real GEMMs for
+every strip range live in it, so no phase matrix is ever held whole and no
+complex exp runs.  Near-singular systems at the
 requested point are refused as candidate poles; hitting one strictly
 inside the recursion (a removable coefficient-times-pole limit, e.g.
 zeta at s = 0 needing the value at the pole s+1 = 1) is resolved by
@@ -34,7 +42,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
@@ -49,7 +56,11 @@ from .zeta import WORKING_RADIUS, _zeta_on, zeta_em
 BASE_STRIP_SIGMA = 1.25
 _DIRECT_TOL = 1e-9
 _DIRECT_CAP = 1 << 21
-_CHUNK = 1 << 19  # longest strip in one phase matrix; entries per block past it
+_PHASE_BLOCK = 1 << 16  # n^{-iy} entries per phase block of the strip sums
+# points x (dim^2 + 40) per engine of a pole scan, which takes whole columns:
+# a point's arrays take about 64 (dim^2 + 40) bytes (the resolvent's dim^2
+# entries, the node array's rows and the series terms), ~8 MiB an engine
+_GRID_BLOCK = 1 << 17
 _SUM_BLOCK = 1 << 16  # table entries per block of a direct sum
 _NEAR_SINGULAR_DET = 1e-8
 _OFFSET_H = 1e-4
@@ -174,8 +185,7 @@ class ContinuationContext:
     exact resolvent polynomials ``rep.resolvent_poly`` (the coefficients
     a_j of det(xI - Abar) and the matrices M_j of adj(xI - Abar), derived
     once per representation, so a scan's pole lattice reuses them) and of
-    the vectors U_n (the longest prefix asked for so far); grid scans
-    reuse one context for every column.
+    the vectors U_n (the longest prefix asked for so far).
     """
 
     def __init__(self, rep: LinearRepresentation):
@@ -219,12 +229,9 @@ class ContinuationContext:
 
     def u(self, N: int) -> np.ndarray:
         """U_0..U_N as floats (row 0 unused)."""
-        u = self._u
-        if len(u) <= N:
-            # returned from the local: a concurrent call may store a shorter one
-            u = np.asarray(vector_values(self.rep, N), dtype=np.float64)
-            self._u = u
-        return u[: N + 1]
+        if len(self._u) <= N:
+            self._u = np.asarray(vector_values(self.rep, N), dtype=np.float64)
+        return self._u[: N + 1]
 
 
 def split_point(k: int, t_extreme: float) -> int:
@@ -244,136 +251,194 @@ def default_levels(s: complex, d: float) -> int:
 
 
 class _ColumnEngine:
-    """The continuation at every point x + i y, y in ys, at once.
+    """The continuation at every point x + i y of the grid xs × ys at once.
 
-    Every node of the recursion is an array over the column's imaginary
-    parts: systems are solved through the context's resolvent polynomials
-    and the strip sums are products of the phase matrix n^{-iy} (a row per
-    point, shared by every column of a scan) with real weights n^{-x-o} U_n.
-    Points whose top system is near-singular are refused; points that meet
-    a near-singular system strictly inside the recursion are evaluated
-    again as one column at y +- h and averaged.  ``Q`` defaults to the
-    split point of the column's largest height, ``levels`` to default_levels.
+    A column is a grid with one x and a single evaluation a grid with one
+    point; a scalar x is a column.  Every node of the recursion is an
+    array over the grid's points, column by column: systems are solved
+    through the context's resolvent polynomials and the strip sums are
+    real products of phase blocks n^{-iy} with real weights n^{-x-o} U_n
+    (_strips).  Points whose top system is near-singular are refused;
+    points that meet a near-singular system strictly inside the recursion
+    are evaluated again, their column as a one-column grid at y +- h, and
+    averaged.  ``Q`` defaults to the split point of the largest height,
+    ``levels`` to default_levels at the smallest x.
 
-    Node o is the tail H(s + o), one per offset; the top node is offset 0.
-    An offset o < levels recurses on the nodes o + 1 .. o + m_eff(o); an
-    offset o >= levels is summed directly.  The solve runs from the highest
-    offset down, so every child is ready before its parents, and each
-    offset's cut, strip, resolvent and weights are computed once.
+    Node o is the tail H(s + o), one per offset, solved once for every
+    point; the top node is offset 0.  An offset o < levels recurses on the
+    nodes o + 1 .. o + m_eff(o); an offset o >= levels is summed directly.
+    The solve runs from the highest offset down, so every child is ready
+    before its parents, and each offset's resolvent and weights are
+    computed once, so the engine's memory grows with the grid's points
+    (pole_scan bounds it by _GRID_BLOCK).  Each column keeps its own plan
+    (_plan): its cuts m_eff(o) and their horizon factors, its direct-tail
+    lengths, ``terms`` and ``truncated``, so every point gets the value its
+    column alone would; the grid only pools the arithmetic.  Terms past a
+    column's cut are masked to zero, and offsets past its farthest child
+    stay zero.
 
     The settings are validated here: the continued region Re s > 1.25 + d -
     levels (d the growth degree) puts every direct tail at Re s >= 1.25 + d.
     """
 
-    def __init__(self, ctx: ContinuationContext, x: float, ys: np.ndarray,
-                 levels: int | None, m_max: int, Q: int | None = None, phases=None):
+    def __init__(self, ctx: ContinuationContext, xs, ys: np.ndarray,
+                 levels: int | None, m_max: int, Q: int | None = None):
+        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+        x_min = float(xs.min())
         if levels is None:
-            levels = default_levels(complex(x, 0.0), ctx.rep.growth[1])
+            levels = default_levels(complex(x_min, 0.0), ctx.rep.growth[1])
         if levels < 0:
             raise DomainError(f"levels must be >= 0, got {levels}")
         if m_max < 2:
             raise DomainError(f"m_max must be >= 2, got {m_max}")
         edge = BASE_STRIP_SIGMA + ctx.rep.growth[1] - levels
-        if x <= edge:
+        if x_min <= edge:
             raise DomainError(
-                f"Re s = {x} outside the continued region Re s > {edge} for levels={levels}"
+                f"Re s = {x_min} outside the continued region Re s > {edge} for levels={levels}"
             )
         self.ctx = ctx
-        self.x = x
+        self.xs = xs
         self.ys = ys
-        self.s_col = x + 1j * ys
-        self.ny = len(ys)
+        self.nx, self.ny = len(xs), len(ys)
+        # point c * ny + j is xs[c] + i ys[j]: a column's points are contiguous
+        self.s = (xs[:, None] + 1j * ys[None, :]).ravel()
         self.levels = levels
         self.m_max = m_max
         self.y_extreme = float(np.abs(ys).max(initial=0.0))
         self.Q = split_point(ctx.rep.k, self.y_extreme) if Q is None else Q
         # k^{-s} per point: a node's k^{-(s+offset+m)} is this times a real power
-        self.k_pow_s = float(ctx.rep.k) ** -self.s_col
-        self.inner_bad = np.zeros(self.ny, dtype=bool)
-        self.top_bad = np.zeros(self.ny, dtype=bool)
+        self.k_pow_s = float(ctx.rep.k) ** -self.s
+        self.inner_bad = np.zeros(len(self.s), dtype=bool)
+        self.top_bad = np.zeros(len(self.s), dtype=bool)
         self.top_det: np.ndarray | None = None
-        self.truncated = False
-        self.terms = 0
-        self.nodes = 0  # nodes solved
-        # log n and n^{-iy}, n = 1 .. the longest strip below _CHUNK (a scan's: longer)
-        self.phases: tuple[np.ndarray, np.ndarray] | None = phases
+        self.truncated = np.zeros(self.nx, dtype=bool)  # per column
+        self.terms = np.zeros(self.nx, dtype=np.int64)  # per column: its longest tail
+        self.nodes = 0  # offsets solved
+        self._ran_out = False  # set by _m_horizon when a series runs to m_max
 
-    def _direct_len(self, offset: int) -> tuple[int, float]:
-        """Terms N of the direct tail at an offset (at least 2Q), and the
+    def _direct_len(self, sigma: float) -> tuple[int, float]:
+        """Terms N of the direct tail at Re s = sigma (at least 2Q), and the
         bound on the terms past the length before that floor."""
         C, d = self.ctx.rep.growth
-        power = self.x + offset - 1 - d
+        power = sigma - 1 - d
         need = (C / (_DIRECT_TOL * power)) ** (1 / power)
         if not math.isfinite(need) or need >= _DIRECT_CAP:
             N = _DIRECT_CAP
         else:
-            # quantized so the U-array cache is rarely regrown
+            # power-of-two lengths put most of a grid's tails in one range,
+            # so they share one product (_strips)
             N = min(_DIRECT_CAP, 1 << max(6, math.ceil(math.log2(need + 1))))
         return max(N, 2 * self.Q), C * N ** (-power) / power
 
-    def _base(self, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        # tail H(s + offset) = sum_{q >= Q} U_q q^{-s-offset} by truncation
-        N, tail = self._direct_len(offset)
-        if N >= _DIRECT_CAP and tail > _DIRECT_TOL:
-            self.truncated = True
-        self.terms = max(self.terms, N)
-        vals, mass = self._strip(offset, self.Q, N + 1)
-        # rounding scales with the summed mass, not an absolute floor: deep
-        # tails are tiny and their errors must stay tiny relative to them
-        rounding = 1e-15 * math.log2(N + 1) * mass
-        return vals, np.full(self.ny, tail + rounding)
+    def _plan(self):
+        """Every column's plan, and the strips it asks for.
 
-    def _strip(self, offset: int, lo: int, hi: int) -> tuple[np.ndarray, float]:
-        """sum_{n=lo}^{hi-1} U_n n^{-s-offset} for the whole column, and
-        its mass sum_n n^{-sigma-offset} |U_n|_inf.
-
-        One formula: a phase block n^{-iy} times the real weights
-        n^{-(x+offset)} U_n, whose weights also give the mass.  Strips inside
-        the engine's phase matrix slice it; longer ones build their phase
-        blocks in turn, so a long direct tail never holds a whole row.
-        """
-        vals, mass = np.zeros((self.ny, self.ctx.rep.dim), dtype=np.complex128), 0.0
-        if hi <= lo:
-            return vals, mass
-        u = self.ctx.u(hi - 1)
-        logn, phase = self.phases
-        block = hi - lo if hi - 1 <= len(logn) else max(1, _CHUNK // self.ny)
-        for a in range(lo, hi, block):
-            b = min(hi, a + block)
-            lg, ph = ((logn[a - 1 : b - 1], phase[:, a - 1 : b - 1]) if b - 1 <= len(logn)
-                      else _phases(self.ys, a, b))
-            w = np.exp(-(self.x + offset) * lg)
-            vals += ph @ (u[a:b] * w[:, None])
-            mass += float(w @ np.abs(u[a:b]).max(axis=1))
-        return vals, mass
-
-    def _plan(self) -> tuple[list[tuple[int, float]], int]:
-        """The cut (m_eff and its dropped-tail factor, see _m_horizon) of
-        every offset below levels, each a recursion node, and the number of
-        offsets: the direct tails run from levels to one past the farthest
-        child o + m_eff(o).  Also sizes the U-array and, unless one as long
-        was handed in, the phase matrix for the longest strip below _CHUNK.
+        Column c cuts the correction series of each offset below levels at
+        its own m_eff (with the dropped-tail factor of _m_horizon), and its
+        direct tails run from levels to one past its farthest child
+        o + m_eff(o), each _direct_len long.  Returns the cuts and factors
+        (levels, nx), and per row of the node array (its offsets, then the
+        head) and column the end ``hi`` of its strip, 0 for none, and the
+        truncation bound of its direct tail.  A node's strip Q <= n < kQ
+        is the right-hand side its solve starts from; the head n < Q is
+        added to the top node last.
         """
         levels, k, Q = self.levels, self.ctx.rep.k, self.Q
-        cuts = [self._m_horizon(complex(self.x + o, self.y_extreme)) for o in range(levels)]
-        end = max((o + 1 + m for o, (m, _) in enumerate(cuts)), default=1)
-        # the head, the node strips and the direct tails
-        lengths = [Q - 1, k * Q - 1 if levels else 0]
-        lengths += [self._direct_len(o)[0] for o in range(levels, end)]
-        self.ctx.u(max(lengths))
-        n = max((x for x in lengths if x <= _CHUNK), default=0)
-        if self.phases is None or len(self.phases[0]) < n:
-            self.phases = _phases(self.ys, 1, n + 1)
-        return cuts, end
+        cuts = np.zeros((levels, self.nx), dtype=np.int64)
+        horizons = np.zeros((levels, self.nx))
+        tails = []
+        for c, x in enumerate(self.xs.tolist()):
+            self._ran_out = False
+            for o in range(levels):
+                cuts[o, c], horizons[o, c] = self._m_horizon(complex(x + o, self.y_extreme))
+            col_end = max((o + 1 + m for o, m in enumerate(cuts[:, c].tolist())), default=1)
+            for o in range(levels, col_end):
+                N, bound = self._direct_len(x + o)
+                tails.append((o, c, N + 1, bound))
+                self.terms[c] = max(self.terms[c], N)
+                self._ran_out |= N >= _DIRECT_CAP and bound > _DIRECT_TOL
+            self.truncated[c] = self._ran_out
+        end = max(o for o, *_ in tails) + 1
+        hi = np.zeros((end + 1, self.nx), dtype=np.int64)
+        hi[:levels] = k * Q
+        hi[end] = Q
+        bounds = np.zeros((end, self.nx))
+        for o, c, n, bound in tails:
+            hi[o, c], bounds[o, c] = n, bound
+        return cuts, horizons, hi, bounds
 
-    def _solve_node(self, offset: int, cut: tuple[int, float], gs: np.ndarray,
-                    g_errs: np.ndarray, g_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A recursion node's tail and error from its cut and its children's
-        tails (m_eff, ny, dim), errors and scales."""
+    def _strips(self, hi: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Sum U_n n^{-s-o} over lo <= n < hi[row, c] into vec[row, c] for
+        every row (offset o = row, lo = Q; the last row: the head, o = 0,
+        lo = 1) and column, and return the masses sum_n n^{-x_c-o} |U_n|_inf.
+
+        vec is the node array (rows, nx, dim, ny), zero on entry.  Runs of
+        rows with one range (lo, the longest hi in the row) share one
+        product, the shorter strips' weights zero past their own hi.
+        One pass runs over n in blocks of at most _PHASE_BLOCK phase entries:
+        each block's n^{-iy} is built once (_phases) and goes into real
+        GEMMs for every run live in it, the weights n^{-(x+o)} U_n of the
+        run's rows and columns times the phase block's real and imaginary
+        parts, which land on the run's slab of vec as it stands.  A product
+        takes only the columns still live at its first n, a prefix since
+        direct tails shorten as x grows, and at most 2 _PHASE_BLOCK weights,
+        as many as the phase block holds floats.  No phase matrix is held
+        whole, and no complex exp runs.
+        """
+        rows, nx = hi.shape
+        dim, ny = self.ctx.rep.dim, self.ny
+        lo = np.full(rows, self.Q)
+        lo[-1] = 1
+        offsets = np.arange(rows)
+        offsets[-1] = 0
+        expo = -(self.xs[None, :] + offsets[:, None])
+        span = hi.max(axis=1)
+        runs = []  # [first row, last row + 1, lo, hi]
+        for row, (r_lo, r_hi) in enumerate(zip(lo.tolist(), span.tolist())):
+            if r_hi <= r_lo:
+                continue
+            if runs and runs[-1][1] == row and runs[-1][2:] == [r_lo, r_hi]:
+                runs[-1][1] += 1
+            else:
+                runs.append([row, row + 1, r_lo, r_hi])
+        first, last = min(r[2] for r in runs), max(r[3] for r in runs)
+        u = self.ctx.u(last - 1)
+        u_norm = np.abs(u).max(axis=1)
+        mass = np.zeros((rows, nx))
+        slabs = vec.view(np.float64).reshape(rows, nx * dim, 2 * ny)
+        block = max(1, _PHASE_BLOCK // ny)
+        for a in range(first, last, block):
+            b = min(last, a + block)
+            logn, phase = _phases(self.ys, a, b)
+            for r0, r1, r_lo, r_hi in runs:
+                i, end = max(a, r_lo), min(b, r_hi)
+                while i < end:
+                    live = int(np.flatnonzero(hi[r0:r1].max(axis=0) > i)[-1]) + 1
+                    j = min(end, i + max(1, 2 * _PHASE_BLOCK // ((r1 - r0) * live * dim)))
+                    w = np.exp(np.multiply.outer(expo[r0:r1, :live], logn[i - a : j - a]))
+                    w *= np.arange(i, j) < hi[r0:r1, :live, None]
+                    mass[r0:r1, :live] += w @ u_norm[i:j]
+                    weights = (w[:, :, None, :] * u[i:j].T).reshape(r1 - r0, live * dim, j - i)
+                    slab = slabs[r0:r1, : live * dim]
+                    if i == r_lo:
+                        np.matmul(weights, phase[i - a : j - a], out=slab)
+                    else:
+                        slab += weights @ phase[i - a : j - a]
+                    i = j
+        return mass
+
+    def _solve_node(self, offset: int, m_eff: np.ndarray, horizon: np.ndarray,
+                    rhs: np.ndarray, gs: np.ndarray, g_errs: np.ndarray,
+                    g_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A recursion node's tail and error at every point, from each
+        column's cut and horizon factor (nx), the node's strip Q <= n < kQ
+        (nx, dim, ny), which is added to in place, and its children's tails
+        (M, nx, dim, ny), errors and scales (M, points), M the largest cut.
+        The n < Q head cancels out of the system exactly, so the right-hand
+        side and the solution stay on the tail's scale (no lost precision)."""
         ctx = self.ctx
-        k, Q = ctx.rep.k, self.Q
-        s_vec = self.s_col + offset
-        m_eff, horizon = cut
+        k, nx, ny = ctx.rep.k, self.nx, self.ny
+        s_vec = self.s + offset
         det, inv, inv_norm, inv_rounding = ctx.resolvent(s_vec)
         singular = det < _NEAR_SINGULAR_DET
         if offset == 0:
@@ -381,34 +446,36 @@ class _ColumnEngine:
             self.top_bad |= singular
         else:
             self.inner_bad |= singular
-        ms = np.arange(1, m_eff + 1)
+        ms = np.arange(1, len(gs) + 1)
+        cut = np.repeat(m_eff, ny)
+        horizon = np.repeat(horizon, ny)
         # C(s+m-1, m) k^{-(s+m)} as one running product that starts from
-        # k^{-s_col} k^{-offset}: every partial product stays near the term
-        # it weighs, where C(s+m-1, m) alone overflows at deep nodes
-        steps = (s_vec[:, None] + ms[None, :] - 1) / (k * ms[None, :])
+        # k^{-s} k^{-offset}: every partial product stays near the term it
+        # weighs, where C(s+m-1, m) alone overflows at deep nodes; the terms
+        # past a point's own cut are zero.  The product with 1 / (k m) is the
+        # bits numpy's complex division by a real gives, at less cost.
+        steps = (s_vec[:, None] + ms[None, :] - 1) * (1.0 / (k * ms))[None, :]
         steps[:, 0] *= self.k_pow_s * float(k) ** -offset
-        ck = np.cumprod(steps, axis=1)
-        # the n < Q head cancels out of the system exactly, so the right-hand
-        # side and the solution stay on the tail's scale (no lost precision)
-        rhs = self._strip(offset, Q, k * Q)[0]
+        ck = np.multiply.accumulate(steps, axis=1, out=steps)
+        ck[ms[None, :] > cut[:, None]] = 0.0
         # error propagation is relative: a child's absolute error only matters
         # at the scale its term actually contributes to the right-hand side
         rel_children = g_errs / np.maximum(g_scale, 1e-300)
-        err_rhs = np.zeros(self.ny)
+        err_rhs = np.zeros(len(s_vec))
+        points = np.arange(len(s_vec))
         for r in range(1, k):
-            w = ck * np.float_power(-r, ms)[None, :]  # (ny, m_eff)
-            contrib = np.einsum("ym,myd->yd", w, gs)
-            rhs += contrib @ ctx.mats[r].T
-            mass = np.abs(w) * g_scale.T
-            err_rhs += 4.0 * np.einsum("ym,my->y", mass, rel_children)
+            w = ck * np.float_power(-r, ms)[None, :]  # (points, M)
+            contrib = np.einsum("cym,mcdy->cdy", w.reshape(nx, ny, -1), gs)
+            rhs += ctx.mats[r] @ contrib
+            mass = np.abs(w)
+            mass *= g_scale.T
+            err_rhs += 4.0 * np.einsum("pm,mp->p", mass, rel_children)
             err_rhs += 4e-16 * mass.sum(axis=1)
-            if horizon:
-                # terms m > m_eff: the last kept term times the envelope's tail
-                last = ctx.mat_norms[r] * mass[:, -1]
-                err_rhs += last * horizon if math.isfinite(horizon) else np.where(
-                    last > 0, math.inf, 0.0)
-        sol = (inv @ rhs[:, :, None])[:, :, 0]
-        err = inv_norm * err_rhs + inv_rounding * np.abs(rhs).max(axis=1)
+            # terms m > m_eff: the last kept term times the envelope's tail
+            last = ctx.mat_norms[r] * mass[points, cut - 1]
+            err_rhs += np.where(last > 0, last * horizon, 0.0)
+        sol = np.einsum("cyij,cjy->ciy", inv.reshape(nx, ny, *inv.shape[1:]), rhs)
+        err = inv_norm * err_rhs + inv_rounding * np.abs(rhs).max(axis=1).ravel()
         return sol, err
 
     def _m_horizon(self, s: complex) -> tuple[int, float]:
@@ -438,7 +505,7 @@ class _ColumnEngine:
             step_max = ratio * (1 + abs(s - 1) / (m + 1))
             if envelope < 1e-16 and step_max < 1:
                 return m, step_max / (1 - step_max)
-        self.truncated = True
+        self._ran_out = True
         term, dropped, m = 1.0, 0.0, self.m_max
         while math.isfinite(dropped):
             step_max = ratio * (1 + abs(s - 1) / (m + 1))
@@ -450,50 +517,71 @@ class _ColumnEngine:
         return self.m_max, math.inf
 
     def _solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """Output-coordinate values and errors over the column."""
-        cuts, end = self._plan()
-        shape = (end, self.ny)
-        vec = np.empty((*shape, self.ctx.rep.dim), dtype=np.complex128)
-        err, scale = np.empty(shape), np.empty(shape)
+        """Output-coordinate values and errors at every point."""
+        cuts, horizons, hi, bounds = self._plan()
+        end = len(bounds)
+        # the node array, a row per offset and then the head strip; a row
+        # holds a (dim, ny) block per column
+        vec = np.zeros((end + 1, self.nx, self.ctx.rep.dim, self.ny), dtype=np.complex128)
+        mass = self._strips(hi, vec)[:end]
+        # rounding scales with the summed mass, not an absolute floor: deep
+        # tails are tiny and their errors must stay tiny relative to them
+        direct = bounds + 1e-15 * np.log2(np.maximum(hi[:end], 1)) * mass
+        err = np.repeat(direct, self.ny, axis=1)
+        scale = np.zeros(err.shape)
         for offset in reversed(range(end)):
-            if offset >= self.levels:
-                vec[offset], err[offset] = self._base(offset)
-            else:
-                c = slice(offset + 1, offset + 1 + cuts[offset][0])
+            if offset < self.levels:
+                c = slice(offset + 1, offset + 1 + int(cuts[offset].max()))
                 vec[offset], err[offset] = self._solve_node(
-                    offset, cuts[offset], vec[c], err[c], scale[c])
-            scale[offset] = np.abs(vec[offset]).max(axis=1)
+                    offset, cuts[offset], horizons[offset], vec[offset], vec[c], err[c],
+                    scale[c])
+            scale[offset] = np.abs(vec[offset]).max(axis=1).ravel()
             self.nodes += 1
         if self.levels == 0:
-            self.top_det = self.ctx.resolvent(self.s_col)[0]
-        value = vec[0] + self._strip(0, 1, self.Q)[0]
-        return value[:, self.ctx.rep.output_coord], err[0]
+            self.top_det = self.ctx.resolvent(self.s)[0]
+        value = vec[0, :, self.ctx.rep.output_coord] + vec[end, :, self.ctx.rep.output_coord]
+        return value.ravel(), err[0]
+
+    def _evaluate(self):
+        """Values, errors, the refused, averaged, truncated and terms flags
+        and top_det at every point."""
+        # numpy does not warn here: the outputs are checked instead, below
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, err = self._solve()
+            refused = self.top_bad.copy()
+            averaged = self.inner_bad & ~refused
+            truncated = np.repeat(self.truncated, self.ny)
+            terms = np.repeat(self.terms, self.ny)
+            for c, x in enumerate(self.xs.tolist()):
+                local = np.flatnonzero(averaged[c * self.ny : (c + 1) * self.ny])
+                if not len(local):
+                    continue
+                # removable inner singularity: one column of the points at y +- h
+                idx, y, n = c * self.ny + local, self.ys[local], len(local)
+                pair = np.concatenate([y + _OFFSET_H, y - _OFFSET_H])
+                twin = _ColumnEngine(self.ctx, x, pair, self.levels, self.m_max, Q=self.Q)
+                t_val, t_err = twin._solve()
+                value[idx] = (t_val[:n] + t_val[n:]) / 2
+                err[idx] = np.maximum(t_err[:n], t_err[n:]) + _OFFSET_H**2
+                truncated[idx], terms[idx] = twin.truncated[0], twin.terms[0]
+                bad = twin.top_bad | twin.inner_bad
+                refused[idx] = bad[:n] | bad[n:]
+            averaged &= ~refused
+        # a point not refused needs a finite value and an estimate that is a
+        # number (inf: no finite bound)
+        broken = np.flatnonzero(~refused & (~np.isfinite(value) | np.isnan(err)))
+        if len(broken):
+            j = broken[0]
+            s = complex(self.s[j])
+            if not np.isfinite(value[j]):
+                raise PrecisionError(f"continuation at s = {s} overflowed: its value is not finite")
+            raise PrecisionError(f"continuation at s = {s} lost its error bound: it is NaN")
+        return value, err, refused, averaged, truncated, terms, self.top_det
 
     def run(self) -> list[EvalResult]:
-        value, err = self._solve()
-        refused = self.top_bad.copy()
-        averaged = self.inner_bad & ~refused
-        truncated = np.full(self.ny, self.truncated)
-        terms = np.full(self.ny, self.terms)
-        idx = np.flatnonzero(averaged)
-        if len(idx):
-            # removable inner singularity: one column of the points at y +- h
-            y, n = self.ys[idx], len(idx)
-            pair = np.concatenate([y + _OFFSET_H, y - _OFFSET_H])
-            twin = _ColumnEngine(self.ctx, self.x, pair, self.levels, self.m_max, Q=self.Q)
-            t_val, t_err = twin._solve()
-            value[idx] = (t_val[:n] + t_val[n:]) / 2
-            err[idx] = np.maximum(t_err[:n], t_err[n:]) + _OFFSET_H**2
-            truncated[idx], terms[idx] = twin.truncated, twin.terms
-            bad = twin.top_bad | twin.inner_bad
-            refused[idx] = bad[:n] | bad[n:]
-            averaged &= ~refused
-        overflow = np.flatnonzero(~refused & ~np.isfinite(value))
-        if len(overflow):
-            s = complex(self.s_col[overflow[0]])
-            raise PrecisionError(f"continuation at s = {s} overflowed: its value is not finite")
+        value, err, refused, averaged, truncated, terms, _ = self._evaluate()
         results = []
-        for j, s in enumerate(self.s_col.tolist()):
+        for j, s in enumerate(self.s.tolist()):
             det = float(self.top_det[j])
             if refused[j]:
                 results.append(EvalResult(
@@ -511,16 +599,19 @@ class _ColumnEngine:
 
 
 def _phases(ys: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """log n and the phase matrix n^{-iy} (a row per y in ys) for n = lo .. hi-1."""
+    """log n and the phase block n^{-iy} for n = lo .. hi-1 as a real matrix:
+    row n holds cos(y log n) and -sin(y log n) for each y in ys in turn
+    (the complex block's memory), both from one half-angle tangent
+    (_unit_phase)."""
     logn = np.log(np.arange(lo, hi, dtype=np.float64))
-    phase = np.outer(ys, -1j * logn)
-    return logn, np.exp(phase, out=phase)
+    re, im = _unit_phase(np.multiply.outer(logn, ys))
+    return logn, np.stack((re, im), axis=-1).reshape(len(logn), -1)
 
 
 def _continue(rep, x, ys, levels, m_max) -> list[EvalResult]:
     """Run one column in a context of its own.  The public entry points call
     this, not each other: one evaluation, one public call.  pole_scan runs
-    its columns' engines itself, on one context and one phase matrix."""
+    its whole grid as one engine itself."""
     ys = np.asarray(list(ys), dtype=np.float64)
     require_finite("Re s", x)
     require_finite("Im s", ys)
@@ -878,9 +969,14 @@ def pole_scan(
     are a subset of the predicted lattice; equality is never asserted.
     Degenerate rectangles (a == b) are allowed.
 
-    The columns share one context.  The leftmost sums the longest strips,
-    so it runs first and its plan sizes the U-array and the one n^{-iy}
-    matrix the others slice; each column becomes ScanPoints when it ends.
+    The rectangle runs as grids of whole columns, as many to a grid as
+    _GRID_BLOCK allows (a 7 x 201 rectangle up to dim 7 is one grid), each
+    one engine: each recursion node is solved once for every point of the
+    grid, and every column's strips come from one pass over n in phase
+    blocks n^{-iy} built once each.  Every column keeps the plan
+    it would have alone, so each point equals continue_column on its column
+    (at levels = default_levels(a)) up to rounding.  ``threads`` is
+    accepted and ignored: a grid has no columns to farm out.
     """
     for name, v in (("a", a), ("b", b), ("T", T), ("step", step)):
         require_finite(name, v)
@@ -890,31 +986,22 @@ def pole_scan(
         raise DomainError("need T >= 0 and step > 0")
     res = np.arange(0, int((b - a) / step + 1e-9) + 1) * step + a
     ims = np.arange(0, int(T / step + 1e-9) + 1) * step
-    ctx = ContinuationContext(rep)
     det_eta = max(_NEAR_SINGULAR_DET, step * math.log(rep.k))
-    blowup = 1.0 / step
-
-    def probe(engine: _ColumnEngine) -> list[ScanPoint]:
-        points = []
-        for ev in engine.run():
-            abs_value = math.nan if ev.value is None else abs(ev.value)
-            points.append(ScanPoint(
-                s=ev.s, abs_value=abs_value, det_magnitude=ev.det_magnitude,
-                near_singular=ev.near_singular,
-                flagged=ev.near_singular or (ev.det_magnitude < det_eta and abs_value > blowup)))
-        return points
-
-    lead = _ColumnEngine(ctx, float(a), ims, levels, _M_CAP)
-    columns = [probe(lead)]
-    rest = (_ColumnEngine(ctx, float(x), ims, lead.levels, _M_CAP, phases=lead.phases)
-            for x in res[1:])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns += pool.map(probe, rest)
-    else:
-        columns += map(probe, rest)
-    # row-major grid order (imaginary part outer) for the CSV export
-    points = [col[j] for j in range(len(ims)) for col in columns]
+    ctx = ContinuationContext(rep)
+    if levels is None:
+        levels = default_levels(a, rep.growth[1])
+    width = max(1, _GRID_BLOCK // (len(ims) * (rep.dim**2 + 40)))  # columns to a grid
+    blocks = [_ColumnEngine(ctx, res[c : c + width], ims, levels, _M_CAP)._evaluate()
+              for c in range(0, len(res), width)]
+    value, _, refused, *_, top_det = (np.concatenate(f) for f in zip(*blocks))
+    abs_value = np.where(refused, math.nan, np.abs(value))
+    flagged = refused | ((top_det < det_eta) & (abs_value > 1.0 / step))
+    # the engines' points run column by column; the CSV export is row-major
+    # (imaginary part outer)
+    s = (res[:, None] + 1j * ims[None, :]).ravel()
+    grid = [field.reshape(len(res), len(ims)).T.ravel().tolist()
+            for field in (s, abs_value, top_det, refused, flagged)]
+    points = [ScanPoint(*p) for p in zip(*grid)]
     clusters = _cluster([p for p in points if p.flagged], 1.6 * step)
     m_hi = int(T * math.log(rep.k) / (2 * math.pi)) + 2
     l_hi = max(0, int(math.ceil(2 - a))) + 1

@@ -318,15 +318,16 @@ class TestContract:
         assert doc["result"]["error_estimate"] is None
 
     def test_overflowed_continuation_exits_2(self):
-        # float64 overflows below s = -250; a subprocess, since the overflow
-        # warns before it is refused
+        # float64 overflows below s = -250; a subprocess, so that any numpy
+        # warning of the overflow would reach stderr beside the one error line
         argv = ["dirichlet-eval", "--method", "recursion", *CONST_ONE, "--s=-300"]
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run([sys.executable, "-m", "kernelscope.cli", *argv],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 2 and done.stdout == ""
-        assert "error: continuation at s = (-300+0j) overflowed" in done.stderr
+        assert done.stderr == (
+            "error: continuation at s = (-300+0j) overflowed: its value is not finite\n")
 
     def test_prime_past_2_31_exits_1_at_once(self, capsys):
         # 2^61 - 1 is prime; trial division to its root ran past 30 s

@@ -25,7 +25,7 @@ from kernelscope.dirichlet import (
     verify_identity,
     zeta_quotient_eval,
 )
-from kernelscope.errors import CapacityError, DomainError
+from kernelscope.errors import CapacityError, DomainError, PrecisionError
 from kernelscope.seqgen import FunctionId, ValueTable, build_table
 from kernelscope.zeta import zeta_em
 
@@ -42,6 +42,11 @@ def const_rep(table):
 @pytest.fixture(scope="module")
 def tm_rep(table):
     return build_representation(table("thue_morse_pm", N=2**14), 2, 6, 64)
+
+
+@pytest.fixture(scope="module")
+def id3_rep(table):
+    return build_representation(table("identity_n", mod=3, N=2**16), 2, 6, 64)
 
 
 class TestDirectSum:
@@ -260,6 +265,28 @@ class TestContinuation:
             pole_scan(const_rep, 3, 3, 0.1, 0.1, levels=-1)
         with pytest.raises(DomainError):
             pole_scan(const_rep, -3.0, -2.9, 0.1, 0.1, levels=2)
+
+    def test_overflow_refused_without_warnings(self, const_rep):
+        # numpy's overflow warnings are off in the engine (a warning here
+        # would fail the test); the value check refuses the point instead
+        with pytest.raises(PrecisionError,
+                           match=r"^continuation at s = \(-300\+0j\) overflowed: its value is not finite$"):
+            continue_via_recursion(const_rep, -300.0)
+
+    def test_nan_error_estimate_refused(self, const_rep, monkeypatch):
+        # with the warnings off, a NaN estimate beside a finite value is
+        # caught by the output check, not passed on as a result
+        solve = _ColumnEngine._solve
+
+        def broken(engine):
+            value, err = solve(engine)
+            err[1] = math.nan
+            return value, err
+
+        monkeypatch.setattr(_ColumnEngine, "_solve", broken)
+        with pytest.raises(PrecisionError,
+                           match=r"^continuation at s = \(0\.5\+1j\) lost its error bound: it is NaN$"):
+            continue_column(const_rep, 0.5, [0.0, 1.0, 2.0])
 
     def test_horizon_truncation_bounded(self, const_rep):
         # a short m horizon drops correction terms; the estimate must cover them
@@ -720,8 +747,9 @@ class TestPoleScan:
         assert len(rows) == 3 * 21
 
     def test_threads_match_serial(self, const_rep):
-        # the columns only read the scan's finished phase matrix, so threads
-        # change no bit of any point
+        # threads is accepted and ignored (a scan is one grid), so the two
+        # calls are the same; kept until item 8 of the roadmap drops the
+        # keyword from the benchmark harness, then deleted with it
         a = pole_scan(const_rep, 0.9, 1.1, 3, 0.1, threads=1)
         b = pole_scan(const_rep, 0.9, 1.1, 3, 0.1, threads=4)
         assert a.clusters == b.clusters
@@ -733,9 +761,9 @@ class TestPoleScan:
             assert (p.near_singular, p.flagged) == (q.near_singular, q.flagged), p.s
 
     def test_one_phase_matrix_per_scan(self, const_rep, monkeypatch):
-        # the leftmost column's plan sizes the one n^{-iy} matrix of the scan
-        # and every column slices it; no point here is offset-averaged, which
-        # would build the twin column's own
+        # the scan's strips run in one pass over n, whose phase blocks of
+        # n^{-iy} are built once each (this scan needs one); no point is
+        # offset-averaged, which would build the twin column's own
         from kernelscope import dirichlet
 
         levels = dirichlet.default_levels(0.9, const_rep.growth[1])
@@ -756,8 +784,8 @@ class TestPoleScan:
 
     @pytest.mark.parametrize("fixture, a", [("const_rep", 0.9), ("tm_rep", 0.4)])
     def test_sliced_columns_match_one_point(self, request, fixture, a):
-        # columns right of the first sum shorter tails and slice a prefix of
-        # the shared matrix (tm_rep: 512 terms at 0.4, 256 at 0.6)
+        # columns right of the first sum shorter tails (tm_rep: 512 terms at
+        # 0.4, 256 at 0.6); a one-point call splits at its own height's Q
         from kernelscope.dirichlet import default_levels
 
         rep = request.getfixturevalue(fixture)
@@ -770,6 +798,88 @@ class TestPoleScan:
                 assert p.near_singular and math.isnan(p.abs_value)
             else:
                 assert abs(p.abs_value - abs(alone.value)) <= 1e-9, p.s
+
+    @pytest.mark.parametrize("fixture, a, b, T, step, shown", [
+        # the columns' direct tails differ: 512 terms at 0.4, 256 at 0.6
+        ("tm_rep", 0.4, 0.6, 5.0, 0.1, "tails"),
+        # dim 6 on the automatic-scan benchmark's rectangle
+        ("id3_rep", 0.86, 1.16, 10.0, 0.05, "dim"),
+        # s = 0 is offset-averaged (its child s + 1 is the pole)
+        ("const_rep", -0.1, 0.1, 1.0, 0.1, "averaged"),
+        # s = 1 is refused
+        ("const_rep", 0.9, 1.1, 1.0, 0.1, "refused"),
+    ])
+    def test_grid_matches_each_column(self, request, monkeypatch, fixture, a, b, T, step,
+                                      shown):
+        # the scan is one grid engine whose columns keep their own plans, so
+        # every point is what continue_column gives on its column alone
+        rep = request.getfixturevalue(fixture)
+        seen = []
+        evaluate = _ColumnEngine._evaluate
+
+        def recorded(engine):
+            seen.append((engine, evaluate(engine)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(_ColumnEngine, "_evaluate", recorded)
+        scan = pole_scan(rep, a, b, T, step)
+        monkeypatch.undo()
+        [(engine, (value, err, refused, averaged, truncated, terms, det))] = seen
+        assert engine.nx == len({p.s.real for p in scan.points}) > 1
+        by_s = {p.s: p for p in scan.points}
+        alone = [ev for x in engine.xs.tolist()
+                 for ev in continue_column(rep, x, engine.ys, levels=engine.levels)]
+        assert [ev.s for ev in alone] == engine.s.tolist()
+        for j, ev in enumerate(alone):
+            p = by_s[ev.s]
+            assert p.det_magnitude == det[j] == ev.det_magnitude, ev.s
+            assert p.near_singular == refused[j] == ev.near_singular, ev.s
+            if ev.near_singular:
+                assert math.isnan(p.abs_value)
+                continue
+            assert abs(value[j] - ev.value) <= 1e-12 * abs(ev.value), ev.s
+            assert abs(p.abs_value - abs(ev.value)) <= 1e-12 * abs(ev.value), ev.s
+            assert abs(err[j] - ev.error_estimate) <= 1e-12 * ev.error_estimate, ev.s
+            assert (int(terms[j]), bool(truncated[j]), bool(averaged[j])) == (
+                ev.terms, ev.truncated, ev.offset_averaged), ev.s
+        assert {
+            "tails": {ev.terms for ev in alone} == {512, 256},
+            "dim": rep.dim == 6,
+            "averaged": [ev.s for ev in alone if ev.offset_averaged] == [0],
+            "refused": [ev.s for ev in alone if ev.near_singular] == [1],
+        }[shown]
+
+    def test_scan_memory(self, id3_rep):
+        # the grid holds its node array and one phase block at a time, never
+        # a whole n^{-iy} matrix; the traced peak of this scan was 7.9 MiB
+        # with an engine per column and one 201 x 2048 phase matrix
+        id3_rep.resolvent_poly  # derived once per representation, not per scan
+        tracemalloc.start()
+        try:
+            scan = pole_scan(id3_rep, 0.86, 1.16, 10.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scan.points) == 7 * 201
+        assert peak < 10 * 2**20
+
+    def test_wide_scan_memory(self, table):
+        # a dim-21 scan of 13 columns runs as engines of whole columns that
+        # fit _GRID_BLOCK (here one column each), so its traced peak stays
+        # near one column's: 6.8 MiB, where one engine over the whole grid
+        # peaked at 74.8 MiB and an engine per column with its own n^{-iy}
+        # matrix at 12.9 MiB
+        rep = build_representation(table("identity_n", mod=7, N=2**16), 2, 8, 128)
+        assert rep.dim == 21
+        rep.resolvent_poly  # derived once per representation, not per scan
+        tracemalloc.start()
+        try:
+            scan = pole_scan(rep, 0.9, 1.5, 10.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scan.points) == 13 * 201
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("a, b, T, step, message", [
         (1.1, 0.9, 3.0, 0.1, r"^need a <= b, got a=1.1, b=0.9$"),
