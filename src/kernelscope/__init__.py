@@ -18,7 +18,6 @@ from .errors import (
     ConstructionError,
     ContourError,
     DomainError,
-    ExhaustionError,
     KernelscopeError,
     PoleError,
     PrecisionError,
@@ -45,7 +44,6 @@ __all__ = [
     "VerdictError",
     "ConstructionError",
     "ContourError",
-    "ExhaustionError",
     "FunctionId",
     "FactorTable",
     "ValueTable",

@@ -4,10 +4,14 @@ The section with residue r sends sum a_n X^n to sum a_{pn+r} X^n: it is
 the coefficient-side twin of kernel extraction in base p.  A power series
 with p-automatic coefficients has a finite closed orbit under all p
 sections; orbit growth on truncated data is therefore transcendence
-evidence, never proof.  Truncation is tracked by a reliable length that
-shrinks by a factor p per section, and two series are only ever compared
-on their common reliable window (minimum 32 coefficients), so truncation
-can cause an inconclusive verdict but never a false merge.
+evidence, never proof.  The orbit's depth l is the series
+sum_n a_{p^l n + R} X^n for 0 <= R < p^l, the p-kernel of the
+coefficients read from n = 0, so it is walked as kernel walks its kernel:
+one block per depth (kernel._depth_windows).  A series of N coefficients
+gives every series at depth l the width w_l = floor((N - p^l + 1) / p^l),
+and depth l is compared on all w_l of them (at least MIN_WINDOW): a depth
+too narrow for that ends the walk as inconclusive, so truncation can cost
+a verdict but never shortens a comparison.
 
 Coefficient index 0 is always 0: the source tables start at n = 1.
 """
@@ -15,20 +19,22 @@ Coefficient index 0 is always 0: the source tables start at n = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ExhaustionError
+from .errors import CapacityError, DomainError
+from .kernel import _depth_windows
 from .seqgen import ValueTable, is_prime, residues
 
 MIN_WINDOW = 32
 
 
 def _check_prime(p: int) -> None:
-    """Refuse p unless it is a prime below 2^31.  A section needs MIN_WINDOW
+    """Refuse p unless it is a prime below 2^31.  An orbit needs MIN_WINDOW
     p coefficients, more than any table the sieve builds (N < 2^31) holds
-    once p >= 2^26, so the bound refuses no series that could have a
-    section, and it caps the trial division at sqrt(2^31) steps."""
+    once p >= 2^26, so the bound refuses no series that could have an
+    orbit, and it caps the trial division at sqrt(2^31) steps."""
     if p >= 2**31:
         raise DomainError(f"p must be below 2^31, got {p}")
     if not is_prime(p):
@@ -37,9 +43,9 @@ def _check_prime(p: int) -> None:
 
 @dataclass(frozen=True)
 class FpSeries:
-    """Truncated power series over F_p, exact on all of ``coeffs``: the
-    reliable window is the coefficients themselves.  p is a prime below
-    2^31 (a DomainError otherwise)."""
+    """Truncated power series over F_p, exact on all of ``coeffs``.  p is a
+    prime below 2^31 and every coefficient lies in 0..p-1 (a DomainError
+    otherwise)."""
 
     p: int
     coeffs: np.ndarray
@@ -48,18 +54,9 @@ class FpSeries:
         _check_prime(self.p)
         if len(self.coeffs) < 1:
             raise DomainError("a series needs at least one coefficient")
+        if self.coeffs.min() < 0 or self.coeffs.max() >= self.p:
+            raise DomainError(f"coefficients must lie in 0..{self.p - 1}")
         self.coeffs.flags.writeable = False
-
-    @property
-    def reliable_len(self) -> int:
-        return len(self.coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "reliable_len": self.reliable_len,
-            "coeffs": [int(c) for c in self.coeffs],
-        }
 
 
 def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
@@ -75,28 +72,17 @@ def series_from_table(t: ValueTable, p: int, N: int) -> FpSeries:
     return FpSeries(p=p, coeffs=coeffs)
 
 
-def cartier_section(S: FpSeries, r: int) -> FpSeries:
-    """coeffs'[n] = coeffs[p n + r]; the reliable window shrinks by 1/p."""
-    if not 0 <= r < S.p:
-        raise DomainError(f"section residue must satisfy 0 <= r < {S.p}, got {r}")
-    new_len = max(0, (S.reliable_len - r) // S.p)
-    if new_len < MIN_WINDOW:
-        raise ExhaustionError(
-            f"section would leave {new_len} reliable coefficients, below the "
-            f"minimum comparison window {MIN_WINDOW}"
-        )
-    return FpSeries(p=S.p, coeffs=S.coeffs[r : r + S.p * new_len : S.p].copy())
-
-
 @dataclass(frozen=True)
 class OrbitReport:
-    """Outcome of breadth-first closure under all p sections.
+    """Outcome of the depth-by-depth walk of the orbit under all p sections.
 
-    verdict: "finite" (closed; ``size`` set), "growing" (budget
-    exceeded; ``size`` and ``depth`` set), or "inconclusive" (reliable
-    window exhausted at ``depth``).  ``window`` is the smallest reliable
-    length of S and of every explored child; no comparison used fewer
-    coefficients, so the verdict is reproducible.
+    verdict: "finite" (a depth added no class; ``size`` classes, the last
+    found at ``depth``), "growing" (``size`` passed the budget at
+    ``depth``), or "inconclusive" (the width past ``depth`` is below
+    MIN_WINDOW; ``size`` classes through ``depth``).  ``window`` is the
+    width of the last depth compared: no comparison used fewer
+    coefficients, so the verdict is reproducible.  ``explored`` counts the
+    windows read, ``counts`` the distinct classes through each depth read.
     """
 
     verdict: str
@@ -106,6 +92,7 @@ class OrbitReport:
     depth: int
     window: int
     explored: int
+    counts: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -117,61 +104,58 @@ class OrbitReport:
             "depth": self.depth,
             "window": self.window,
             "explored": self.explored,
+            "counts": list(self.counts),
         }
 
 
 def orbit_explore(S: FpSeries, budget: int) -> OrbitReport:
-    """Close {S} under the p sections, within a budget of distinct elements.
+    """Walk the orbit of S under the p sections, within a budget of
+    distinct series.
 
-    Every compared pair shares a reliable window of at least MIN_WINDOW:
-    S holds MIN_WINDOW * p reliable coefficients and ``cartier_section``
-    refuses any child with fewer than MIN_WINDOW.  Series that match
-    therefore agree on their first MIN_WINDOW coefficients, so those bytes
-    key the representatives, and a child is compared, on the common
-    reliable window, only with the representatives under its own key.
+    Depth l is read as one block, row R the first w_l coefficients of
+    sum_n a_{p^l n + R} X^n, and each row is compared with every class
+    found so far, cut to w_l.  The walk stops at the first depth that adds
+    no class (finite), when the count passes ``budget`` (growing), or
+    before a depth whose width is below MIN_WINDOW (inconclusive).
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    if S.reliable_len < MIN_WINDOW * S.p:
+    N, p = len(S.coeffs), S.p
+    if N < MIN_WINDOW * p:
         raise DomainError(
-            f"need reliable length >= {MIN_WINDOW * S.p} for at least one "
-            f"section level, got {S.reliable_len}"
+            f"need at least {MIN_WINDOW * p} coefficients for one section "
+            f"level, got {N}"
         )
-    buckets: dict[bytes, list[FpSeries]] = {S.coeffs[:MIN_WINDOW].tobytes(): [S]}
-    # the representatives in breadth-first order; the loop visits each once
-    orbit: list[tuple[FpSeries, int]] = [(S, 0)]
-    window = S.reliable_len
+    # the residues in their narrowest type: fewer bytes to copy and hash
+    values = S.coeffs.astype(np.min_scalar_type(p - 1))
+    reps = [values]  # one row per class, at the width it was found
+    counts = [1]
     explored = 0
-    for cur, depth in orbit:
-        for r in range(S.p):
-            try:
-                child = cartier_section(cur, r)
-            except ExhaustionError:
-                return OrbitReport(
-                    verdict="inconclusive", p=S.p, budget=budget,
-                    size=len(orbit), depth=depth, window=window,
-                    explored=explored,
-                )
+
+    def report(verdict: str, depth: int, window: int) -> OrbitReport:
+        return OrbitReport(verdict=verdict, p=p, budget=budget, size=len(reps),
+                           depth=depth, window=window, explored=explored,
+                           counts=tuple(counts))
+
+    window = N
+    for l in count(1):
+        w = (N - p**l + 1) // p**l
+        if w < MIN_WINDOW:
+            return report("inconclusive", l - 1, window)
+        window = w
+        seen = {rep[:w].tobytes() for rep in reps}
+        for row in _depth_windows(values, p, l, w, 0):
             explored += 1
-            window = min(window, child.reliable_len)
-            bucket = buckets.setdefault(child.coeffs[:MIN_WINDOW].tobytes(), [])
-            for rep in bucket:
-                w = min(child.reliable_len, rep.reliable_len)
-                if np.array_equal(child.coeffs[:w], rep.coeffs[:w]):
-                    break
-            else:
-                bucket.append(child)
-                orbit.append((child, depth + 1))
-                if len(orbit) > budget:
-                    return OrbitReport(
-                        verdict="growing", p=S.p, budget=budget,
-                        size=len(orbit), depth=depth + 1,
-                        window=window, explored=explored,
-                    )
-    return OrbitReport(
-        verdict="finite", p=S.p, budget=budget, size=len(orbit),
-        depth=orbit[-1][1], window=window, explored=explored,
-    )
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                reps.append(row)
+                if len(reps) > budget:
+                    counts.append(len(reps))
+                    return report("growing", l, w)
+        counts.append(len(reps))
+        if counts[-1] == counts[-2]:
+            return report("finite", l - 1, w)
 
 
 @dataclass(frozen=True)
@@ -224,7 +208,7 @@ def algebraicity_verdict(report: OrbitReport) -> AlgebraicityVerdict:
         kind="inconclusive", size=None, depth=report.depth, count=None,
         window=report.window,
         text=(
-            f"reliable window fell below {MIN_WINDOW} coefficients at depth "
-            f"{report.depth}; no verdict"
+            f"depth {report.depth + 1} would compare fewer than {MIN_WINDOW} "
+            f"coefficients; no verdict"
         ),
     )

@@ -7,10 +7,10 @@ inside CSV).  Exit codes: 0 success, 1 domain/validation error, 2
 capacity/precision error.
 
 The exit code of a failure lives on its error class, as ``exit_code`` in
-errors.py: CapacityError, PrecisionError, ContourError and ExhaustionError
-give 2, and so does a MemoryError (an allocation past the machine's memory);
-every other KernelscopeError, a ValueError, an OSError (a file that cannot
-be read or written) and a usage error give 1.
+errors.py: CapacityError, PrecisionError and ContourError give 2, and so
+does a MemoryError (an allocation past the machine's memory); every other
+KernelscopeError, a ValueError, an OSError (a file that cannot be read or
+written) and a usage error give 1.
 
 argparse takes any token that starts with "-" and is not a plain real for
 an option, so ``run`` first joins an option and a following negative

@@ -580,6 +580,12 @@ class _ColumnEngine:
 
     def run(self) -> list[EvalResult]:
         value, err, refused, averaged, truncated, terms, _ = self._evaluate()
+        # a value is reported with a finite bound or not at all; the check is
+        # here, not in _evaluate, because pole_scan reads no estimate
+        unbounded = np.flatnonzero(~refused & np.isinf(err))
+        if len(unbounded):
+            s = complex(self.s[unbounded[0]])
+            raise PrecisionError(f"continuation at s = {s} has no finite error bound")
         results = []
         for j, s in enumerate(self.s.tolist()):
             det = float(self.top_det[j])

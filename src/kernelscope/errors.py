@@ -2,8 +2,8 @@
 
 Each class carries the exit code the CLI returns for it, as ``exit_code``:
 1 for domain/validation problems (the base class's value), 2 for the
-capacity/precision problems CapacityError, PrecisionError, ContourError
-and ExhaustionError.  ``require_finite`` is the one refusal of a NaN or
+capacity/precision problems CapacityError, PrecisionError and
+ContourError.  ``require_finite`` is the one refusal of a NaN or
 infinite argument, shared by every module that takes one.
 """
 
@@ -50,12 +50,6 @@ class ConstructionError(KernelscopeError):
 
 class ContourError(KernelscopeError):
     """Zero counting failed: the segment passed near a zero, or two counts disagreed."""
-
-    exit_code = 2
-
-
-class ExhaustionError(KernelscopeError):
-    """A reliable comparison window shrank below the required minimum."""
 
     exit_code = 2
 

@@ -166,7 +166,7 @@ def _enumerate_distinct(t: ValueTable, k: int, L: int, M: int):
     classes: list[list[int]] = []
     counts: list[int] = []
     for l in range(L + 1):
-        block = _depth_windows(t, k, l, M)
+        block = _depth_windows(t.values, k, l, M, 1)
         block.flags.writeable = False
         classes.append([])
         for r, row in enumerate(block):
@@ -178,15 +178,16 @@ def _enumerate_distinct(t: ValueTable, k: int, L: int, M: int):
     return (rep_list, classes), counts
 
 
-def _depth_windows(t: ValueTable, k: int, l: int, M: int) -> np.ndarray:
+def _depth_windows(values: np.ndarray, k: int, l: int, M: int, first: int) -> np.ndarray:
     """The windows of all kernel elements at depth l, one row each.
 
-    Row r is kernel_element(t, k, l, r, M).prefix: the values at
-    k^l (i+1) + r for i < M, which together fill the contiguous slice
-    values[k^l : k^l (M+1)].  The caller validates the geometry.
+    Row r holds values[k^l (i + first) + r] for i < M; the rows together
+    fill the contiguous slice values[k^l first : k^l (first + M)].  From
+    first = 1 row r is kernel_element(t, k, l, r, M).prefix; the Cartier
+    orbit reads from first = 0.  The caller validates the geometry.
     """
     s = k**l
-    return np.ascontiguousarray(t.values[s : s * (M + 1)].reshape(M, s).T)
+    return np.ascontiguousarray(values[s * first : s * (first + M)].reshape(M, s).T)
 
 
 def _distinct_cap(t: ValueTable, k: int, L: int, M: int) -> int | None:

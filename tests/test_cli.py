@@ -304,10 +304,10 @@ class TestContract:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
-        # the pole; a finite value with no finite bound; zeta's pole in the quotient
+        # the pole; zeta's pole in the quotient, as denominator of two identities
         ["dirichlet-eval", "--method", "recursion", *CONST_ONE, "--s", "1"],
-        ["dirichlet-eval", "--method", "recursion", *CONST_ONE, "--s=-150"],
         ["dirichlet-eval", "--method", "zeta-quotient", "--id", "mu", "--s", "1.0000001"],
+        ["dirichlet-eval", "--method", "zeta-quotient", "--id", "lambda", "--s", "1.0000001"],
     ])
     def test_unbounded_error_is_null(self, capsys, argv):
         def not_json(name):
@@ -316,6 +316,15 @@ class TestContract:
         assert run(argv) == 0
         doc = json.loads(capsys.readouterr().out, parse_constant=not_json)
         assert doc["result"]["error_estimate"] is None
+
+    def test_unbounded_continuation_exits_2(self, capsys):
+        # at s = -150 the value is finite (-1.7e135, where zeta(-150) = 0)
+        # but the correction series has no finite bound on what it drops
+        argv = ["dirichlet-eval", "--method", "recursion", *CONST_ONE, "--s=-150"]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: continuation at s = (-150+0j) has no finite error bound\n"
 
     def test_overflowed_continuation_exits_2(self):
         # float64 overflows below s = -250; a subprocess, so that any numpy
@@ -359,7 +368,7 @@ class TestContract:
         (errors.KernelscopeError, 1), (errors.DomainError, 1), (errors.PoleError, 1),
         (errors.RangeError, 1), (errors.VerdictError, 1), (errors.ConstructionError, 1),
         (ValueError, 1), (errors.CapacityError, 2), (errors.PrecisionError, 2),
-        (errors.ContourError, 2), (errors.ExhaustionError, 2),
+        (errors.ContourError, 2),
     ])
     def test_exit_code_of_each_error_class(self, capsys, monkeypatch, exc, code):
         def fail(args):

@@ -396,7 +396,7 @@ class TestDepthWindows:
     def test_block_rows_are_kernel_elements(self, table, tag, k, L, M):
         t = table(tag, N=2**13)
         for l in range(L + 1):
-            block = _depth_windows(t, k, l, M)
+            block = _depth_windows(t.values, k, l, M, 1)
             assert block.shape == (k**l, M)
             for r in range(k**l):
                 assert np.array_equal(block[r], kernel_element(t, k, l, r, M).prefix)
