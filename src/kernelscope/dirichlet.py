@@ -468,12 +468,15 @@ class _ColumnEngine:
             contrib = np.einsum("cym,mcdy->cdy", w.reshape(nx, ny, -1), gs)
             rhs += ctx.mats[r] @ contrib
             mass = np.abs(w)
-            mass *= g_scale.T
-            err_rhs += 4.0 * np.einsum("pm,mp->p", mass, rel_children)
-            err_rhs += 4e-16 * mass.sum(axis=1)
-            # terms m > m_eff: the last kept term times the envelope's tail
-            last = ctx.mat_norms[r] * mass[points, cut - 1]
-            err_rhs += np.where(last > 0, last * horizon, 0.0)
+            # far left of the continued region the masses overflow: numpy does
+            # not warn, an infinite estimate or value is checked afterwards
+            with np.errstate(over="ignore", invalid="ignore"):
+                mass *= g_scale.T
+                err_rhs += 4.0 * np.einsum("pm,mp->p", mass, rel_children)
+                err_rhs += 4e-16 * mass.sum(axis=1)
+                # terms m > m_eff: the last kept term times the envelope's tail
+                last = ctx.mat_norms[r] * mass[points, cut - 1]
+                err_rhs += np.where(last > 0, last * horizon, 0.0)
         sol = np.einsum("cyij,cjy->ciy", inv.reshape(nx, ny, *inv.shape[1:]), rhs)
         err = inv_norm * err_rhs + inv_rounding * np.abs(rhs).max(axis=1).ravel()
         return sol, err
@@ -545,28 +548,26 @@ class _ColumnEngine:
     def _evaluate(self):
         """Values, errors, the refused, averaged, truncated and terms flags
         and top_det at every point."""
-        # numpy does not warn here: the outputs are checked instead, below
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, err = self._solve()
-            refused = self.top_bad.copy()
-            averaged = self.inner_bad & ~refused
-            truncated = np.repeat(self.truncated, self.ny)
-            terms = np.repeat(self.terms, self.ny)
-            for c, x in enumerate(self.xs.tolist()):
-                local = np.flatnonzero(averaged[c * self.ny : (c + 1) * self.ny])
-                if not len(local):
-                    continue
-                # removable inner singularity: one column of the points at y +- h
-                idx, y, n = c * self.ny + local, self.ys[local], len(local)
-                pair = np.concatenate([y + _OFFSET_H, y - _OFFSET_H])
-                twin = _ColumnEngine(self.ctx, x, pair, self.levels, self.m_max, Q=self.Q)
-                t_val, t_err = twin._solve()
-                value[idx] = (t_val[:n] + t_val[n:]) / 2
-                err[idx] = np.maximum(t_err[:n], t_err[n:]) + _OFFSET_H**2
-                truncated[idx], terms[idx] = twin.truncated[0], twin.terms[0]
-                bad = twin.top_bad | twin.inner_bad
-                refused[idx] = bad[:n] | bad[n:]
-            averaged &= ~refused
+        value, err = self._solve()
+        refused = self.top_bad.copy()
+        averaged = self.inner_bad & ~refused
+        truncated = np.repeat(self.truncated, self.ny)
+        terms = np.repeat(self.terms, self.ny)
+        for c, x in enumerate(self.xs.tolist()):
+            local = np.flatnonzero(averaged[c * self.ny : (c + 1) * self.ny])
+            if not len(local):
+                continue
+            # removable inner singularity: one column of the points at y +- h
+            idx, y, n = c * self.ny + local, self.ys[local], len(local)
+            pair = np.concatenate([y + _OFFSET_H, y - _OFFSET_H])
+            twin = _ColumnEngine(self.ctx, x, pair, self.levels, self.m_max, Q=self.Q)
+            t_val, t_err = twin._solve()
+            value[idx] = (t_val[:n] + t_val[n:]) / 2
+            err[idx] = np.maximum(t_err[:n], t_err[n:]) + _OFFSET_H**2
+            truncated[idx], terms[idx] = twin.truncated[0], twin.terms[0]
+            bad = twin.top_bad | twin.inner_bad
+            refused[idx] = bad[:n] | bad[n:]
+        averaged &= ~refused
         # a point not refused needs a finite value and an estimate that is a
         # number (inf: no finite bound)
         broken = np.flatnonzero(~refused & (~np.isfinite(value) | np.isnan(err)))
@@ -913,22 +914,17 @@ def landau_walfisz_singularities(n_max: int) -> list[Fraction]:
 # --- grid scanning ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    s: complex
-    abs_value: float  # nan when refused
-    det_magnitude: float
-    near_singular: bool
-    flagged: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # points is an array: equality is identity
 class ScanResult:
+    """``points`` is the grid as columns in CSV order (row-major, imaginary
+    part outer): a record array of s, abs_value (nan where refused),
+    det_magnitude, near_singular (refused) and flagged."""
+
     a: float
     b: float
     T: float
     step: float
-    points: tuple[ScanPoint, ...]
+    points: np.recarray
     clusters: tuple[complex, ...]
     predicted: tuple[complex, ...]
 
@@ -941,11 +937,12 @@ class ScanResult:
         return len(self.predicted)
 
     def write_csv(self, fh) -> None:
-        write_rows(fh, ["re", "im", "abs_value", "det_magnitude", "flags"], (
-            (p.s.real, p.s.imag, p.abs_value, p.det_magnitude,
-             "|".join(name for name, on in (("near_singular", p.near_singular),
-                                            ("cluster_candidate", p.flagged)) if on))
-            for p in self.points))
+        p = self.points
+        flags = np.array(["", "cluster_candidate",
+                          "near_singular", "near_singular|cluster_candidate"])
+        write_rows(fh, ["re", "im", "abs_value", "det_magnitude", "flags"], zip(*(
+            f.tolist() for f in (p.s.real, p.s.imag, p.abs_value, p.det_magnitude,
+                                 flags[p.near_singular * 2 + p.flagged]))))
 
     def to_json(self) -> dict:
         return {
@@ -981,8 +978,8 @@ def pole_scan(
     grid, and every column's strips come from one pass over n in phase
     blocks n^{-iy} built once each.  Every column keeps the plan
     it would have alone, so each point equals continue_column on its column
-    (at levels = default_levels(a)) up to rounding.  ``threads`` is
-    accepted and ignored: a grid has no columns to farm out.
+    (at levels = default_levels(a)) up to rounding.  The result holds the
+    grid as columns (ScanResult).  ``threads`` is accepted and ignored.
     """
     for name, v in (("a", a), ("b", b), ("T", T), ("step", step)):
         require_finite(name, v)
@@ -1002,28 +999,29 @@ def pole_scan(
     value, _, refused, *_, top_det = (np.concatenate(f) for f in zip(*blocks))
     abs_value = np.where(refused, math.nan, np.abs(value))
     flagged = refused | ((top_det < det_eta) & (abs_value > 1.0 / step))
-    # the engines' points run column by column; the CSV export is row-major
-    # (imaginary part outer)
-    s = (res[:, None] + 1j * ims[None, :]).ravel()
-    grid = [field.reshape(len(res), len(ims)).T.ravel().tolist()
-            for field in (s, abs_value, top_det, refused, flagged)]
-    points = [ScanPoint(*p) for p in zip(*grid)]
-    clusters = _cluster([p for p in points if p.flagged], 1.6 * step)
+    # the engines' points run column by column; the result is row-major
+    # (imaginary part outer), the CSV's order
+    points = np.rec.fromarrays(
+        [(res[None, :] + 1j * ims[:, None]).ravel(),
+         *(f.reshape(len(res), len(ims)).T.ravel() for f in (abs_value, top_det, refused, flagged))],
+        names="s,abs_value,det_magnitude,near_singular,flagged")
     m_hi = int(T * math.log(rep.k) / (2 * math.pi)) + 2
     l_hi = max(0, int(math.ceil(2 - a))) + 1
     lattice = pole_lattice(rep, m_hi, l_hi)
-    predicted = tuple(p.s for p in lattice.in_rectangle(a, b, T))
     return ScanResult(
         a=a, b=b, T=T, step=step,
-        points=tuple(points),
-        clusters=clusters,
-        predicted=predicted,
+        points=points,
+        clusters=_cluster(points[points.flagged], 1.6 * step),
+        predicted=tuple(p.s for p in lattice.in_rectangle(a, b, T)),
     )
 
 
-def _cluster(flagged: list[ScanPoint], radius: float):
-    """Union-find grouping of flagged grid points; one representative each."""
-    n = len(flagged)
+def _cluster(flagged: np.recarray, radius: float) -> tuple[complex, ...]:
+    """Union-find grouping of flagged grid points, records of a scan's
+    points; one representative each, sorted by (imag, real): a refused
+    member, else the largest |value|, a tie to the smaller det_magnitude."""
+    s = flagged.s.tolist()
+    n = len(s)
     parent = list(range(n))
 
     def find(i):
@@ -1034,14 +1032,12 @@ def _cluster(flagged: list[ScanPoint], radius: float):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(flagged[i].s - flagged[j].s) <= radius:
+            if abs(s[i] - s[j]) <= radius:
                 parent[find(i)] = find(j)
-    by_root: dict[int, list[ScanPoint]] = {}
-    for i, p in enumerate(flagged):
-        by_root.setdefault(find(i), []).append(p)
-
-    def badness(p):
-        return (-math.inf, 0.0) if p.near_singular else (-p.abs_value, p.det_magnitude)
-
-    reps = [min(members, key=badness).s for members in by_root.values()]
+    by_root: dict[int, list[int]] = {}
+    for i in range(n):
+        by_root.setdefault(find(i), []).append(i)
+    badness = [(-math.inf, 0.0) if p.near_singular else (-p.abs_value, p.det_magnitude)
+               for p in flagged]
+    reps = [s[min(members, key=badness.__getitem__)] for members in by_root.values()]
     return tuple(sorted(reps, key=lambda z: (z.imag, z.real)))

@@ -1,4 +1,5 @@
 import cmath
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -746,6 +747,34 @@ class TestPoleScan:
         assert len(rows) == len(scan.points)
         assert len(rows) == 3 * 21
 
+    def test_csv_rows_are_row_major(self, const_rep):
+        # row i is (a + (i mod nx) step, (i div nx) step), and each row's
+        # value and flags are what continue_column gives on its own column
+        a, step, nx, ny = 0.9, 0.1, 3, 3
+        fh = io.StringIO()
+        pole_scan(const_rep, a, 1.1, 0.2, step).write_csv(fh)
+        rows = [r.split(",") for r in fh.getvalue().splitlines()[1:]]
+        assert len(rows) == nx * ny
+        levels = dirichlet.default_levels(a, const_rep.growth[1])
+        det_eta = max(dirichlet._NEAR_SINGULAR_DET, step * math.log(const_rep.k))
+        columns = [continue_column(const_rep, a + c * step, np.arange(ny) * step, levels=levels)
+                   for c in range(nx)]
+        for i, (re, im, abs_value, det, flags) in enumerate(rows):
+            ev = columns[i % nx][i // nx]
+            assert float(re) == pytest.approx(a + (i % nx) * step, abs=1e-12), i
+            assert float(im) == pytest.approx((i // nx) * step, abs=1e-12), i
+            assert float(det) == ev.det_magnitude, ev.s
+            if ev.near_singular:
+                assert (abs_value, flags) == ("nan", "near_singular|cluster_candidate"), ev.s
+                continue
+            assert float(abs_value) == pytest.approx(abs(ev.value), rel=1e-12), ev.s
+            pole_like = ev.det_magnitude < det_eta and abs(ev.value) > 1 / step
+            assert flags == ("cluster_candidate" if pole_like else ""), ev.s
+        # the rectangle shows all three kinds of row: s = 1 refused, s = 1.1
+        # and 1 + 0.1i flagged, the rest plain
+        assert [r[4] for r in rows].count("cluster_candidate") == 2
+        assert [r[4] for r in rows].count("") == 6
+
     def test_threads_match_serial(self, const_rep):
         # threads is accepted and ignored (a scan is one grid), so the two
         # calls are the same; kept until item 8 of the roadmap drops the
@@ -863,6 +892,19 @@ class TestPoleScan:
         assert len(scan.points) == 7 * 201
         assert peak < 10 * 2**20
 
+    def test_result_holds_columns(self, const_rep):
+        # a returned scan holds its grid as columns, 34 bytes a point; one
+        # frozen object per point held 202
+        const_rep.resolvent_poly  # derived once per representation, not per scan
+        tracemalloc.start()
+        try:
+            scan = pole_scan(const_rep, 0.9, 1.1, 100.0, 0.05)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(scan.points) == 5 * 2001
+        assert held <= 48 * len(scan.points)
+
     def test_wide_scan_memory(self, table):
         # a dim-21 scan of 13 columns runs as engines of whole columns that
         # fit _GRID_BLOCK (here one column each), so its traced peak stays
@@ -880,6 +922,36 @@ class TestPoleScan:
             tracemalloc.stop()
         assert len(scan.points) == 13 * 201
         assert peak < 10 * 2**20
+
+    @staticmethod
+    def _flagged(*points):
+        """Flagged records of (s, abs_value, det_magnitude, near_singular)."""
+        s, value, det, refused = zip(*points)
+        return np.rec.fromarrays(
+            [np.array(s, dtype=complex), np.array(value), np.array(det), np.array(refused),
+             np.ones(len(s), dtype=bool)],
+            names="s,abs_value,det_magnitude,near_singular,flagged")
+
+    @pytest.mark.parametrize("points, clusters", [
+        # diagonal neighbours, 0.141 apart at step 0.1 (radius 0.16): one cluster
+        ([(1.0, 20.0, 0.05, False), (1.1 + 0.1j, 10.0, 0.05, False)], [1.0]),
+        # 0.2 apart: two clusters
+        ([(1.0, 20.0, 0.05, False), (1.2, 10.0, 0.05, False)], [1.0, 1.2]),
+        # a refused member represents its cluster over any |value|
+        ([(1.1, 1e6, 0.01, False), (1.0, math.nan, 0.0, True)], [1.0]),
+        # else the largest |value|
+        ([(1.0, 20.0, 0.01, False), (1.1, 30.0, 0.05, False)], [1.1]),
+        # and between equal values the smaller det_magnitude
+        ([(1.0, 20.0, 0.05, False), (1.1, 20.0, 0.01, False)], [1.1]),
+        # representatives sorted by (imag, real)
+        ([(2 + 0.5j, 20.0, 0.05, False), (1 + 1j, 20.0, 0.05, False),
+          (3.0, 20.0, 0.05, False), (0.5 + 0.5j, 20.0, 0.05, False)],
+         [3.0, 0.5 + 0.5j, 2 + 0.5j, 1 + 1j]),
+    ])
+    def test_cluster_representatives(self, points, clusters):
+        got = dirichlet._cluster(self._flagged(*points), 1.6 * 0.1)
+        assert got == tuple(clusters)
+        assert all(type(c) is complex for c in got)
 
     @pytest.mark.parametrize("a, b, T, step, message", [
         (1.1, 0.9, 3.0, 0.1, r"^need a <= b, got a=1.1, b=0.9$"),
