@@ -1,10 +1,11 @@
 """Dirichlet series three ways: truncation, matrix recursion, zeta quotients.
 
 The truncation route sums f(n) n^{-s} over the table's nonzero support
-n <= N, block by block, with log n computed once per table for all
-points, n^{-i Im s} built from one half-angle tangent (numpy's float64
-tan is ~9 times faster than its cos or sin) and blocks added by np.sum,
-never a BLAS dot.
+n <= N, block by block, with log n computed once per block for all
+points; every block is one call of zeta's n^{-s} kernel (_power_sums),
+which takes n^{-i Im s} from zeta's one phase routine (_unit_phase, a
+half-angle tangent: numpy's float64 tan is ~9 times faster than its cos
+or sin) and adds the terms by np.sum, never a BLAS dot.
 
 The recursion route continues the Dirichlet vector G(s) = sum U_n n^{-s}
 of a linear representation below its abscissa.  With digits r = 0..k-1,
@@ -26,8 +27,8 @@ bounded), a vertical column a grid with one x, a single evaluation a grid
 of one point.  Each offset's node is solved once for every point of the
 grid, while each column keeps its own cuts and tail lengths.  The strip
 sums of every column run in one pass over n, in phase blocks n^{-iy} of
-at most _PHASE_BLOCK entries, each built once from one half-angle tangent
-as a real matrix (cos and -sin of y log n) and used in real GEMMs for
+at most _PHASE_BLOCK entries, each built once by _unit_phase as a real
+matrix (cos and -sin of y log n) and used in real GEMMs for
 every strip range live in it, so no phase matrix is ever held whole and no
 complex exp runs.  Near-singular systems at the
 requested point are refused as candidate poles; hitting one strictly
@@ -51,7 +52,7 @@ import numpy as np
 from .automaton import LinearRepresentation, pole_lattice, vector_values
 from .errors import CapacityError, DomainError, PrecisionError, require_finite
 from .seqgen import FunctionId, ValueTable, build_table, write_rows
-from .zeta import WORKING_RADIUS, _zeta_on, zeta_em
+from .zeta import WORKING_RADIUS, _power_sums, _unit_phase, _zeta_on, zeta_em
 
 BASE_STRIP_SIGMA = 1.25
 _DIRECT_TOL = 1e-9
@@ -98,25 +99,6 @@ class EvalResult:
         return doc
 
 
-def _unit_phase(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of e^{-i theta}, from one tangent.
-
-    With u = tan(theta/2), cos theta = (1 - u^2)/(1 + u^2) and
-    sin theta = 2u/(1 + u^2).  numpy's float64 tan is a vector kernel
-    (~3 ms per 10^6 values on a 2-vCPU VM, numpy 2.4) where cos and sin
-    are not (~29 ms each), and both parts stay within 2.3e-16 of them.
-    u stays below 1e19 for every double theta, so u^2 cannot overflow.
-    """
-    u = np.tan(theta * 0.5)
-    u2 = u * u
-    den = u2 + 1.0
-    re = np.subtract(1.0, u2, out=u2)
-    re /= den
-    u *= -2.0
-    u /= den
-    return re, u
-
-
 def direct_sums(t: ValueTable, ss: Iterable[complex], N_terms: int) -> list[EvalResult]:
     """Plain truncation sum_{n <= N_terms} f(n) n^{-s} at every s in ss.
 
@@ -125,12 +107,11 @@ def direct_sums(t: ValueTable, ss: Iterable[complex], N_terms: int) -> list[Eval
     every s and N_terms is checked before any sum runs.  The table is read
     in blocks of _SUM_BLOCK entries, so memory stays at one block whatever
     N_terms is.  In each block the sums run over the nonzero support only,
-    whose log n and float values are computed once for all of ss.  Each s
-    weights the terms by f(n) n^{-Re s}, takes n^{-i Im s} from one
-    half-angle tangent (_unit_phase) and adds the block with np.sum's
-    pairwise summation, never a BLAS dot (at s = 3.3 - 11i, N = 10^6 a
-    real dot errs by 7.6e-15 and a complex one by 2.8e-14, the pairwise
-    sum by 4.5e-16).
+    whose log n and float values are computed once, and one call of zeta's
+    n^{-s} kernel (_power_sums) sums the block at every s: weights f(n),
+    n^{-i Im s} from one half-angle tangent, np.sum's pairwise summation,
+    never a BLAS dot (at s = 3.3 - 11i, N = 10^6 a real dot errs by
+    7.6e-15 and a complex one by 2.8e-14, the pairwise sum by 4.5e-16).
     """
     ss = [complex(s) for s in ss]
     C, d = t.id.growth_bound()
@@ -145,20 +126,16 @@ def direct_sums(t: ValueTable, ss: Iterable[complex], N_terms: int) -> list[Eval
         raise CapacityError(
             f"N_terms={N_terms} outside the table range 1..{t.N} for {t.id}"
         )
-    totals = [0j] * len(ss)
+    points = np.array(ss, dtype=np.complex128)
+    totals = np.zeros(len(ss), dtype=np.complex128)
     for lo in range(1, N_terms + 1, _SUM_BLOCK):
         block = t.values[lo : min(N_terms + 1, lo + _SUM_BLOCK)]
         n = np.flatnonzero(block)
         f = block.take(n).astype(np.float64)
         n += lo
-        logn = np.log(n, dtype=np.float64)
-        for j, s in enumerate(ss):
-            a = np.exp(logn * -s.real)
-            a *= f
-            re, im = _unit_phase(logn * s.imag)
-            totals[j] += complex(np.sum(re * a), np.sum(im * a))
+        totals += _power_sums(np.log(n, dtype=np.float64), f, points)
     results = []
-    for s, total in zip(ss, totals):
+    for s, total in zip(ss, totals.tolist()):
         sigma = s.real
         tail = C * N_terms ** (1 + d - sigma) / (sigma - 1 - d)
         rounding = 1e-15 * math.log2(N_terms + 1) * (1 + abs(total))
@@ -608,7 +585,7 @@ class _ColumnEngine:
 def _phases(ys: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """log n and the phase block n^{-iy} for n = lo .. hi-1 as a real matrix:
     row n holds cos(y log n) and -sin(y log n) for each y in ys in turn
-    (the complex block's memory), both from one half-angle tangent
+    (the complex block's memory), both from zeta's one phase routine
     (_unit_phase)."""
     logn = np.log(np.arange(lo, hi, dtype=np.float64))
     re, im = _unit_phase(np.multiply.outer(logn, ys))
@@ -672,9 +649,10 @@ def _checked_zetas(ws: list[complex]) -> list[complex]:
     """zeta at every w of ws, refused within 1e-6 of the pole or of a zero.
 
     The log series ask for zeta(n s) with n up to ~25.  Past zeta_em's
-    working radius an argument with Re w >= 50 is summed to n = 4: the
-    terms from n = 5 on add at most 5^{-Re w} + 5^{1-Re w}/(Re w - 1),
-    below 1e-35.  Any other argument past the radius is refused there.
+    working radius an argument with Re w >= 50 is summed to n = 4, as four
+    Python powers: the terms from n = 5 on add at most 5^{-Re w} +
+    5^{1-Re w}/(Re w - 1), below 1.3e-35 (5^{-50} alone is 1.13e-35).  Any
+    other argument past the radius is refused there.
     Every w inside the radius with Re w >= -0.5 is one element of a single
     kernel call, whose values are zeta_em's to the bit; the rules are then
     applied in the order of ws, so the first w refused is the one a call

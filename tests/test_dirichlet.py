@@ -120,7 +120,7 @@ class TestDirectSums:
 
     def test_one_bad_point_refused_before_any_sum(self, table, monkeypatch):
         calls = []
-        monkeypatch.setattr(dirichlet, "_unit_phase", lambda theta: calls.append(theta))
+        monkeypatch.setattr(dirichlet, "_power_sums", lambda *args: calls.append(args))
         with pytest.raises(DomainError):
             direct_sums(table("const_one"), [2.0, 3 + 1j, 1.2, 2.5], 10**6)
         with pytest.raises(DomainError):  # phi: Re s >= 1.25 + 1

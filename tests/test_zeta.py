@@ -160,6 +160,63 @@ def _edge(a: complex, b: complex, pieces: int) -> np.ndarray:
     return pts
 
 
+class TestPowerSums:
+    # sigma in [-0.5, 3] and |t| <= 1000, the edges among them
+    POINTS = np.concatenate([
+        [-0.5 + 1000j, 3 - 1000j, 0.5 + 0j, -0.5 - 0.25j],
+        np.random.default_rng(33).uniform(-0.5, 3, 6)
+        + 1j * np.random.default_rng(34).uniform(-1000, 1000, 6),
+    ])
+
+    @staticmethod
+    def _weights(N: int, points: int) -> dict:
+        n = np.arange(1, N + 1)
+        cut = np.random.default_rng(N).integers(0, N + 1, points)
+        return {
+            "ones": 1.0,
+            "mu_like": np.random.default_rng(N + 1).integers(-1, 2, N).astype(np.float64),
+            # Riemann-Siegel's shape: 2 n^{-1/2} up to each point's own m
+            "rs_mask": np.where(n <= cut[:, None], 2 / np.sqrt(n), 0.0),
+        }
+
+    @pytest.mark.parametrize("N", [16, 358, 4096])
+    def test_against_mpmath(self, N):
+        # the reference takes the arguments -sigma log n and t log n as the
+        # doubles the kernel forms: their rounding is the callers' to bound
+        logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+        mod_arg = np.multiply.outer(-self.POINTS.real, logn)
+        phase_arg = np.multiply.outer(self.POINTS.imag, logn)
+        mod = [[mpmath.exp(x) for x in row] for row in mod_arg.tolist()]
+        cos = [[mpmath.cos(x) for x in row] for row in phase_arg.tolist()]
+        sin = [[mpmath.sin(x) for x in row] for row in phase_arg.tolist()]
+        for kind, w in self._weights(N, len(self.POINTS)).items():
+            got = zeta._power_sums(logn, w, self.POINTS)
+            wj = np.broadcast_to(w, mod_arg.shape).tolist()
+            for j, s in enumerate(self.POINTS):
+                terms = [(x * m, x * m * c, x * m * si)
+                         for x, m, c, si in zip(wj[j], mod[j], cos[j], sin[j]) if x]
+                truth = complex(mpmath.fsum(t[1] for t in terms),
+                                -mpmath.fsum(t[2] for t in terms))
+                mass = float(mpmath.fsum(abs(t[0]) for t in terms))
+                bound = (2.3e-16 + 2.2e-16 * math.log2(N)) * mass
+                assert abs(got[j] - truth) <= bound, (kind, N, s)
+
+    def test_chunks_keep_each_point_bits(self):
+        # 40 points of 4096 terms are more than _POWER_BLOCK entries, so
+        # the call runs in chunks; each point's bits are its own call's
+        N = 4096
+        logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+        rng = np.random.default_rng(35)
+        points = rng.uniform(-0.5, 3, 40) + 1j * rng.uniform(-1000, 1000, 40)
+        assert len(points) * N > zeta._POWER_BLOCK
+        for kind, w in self._weights(N, len(points)).items():
+            whole = zeta._power_sums(logn, w, points)
+            for j, s in enumerate(points):
+                wj = w[j : j + 1] if np.ndim(w) == 2 else w
+                alone = zeta._power_sums(logn, wj, points[j : j + 1])
+                assert alone.tobytes() == whole[j : j + 1].tobytes(), (kind, s)
+
+
 class TestKernel:
     # the Re s = -0.5 edge, N groups from 16 to 358, and at 1e-30 the point
     # 0.5 + 30i, which order 60 cannot settle at N = 18, doubles to N = 36
