@@ -653,15 +653,16 @@ def _checked_zetas(ws: list[complex]) -> list[complex]:
     Python powers: the terms from n = 5 on add at most 5^{-Re w} +
     5^{1-Re w}/(Re w - 1), below 1.3e-35 (5^{-50} alone is 1.13e-35).  Any
     other argument past the radius is refused there.
-    Every w inside the radius with Re w >= -0.5 is one element of a single
-    kernel call, whose values are zeta_em's to the bit; the rules are then
-    applied in the order of ws, so the first w refused is the one a call
-    per w would refuse.
+    Every other w inside the radius is one element of a single _zeta_on
+    call, whose values are zeta_em's to the bit; the rules are then applied
+    in the order of ws, so the first w refused is the one a call per w
+    would refuse.  The exception is a chi(w) overflow, at Re w below about
+    -137, which that call raises first and no closed form reaches.
+    zeta_em is called only past the radius, to refuse there.
     """
     ws = [complex(w) for w in ws]
-    batch = [i for i, w in enumerate(ws)
-             if w.real >= -0.5 and w != 1 and abs(w) <= WORKING_RADIUS]
-    kernel = dict(zip(batch, _zeta_on(np.array([ws[i] for i in batch]), ZETA_TOL).tolist()))
+    batch = [i for i, w in enumerate(ws) if w != 1 and abs(w) <= WORKING_RADIUS]
+    kernel = dict(zip(batch, _zeta_on(np.array([ws[i] for i in batch]), ZETA_TOL)[0].tolist()))
     out = []
     for i, w in enumerate(ws):
         if abs(w - 1) < 1e-6:

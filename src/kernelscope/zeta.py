@@ -7,12 +7,17 @@ exp for the modulus, the phase n^{-i Im s} from one half-angle tangent
 Riemann-Siegel cosines and dirichlet's phase blocks) and np.sum's
 pairwise summation.
 
-Evaluation is Euler-Maclaurin with adaptive truncation point and
-Bernoulli order, reflected through the functional equation left of the
-critical strip.  One array kernel evaluates any number of points at once;
-a single zeta_em call is a batch of one.  Zeros are located by sign
-changes of the phase-corrected critical-line restriction on a grid
-evaluated in one batch, and refined by bisecting every cell in lockstep.
+Evaluation is one routine, _zeta_on, for any number of points at once
+and every s in the working range: Euler-Maclaurin with adaptive
+truncation point and Bernoulli order, in one kernel call at s where
+Re s >= -0.5 and at 1 - s left of that line, whose values the functional
+equation zeta(s) = chi(s) zeta(1 - s) then carries back.  Each error
+estimate is the truncation bound plus the rounding, that of the
+arguments s log n included.  A single zeta_em call is a batch of one.
+
+Zeros are located by sign changes of the phase-corrected critical-line
+restriction on a grid evaluated in one batch, and refined by bisecting
+every cell in lockstep.
 Those signs come from the Riemann-Siegel formula from t = RS_FROM up,
 wherever its value exceeds Gabcke's bound on its remainder plus its
 rounding, and from Euler-Maclaurin everywhere else; hardy_z itself is
@@ -30,8 +35,8 @@ ratios of desk-scale counts in a readable window.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -253,14 +258,17 @@ def _em_kernel(
             blk = slice(lo, lo + _EM_ROWS)
             val[blk], trunc[blk], order[todo[blk]] = _bernoulli(
                 sp[blk], Nf[blk], n_s[blk], head[blk], target_tol)
-        # pairwise-summation rounding on the partial sum
-        sigma = sp.real
-        mass = np.where(
-            sigma < 1,
-            1.0 + Nf ** (1 - sigma) / np.maximum(1e-6, 1 - sigma),
-            1.0 + np.log(Nf),
-        )
-        rounding = 8e-16 * np.log2(Nf + 1) * (mass + _mod(val))
+        # sum_{n<N} n^{-sigma} <= 1 + (N^{1-sigma} - 1)/(1 - sigma), which
+        # is 1 + log N at sigma = 1
+        x = 1 - sp.real
+        mass = 1.0 + np.divide(np.expm1(x * logN), x, out=logN.copy(), where=x != 0)
+        # the pairwise summation of the partial sum, plus the rounding of the
+        # arguments s log n and s log N behind every term: |s| log N + 2
+        # ulps of the moduli of the partial sum, the N^{-s} terms of head
+        # and the Bernoulli part
+        rounding = (8e-16 * np.log2(Nf + 1) * (mass + _mod(val))
+                    + 2.2e-16 * (_mod(sp) * logN + 2)
+                    * (mass + mod * (Nf / _mod(sp - 1) + 0.5) + _mod(val - head)))
         done = trunc < target_tol
         value[todo[done]] = val[done]
         err[todo[done]] = trunc[done] + rounding[done]
@@ -276,71 +284,86 @@ def _em_kernel(
     return value, err, N, order
 
 
-def _log_sin(w: complex) -> complex:
-    # branch irrelevant: the result is exponentiated immediately
-    if abs(w.imag) < 30:
-        return cmath.log(cmath.sin(w))
-    if w.imag > 0:
-        return -1j * w + cmath.log(0.5j)
-    return 1j * w + cmath.log(-0.5j)
+def _reflection(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi(s) at every element of s, and a bound on its relative rounding.
+
+    At u = x + iy = pi s / 2 with y >= 0, 2 e^{-y} sin u is
+    sin x (1 + e^{-2y}) - i cos x expm1(-2y), which cannot overflow at any
+    height and loses nothing to cancellation near the zeros of sin; a u
+    below the real axis takes the conjugate of its mirror's log sin.  The
+    branch is irrelevant, as chi is the exp of log chi.  A chi past e^700
+    is refused, naming the first s where it is.
+
+    The rounding of log chi is a relative error of chi: four ulps of the
+    moduli of the terms log chi sums, s log 2, (s - 1) log pi, u and
+    (w - 1/2) log w - w at the Stirling point w of log Gamma(1 - s), with
+    u's ulps scaled by |cot u|, the condition of log sin u, near the zeros
+    of sin.
+    """
+    u = (math.pi / 2) * s
+    y = np.abs(u.imag)
+    a, b = 1 + np.exp(-2 * y), -np.expm1(-2 * y)
+    sin_x, cos_x = np.sin(u.real), np.cos(u.real)
+    scaled_sin = np.empty_like(u)
+    scaled_sin.real, scaled_sin.imag = sin_x * a, cos_x * b
+    log_sin = y - math.log(2.0) + np.log(scaled_sin)
+    log_chi = (s * math.log(2.0) + (s - 1) * math.log(math.pi)
+               + np.where(u.imag < 0, log_sin.conj(), log_sin) + _loggamma(1 - s))
+    over = log_chi.real > 700
+    if over.any():
+        raise PrecisionError(f"reflection factor overflows at s={complex(s[over][0])}")
+    cot = np.hypot(cos_x * a, sin_x * b) / _mod(scaled_sin)
+    w = _mod(1 - s + _STIRLING_SHIFT)
+    rel = 8.9e-16 * (_mod(s) * math.log(2 * math.pi) + _mod(u) * np.maximum(1.0, cot)
+                     + w * (np.log(w) + 1))
+    return np.exp(log_chi), rel
 
 
-def reflection_factor(s: complex) -> complex:
-    """chi(s) with zeta(s) = chi(s) zeta(1-s)."""
-    log_chi = (
-        s * math.log(2.0)
-        + (s - 1) * math.log(math.pi)
-        + _log_sin(math.pi * s / 2)
-        + complex(_loggamma(1 - s))
-    )
-    if log_chi.real > 700:
-        raise PrecisionError(f"reflection factor overflows at s={s}")
-    return cmath.exp(log_chi)
+def reflection_factor(s):
+    """chi(s) with zeta(s) = chi(s) zeta(1 - s), at a complex s or at every
+    element of an array, each element the bits of its own call: a scalar
+    runs as a one-element array, not through numpy's scalar arithmetic."""
+    s = np.asarray(s, dtype=np.complex128)
+    return _reflection(s.ravel())[0].reshape(s.shape)
 
 
 def zeta_em(s: complex, target_tol: float = 1e-12) -> ZetaEval:
-    """zeta(s) with |value - zeta(s)| <= error_estimate <= ~target_tol.
+    """zeta(s) and an error estimate: truncation below target_tol plus the
+    rounding, which at |s| near 1e3 can exceed target_tol.
 
-    Direct Euler-Maclaurin for Re s >= -0.5; functional-equation
-    reflection to the left of that.  s = 1 is the pole, and a NaN or
-    infinite tolerance is refused.  One point is a one-element call of the
-    array kernel.
+    A one-element call of _zeta_on, so the same bits as that point in any
+    batch.  s = 1 is the pole, and a NaN or infinite tolerance is refused.
     """
     s = complex(s)
-    one = np.array([s])
-    _check_points(one)
-    require_finite("tol", target_tol)
-    if s.real >= -0.5:
-        value, err, terms, order = _em_kernel(one, target_tol)
-        return ZetaEval(s=s, value=complex(value[0]), terms_used=int(terms[0]),
-                        bernoulli_order=int(order[0]), error_estimate=float(err[0]))
-    # trivial zeros: sin(pi s / 2) vanishes at negative even integers
-    if s.imag == 0 and s.real == int(s.real) and int(s.real) % 2 == 0:
-        return ZetaEval(s=s, value=0j, terms_used=0, bernoulli_order=0,
-                        error_estimate=0.0)
-    chi = reflection_factor(s)
-    value, err, terms, order = _em_kernel(np.array([1 - s]), target_tol)
-    value = chi * complex(value[0])
-    # the rounding of log chi is a relative error of chi: four ulps of the
-    # moduli of the terms it sums, s log 2, (s - 1) log pi, pi s / 2 and
-    # (w - 1/2) log w - w at the Stirling point w of log Gamma(1 - s)
-    w = abs(1 - s + _STIRLING_SHIFT)
-    log_chi_err = 8.9e-16 * (abs(s) * (math.log(2 * math.pi) + math.pi / 2)
-                             + w * (math.log(w) + 1))
-    est = abs(chi) * float(err[0]) + (4e-16 + log_chi_err) * abs(value)
-    return ZetaEval(
-        s=s,
-        value=value,
-        terms_used=int(terms[0]),
-        bernoulli_order=int(order[0]),
-        error_estimate=est,
-    )
+    value, err, terms, order = _zeta_on(np.array([s]), target_tol)
+    return ZetaEval(s=s, value=complex(value[0]), terms_used=int(terms[0]),
+                    bernoulli_order=int(order[0]), error_estimate=float(err[0]))
 
 
-def _zeta_on(s: np.ndarray, target_tol: float) -> np.ndarray:
-    """zeta at every element of s, all with Re s >= -0.5, in one kernel call."""
+def _zeta_on(
+    s: np.ndarray, target_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """zeta at every element of the 1-D array s, the package's one zeta routine.
+
+    Returns the arrays (value, error_estimate, terms_used, bernoulli_order).
+    One _em_kernel call takes every point: s itself where Re s >= -0.5, and
+    1 - s left of that line, whose value is then chi(s) zeta(1 - s).  A
+    trivial zero -2, -4, ... is reported as exactly 0, from no terms.
+    """
+    s = np.asarray(s, dtype=np.complex128)
     _check_points(s)
-    return _em_kernel(s, target_tol)[0]
+    require_finite("tol", target_tol)
+    left = s.real < -0.5
+    value, err, terms, order = _em_kernel(np.where(left, 1 - s, s), target_tol)
+    refl = np.flatnonzero(left)
+    if len(refl):
+        zero = (s.imag[refl] == 0) & (s.real[refl] % 2 == 0)
+        trivial, refl = refl[zero], refl[~zero]
+        value[trivial], err[trivial], terms[trivial], order[trivial] = 0, 0, 0, 0
+        chi, rel = _reflection(s[refl])
+        value[refl] *= chi
+        err[refl] = _mod(chi) * err[refl] + (4e-16 + rel) * _mod(value[refl])
+    return value, err, terms, order
 
 
 def rs_theta(t):
@@ -359,7 +382,7 @@ def _critical(t: np.ndarray) -> np.ndarray:
 
 def _hardy_z(t: np.ndarray) -> np.ndarray:
     """The Hardy Z-function at every element of t, in one kernel call."""
-    val = _zeta_on(_critical(t), HARDY_Z_TOL)
+    val = _zeta_on(_critical(t), HARDY_Z_TOL)[0]
     return (np.exp(1j * rs_theta(t)) * val).real
 
 
@@ -591,7 +614,7 @@ def _phase_change(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) 
         depth += 1
         a, b, fa, fb = a[wide], b[wide], fa[wide], fb[wide]
         m = 0.5 * (a + b)
-        fm = _zeta_on(m, COUNT_EVAL_TOL)
+        fm = _zeta_on(m, COUNT_EVAL_TOL)[0]
         # each step becomes its two halves, in contour order
         a, b = np.column_stack((a, m)).ravel(), np.column_stack((m, b)).ravel()
         fa, fb = np.column_stack((fa, fm)).ravel(), np.column_stack((fm, fb)).ravel()
@@ -605,7 +628,7 @@ def _winding_count(T: float) -> int:
     |arg zeta(s)| <= log zeta(1.5) < pi/2 wherever Re s >= 1.5."""
     pts = np.empty(17, dtype=np.complex128)
     pts.real, pts.imag = 1.5 - np.arange(17) / 16, T  # ends 1.5 and 0.5 exactly
-    vals = _zeta_on(pts, COUNT_EVAL_TOL)
+    vals = _zeta_on(pts, COUNT_EVAL_TOL)[0]
     arg = float(np.angle(vals[0])) + _phase_change(pts[:-1], pts[1:], vals[:-1], vals[1:])
     winding = (float(rs_theta(T)) + arg) / math.pi + 1
     nearest = round(winding)
@@ -617,6 +640,15 @@ def _winding_count(T: float) -> int:
     return int(nearest)
 
 
+def _count_reports(Ts: list[float]) -> Iterator[ZeroCountReport]:
+    """A ZeroCountReport at every checked height of Ts, in order: the
+    sign-change counts from one sweep, done at once, and each height's
+    winding count when its report is drawn.  One zero per sign-change
+    cell, so counting needs no bisection."""
+    return (ZeroCountReport(T=T, winding_count=_winding_count(T), sign_change_count=changes)
+            for T, changes in zip(Ts, _sign_change_counts(Ts)))
+
+
 def zero_count_report(T: float) -> ZeroCountReport:
     """Count zeros with 0 < Im s <= T two independent ways.
 
@@ -626,9 +658,7 @@ def zero_count_report(T: float) -> ZeroCountReport:
     zeros.  A discrepancy means a missed or off-line zero.
     """
     _check_count_height(T)
-    # one zero per sign-change cell; counting needs no bisection
-    return ZeroCountReport(T=T, winding_count=_winding_count(T),
-                           sign_change_count=_sign_change_counts([T])[0])
+    return next(_count_reports([T]))
 
 
 def _agreed(report: ZeroCountReport) -> int:
@@ -665,8 +695,7 @@ def tlogt_ratio_table(T_list: list[float]) -> list[RatioRow]:
             raise DomainError(f"heights must exceed 1, got {T}")
         _check_count_height(T)
     rows = []
-    for T, changes in zip(T_list, _sign_change_counts(T_list)):
-        n = _agreed(ZeroCountReport(T=T, winding_count=_winding_count(T),
-                                    sign_change_count=changes))
-        rows.append(RatioRow(T=T, N=n, ratio=n / (T * math.log10(T))))
+    for report in _count_reports(T_list):
+        n = _agreed(report)
+        rows.append(RatioRow(T=report.T, N=n, ratio=n / (report.T * math.log10(report.T))))
     return rows

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -113,6 +114,46 @@ class TestZetaEval:
     def test_no_zeros_on_sigma_one_line(self):
         for t in range(1, 101):
             assert abs(zeta_em(complex(1, t)).value) > 0.05
+
+
+class TestOneRoutine:
+    # both sides of Re s = -0.5, two trivial zeros, a conjugate pair and the
+    # top of the range
+    MIXED = [-0.5, -0.5000001, -2, -8, -3 + 40j, -3 - 40j, -0.75 + 999j, 0.5 + 14.1j]
+
+    def test_mixed_batch_keeps_each_point_bits(self):
+        batch = np.array(self.MIXED + self.MIXED[::-1], dtype=np.complex128)
+        value, err, terms, order = zeta._zeta_on(batch, 1e-12)
+        for i, s in enumerate(batch):
+            one = zeta_em(s, 1e-12)
+            assert (one.value, one.error_estimate, one.terms_used, one.bernoulli_order) == (
+                value[i], err[i], terms[i], order[i]), s
+            assert abs(one.value - mp_zeta(s)) <= one.error_estimate, s
+        assert (value[2:4] == 0).all() and (terms[2:4] == 0).all()
+
+    def test_reflection_factor_on_arrays(self):
+        s = np.array([-3 + 40j, -3 - 40j, -0.75 + 999j, -20 - 998j, -3.7, -51.0, 0.3 + 5j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi = reflection_factor(s)
+            assert chi.tolist() == [complex(reflection_factor(x)) for x in s]
+            for x in s[:4]:
+                zeta_em(x)
+        with pytest.raises(PrecisionError, match=r"overflows at s=\(-900\+400j\)"):
+            reflection_factor(np.array([-3 + 40j, -900 + 400j, -950 - 100j]))
+
+    # the points where the estimate once left out the rounding of s log n,
+    # and 40 seeded points high up the range
+    def test_estimate_bounds_argument_rounding(self):
+        rng = np.random.default_rng(34)
+        seeded = rng.uniform(-0.5, 2, 40) + 1j * rng.uniform(500, 999, 40)
+        for s in [-0.5 + 999j, -0.25 + 800j, 0.5 + 950.7j, *seeded]:
+            res = zeta_em(complex(s))
+            assert abs(res.value - mp_zeta(s)) <= res.error_estimate, s
+
+    def test_estimate_smooth_at_sigma_one(self):
+        below, above = (zeta_em(complex(x, 500)).error_estimate for x in (1 - 1e-6, 1 + 1e-6))
+        assert max(below, above) <= 2 * min(below, above)
 
 
 class TestLogGamma:
@@ -470,5 +511,5 @@ class TestZeroCount:
         t = np.arange(0.0, 999.99, 0.5)
         s = np.empty(len(t), dtype=np.complex128)
         s.real, s.imag = 1.5, t
-        arg = np.abs(np.angle(zeta._zeta_on(s, zeta.COUNT_EVAL_TOL)))
+        arg = np.abs(np.angle(zeta._zeta_on(s, zeta.COUNT_EVAL_TOL)[0]))
         assert arg.max() <= float(mpmath.log(mpmath.zeta(1.5))) < math.pi / 2
