@@ -5,7 +5,8 @@ subsequence; the digit matrices A_0..A_{k-1} are then row-selection
 matrices (exactly one 1 per row) and the first coordinate reproduces the
 source sequence.  The averaged matrix (1/k) sum_r A_r drives the
 Dirichlet-series continuation: its eigenvalues generate the candidate
-pole lattice s = log(alpha)/log(k) + (2 pi i / log k) m - l + 1.
+pole lattice s = log(alpha)/log(k) + (2 pi i / log k) m - l + 1, held as
+one record array of its points, broadcast from one base per eigenvalue.
 
 Indexing convention: digits r run over 0..k-1 and the recursion holds for
 n >= 1; the finitely many indices 1..k-1 below the recursion are carried
@@ -260,47 +261,45 @@ def eval_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    s: complex
-    alpha_index: int
-    m: int
-    l: int
+_LATTICE_COLUMNS = ("re", "im", "alpha_index", "m", "l")  # CSV header and JSON keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # points is an array: equality is identity
 class PoleLattice:
     """Candidate pole set from the averaged matrix's eigenvalues.
 
-    Points satisfy s = log(alpha)/log(k) + (2 pi i / log k) m - l + 1 for
-    |m| <= m_max and 0 <= l <= l_max; eigenvalues at 0 contribute nothing
-    and are listed in ``skipped``.  ``char_coeffs`` is the exact rational
-    characteristic polynomial of the averaged matrix, low degree first,
-    so membership of eigenvalue 1 can be certified without floats.
+    ``points`` is one record array of s, alpha_index, m and l, with
+    s = log(alpha)/log(k) + (2 pi i / log k) m - l + 1 for |m| <= m_max and
+    0 <= l <= l_max, in (alpha, m, l) order, l innermost; eigenvalues at 0
+    contribute nothing and are listed in ``skipped``.  ``char_coeffs`` is
+    the exact rational characteristic polynomial of the averaged matrix,
+    low degree first, so membership of eigenvalue 1 can be certified
+    without floats.
     """
 
     k: int
     eigenvalues: tuple[complex, ...]
     skipped: tuple[int, ...]
-    points: tuple[LatticePoint, ...]
+    points: np.recarray
     m_max: int
     l_max: int
     char_coeffs: tuple[Fraction, ...]
 
     def contains(self, s: complex, tol: float = 1e-9) -> bool:
-        return any(abs(p.s - s) <= tol for p in self.points)
+        return bool((np.abs(self.points.s - s) <= tol).any())
 
-    def in_rectangle(self, a: float, b: float, T: float) -> list[LatticePoint]:
+    def in_rectangle(self, a: float, b: float, T: float) -> np.recarray:
+        """The records with a <= Re s <= b and 0 <= Im s <= T, 1e-12 slack."""
         eps = 1e-12
-        return [
-            p
-            for p in self.points
-            if a - eps <= p.s.real <= b + eps and -eps <= p.s.imag <= T + eps
-        ]
+        re, im = self.points.s.real, self.points.s.imag
+        return self.points[(a - eps <= re) & (re <= b + eps) & (-eps <= im) & (im <= T + eps)]
+
+    def _rows(self):
+        p = self.points
+        return zip(*(f.tolist() for f in (p.s.real, p.s.imag, p.alpha_index, p.m, p.l)))
 
     def write_csv(self, fh) -> None:
-        write_rows(fh, ["re", "im", "alpha_index", "m", "l"],
-                   ((p.s.real, p.s.imag, p.alpha_index, p.m, p.l) for p in self.points))
+        write_rows(fh, _LATTICE_COLUMNS, self._rows())
 
     def to_json(self) -> dict:
         return {
@@ -310,11 +309,7 @@ class PoleLattice:
             "m_max": self.m_max,
             "l_max": self.l_max,
             "char_poly": [str(c) for c in self.char_coeffs],
-            "points": [
-                {"re": p.s.real, "im": p.s.imag, "alpha_index": p.alpha_index,
-                 "m": p.m, "l": p.l}
-                for p in self.points
-            ],
+            "points": [dict(zip(_LATTICE_COLUMNS, r)) for r in self._rows()],
         }
 
 
@@ -336,22 +331,18 @@ def pole_lattice(rep: LinearRepresentation, m_max: int, l_max: int) -> PoleLatti
         i = int(np.argmin(np.abs(eigs - 1.0)))
         eigs[i] = 1.0
     logk = math.log(rep.k)
-    points = []
-    skipped = []
-    for idx, alpha in enumerate(eigs):
-        if abs(alpha) <= LATTICE_ZERO_TOL:
-            skipped.append(idx)
-            continue
-        base = cmath.log(alpha) / logk + 1
-        for m in range(-m_max, m_max + 1):
-            for l in range(l_max + 1):
-                s = base + (2j * math.pi / logk) * m - l
-                points.append(LatticePoint(s=s, alpha_index=idx, m=m, l=l))
+    small = np.abs(eigs) <= LATTICE_ZERO_TOL
+    alpha, m, l = np.ix_(np.flatnonzero(~small), np.arange(-m_max, m_max + 1), np.arange(l_max + 1))
+    # one base per contributing eigenvalue, broadcast over m and l in (alpha, m, l) order
+    base = np.array([cmath.log(z) / logk + 1 for z in eigs[alpha.ravel()]], dtype=np.complex128)
+    s = base[:, None, None] + (2j * math.pi / logk) * m - l
+    columns = (np.broadcast_to(f, s.shape).ravel() for f in (alpha, m, l))
+    points = np.rec.fromarrays([s.ravel(), *columns], names="s,alpha_index,m,l")
     return PoleLattice(
         k=rep.k,
         eigenvalues=tuple(complex(z) for z in eigs),
-        skipped=tuple(skipped),
-        points=tuple(points),
+        skipped=tuple(np.flatnonzero(small).tolist()),
+        points=points,
         m_max=m_max,
         l_max=l_max,
         char_coeffs=tuple(coeffs),

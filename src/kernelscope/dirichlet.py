@@ -49,7 +49,7 @@ from functools import cache
 
 import numpy as np
 
-from .automaton import LinearRepresentation, pole_lattice, vector_values
+from .automaton import LATTICE_ZERO_TOL, LinearRepresentation, pole_lattice, vector_values
 from .errors import CapacityError, DomainError, PrecisionError, require_finite
 from .seqgen import FunctionId, ValueTable, build_table, write_rows
 from .zeta import WORKING_RADIUS, _power_sums, _unit_phase, _zeta_on, zeta_em
@@ -947,8 +947,9 @@ def pole_scan(
     A grid point is a candidate when the evaluation was refused outright,
     or when the system determinant is small at scan scale AND the value
     blows up like a pole (removable determinant zeros stay bounded, so
-    they are reported in the CSV but not clustered).  Observed clusters
-    are a subset of the predicted lattice; equality is never asserted.
+    they are reported in the CSV but not clustered).  ``predicted`` is
+    every lattice point in the rectangle; observed clusters are a subset
+    of it, and equality is never asserted.
     Degenerate rectangles (a == b) are allowed.
 
     The rectangle runs as grids of whole columns, as many to a grid as
@@ -985,13 +986,17 @@ def pole_scan(
          *(f.reshape(len(res), len(ims)).T.ravel() for f in (abs_value, top_det, refused, flagged))],
         names="s,abs_value,det_magnitude,near_singular,flagged")
     m_hi = int(T * math.log(rep.k) / (2 * math.pi)) + 2
-    l_hi = max(0, int(math.ceil(2 - a))) + 1
+    # every base lies left of 1 + log_k rho(Abar), and rho(Abar) <= |Abar|_inf
+    # <= sum_r |A_r|_inf / k; eigenvalues below LATTICE_ZERO_TOL give no points,
+    # so the bound is floored there (a zero Abar has an empty lattice)
+    lift = math.log(max(sum(ctx.mat_norms) / rep.k, LATTICE_ZERO_TOL), rep.k)
+    l_hi = max(0, math.ceil(2 - a + lift)) + 1
     lattice = pole_lattice(rep, m_hi, l_hi)
     return ScanResult(
         a=a, b=b, T=T, step=step,
         points=points,
         clusters=_cluster(points[points.flagged], 1.6 * step),
-        predicted=tuple(p.s for p in lattice.in_rectangle(a, b, T)),
+        predicted=tuple(lattice.in_rectangle(a, b, T).s.tolist()),
     )
 
 

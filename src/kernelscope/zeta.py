@@ -316,7 +316,9 @@ def _reflection(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = _mod(1 - s + _STIRLING_SHIFT)
     rel = 8.9e-16 * (_mod(s) * math.log(2 * math.pi) + _mod(u) * np.maximum(1.0, cot)
                      + w * (np.log(w) + 1))
-    return np.exp(log_chi), rel
+    chi = np.exp(log_chi)
+    chi.imag[s.imag == 0] = 0.0  # a real s has a real chi: drop the rounded pi of log sin
+    return chi, rel
 
 
 def reflection_factor(s):
@@ -363,6 +365,7 @@ def _zeta_on(
         chi, rel = _reflection(s[refl])
         value[refl] *= chi
         err[refl] = _mod(chi) * err[refl] + (4e-16 + rel) * _mod(value[refl])
+    value.imag[s.imag == 0] = 0.0  # a real s has a real zeta, and +0.0, never -0.0
     return value, err, terms, order
 
 

@@ -1,3 +1,5 @@
+import cmath
+import io
 import json
 import math
 import random
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from kernelscope.automaton import (
+    LATTICE_ZERO_TOL,
     LinearRepresentation,
     adjugate_poly,
     average_matrix,
@@ -20,7 +23,7 @@ from kernelscope.automaton import (
 )
 from kernelscope.errors import DomainError, VerdictError
 from kernelscope.kernel import kernel_profile
-from kernelscope.seqgen import FunctionId, ValueTable
+from kernelscope.seqgen import FunctionId, ValueTable, write_rows
 
 
 def identity_regular_rep():
@@ -337,6 +340,84 @@ class TestPoleLattice:
         header, *rows = p.read_text().strip().splitlines()
         assert header == "re,im,alpha_index,m,l"
         assert len(rows) == len(lat.points)
+
+
+
+def _reference_lattice(lat):
+    """(s, alpha_index, m, l) of every lattice point by the plain loop over
+    (alpha, m, l), from the lattice's own eigenvalues and bounds."""
+    logk = math.log(lat.k)
+    out = []
+    for idx, alpha in enumerate(lat.eigenvalues):
+        if abs(alpha) <= LATTICE_ZERO_TOL:
+            continue
+        base = cmath.log(alpha) / logk + 1
+        for m in range(-lat.m_max, lat.m_max + 1):
+            for l in range(lat.l_max + 1):
+                out.append((base + (2j * math.pi / logk) * m - l, idx, m, l))
+    return out
+
+
+def _bits(zs):
+    return np.array(zs, dtype=np.complex128).view(np.uint64).tolist()
+
+
+class TestLatticeColumns:
+    # the five automatic_scan fixtures, identity_n mod 7 (dim 21) and
+    # thue_morse_pm at a smaller table, whose zero eigenvalue is skipped
+    FIXTURES = [("thue_morse_pm", 2, None, 6, 64, 2**16), ("const_one", 2, None, 6, 64, 2**16),
+                ("const_one", 3, None, 6, 64, 2**16), ("sum_binary_digits", 2, 3, 6, 64, 2**16),
+                ("identity_n", 2, 3, 6, 64, 2**16), ("identity_n", 2, 7, 8, 128, 2**16),
+                ("thue_morse_pm", 2, None, 6, 64, 2**14)]
+    RECTANGLES = [(0.86, 1.16, 10), (1.0, 1.0, 20), (-2.0, 1.5, 0), (5.0, 6.0, 10)]
+
+    @pytest.fixture(scope="class", params=FIXTURES, ids=lambda f: f"{f[0]}-k{f[1]}-mod{f[2]}")
+    def lattice(self, request, table):
+        tag, k, mod, L, M, N = request.param
+        return pole_lattice(build_representation(table(tag, mod=mod, N=N), k, L, M), 4, 3)
+
+    def test_records_equal_the_loop(self, lattice):
+        ref = _reference_lattice(lattice)
+        p = lattice.points
+        assert len(p) == len(ref)
+        assert _bits(p.s) == _bits([r[0] for r in ref])
+        assert list(zip(p.alpha_index.tolist(), p.m.tolist(), p.l.tolist())) == [
+            r[1:] for r in ref]
+        assert not set(lattice.skipped) & set(p.alpha_index.tolist())
+
+    @pytest.mark.parametrize("a, b, T", RECTANGLES)
+    def test_in_rectangle_equals_the_comprehension(self, lattice, a, b, T):
+        eps = 1e-12
+        want = [r for r in _reference_lattice(lattice)
+                if a - eps <= r[0].real <= b + eps and -eps <= r[0].imag <= T + eps]
+        box = lattice.in_rectangle(a, b, T)
+        assert _bits(box.s) == _bits([r[0] for r in want])
+        assert box.alpha_index.tolist() == [r[1] for r in want]
+
+    def test_contains_equals_the_comprehension(self, lattice):
+        ref = [r[0] for r in _reference_lattice(lattice)]
+        for z in [ref[0], ref[-1] + 1e-10, 1.0, 0.5 + 3j, 40 + 0j]:
+            for tol in (0.0, 1e-9, 0.3):
+                assert lattice.contains(z, tol) == any(abs(w - z) <= tol for w in ref), (z, tol)
+
+    def test_empty_rectangle(self, lattice):
+        box = lattice.in_rectangle(5.0, 6.0, 10)
+        assert len(box) == 0 and box.dtype == lattice.points.dtype
+
+
+def test_readme_lattice_json_and_csv_equal_the_loop(table):
+    # the README pole-lattice line: const_one, N 4096, k 2, L 5, M 32, --m-max 3 --l-max 2
+    lat = pole_lattice(build_representation(table("const_one", N=4096), 2, 5, 32), 3, 2)
+    rows = [(s.real, s.imag, i, m, l) for s, i, m, l in _reference_lattice(lat)]
+    header = ["re", "im", "alpha_index", "m", "l"]
+    points = lat.to_json()["points"]
+    assert points == [dict(zip(header, r)) for r in rows]
+    # Python floats and ints, as the loop's, not numpy scalars
+    assert [tuple(map(type, p.values())) for p in points] == [(float, float, int, int, int)] * 21
+    got, want = io.StringIO(), io.StringIO()
+    lat.write_csv(got)
+    write_rows(want, header, rows)
+    assert got.getvalue() == want.getvalue()
 
 
 class TestRegularRepresentation:

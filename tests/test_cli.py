@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -143,6 +144,14 @@ class TestCommands:
     def test_zeta(self, capsys):
         doc = run_json(capsys, ["zeta", "--re", "2"])
         assert abs(doc["result"]["value"][0] - 1.6449340668) < 1e-9
+
+    def test_zeta_real_left_is_real(self, capsys):
+        # the reflected value at s = -1 once carried 1.0205389992894583e-17i
+        code = run(["zeta", "--re", "-1"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        value = json.loads(out)["result"]["value"]
+        assert value == [-0.0833333333333331, 0.0] and math.copysign(1, value[1]) == 1
 
     def test_zeros(self, capsys):
         code = run(["zeros", "--T", "15"])

@@ -10,7 +10,13 @@ import pytest
 from mpmath.libmp import gammazeta
 
 from kernelscope import dirichlet
-from kernelscope.automaton import average_matrix, build_representation
+from kernelscope.automaton import (
+    LinearRepresentation,
+    average_matrix,
+    build_representation,
+    evaluate,
+    pole_lattice,
+)
 from kernelscope.dirichlet import (
     IDENTITY_TAGS,
     ContinuationContext,
@@ -705,7 +711,35 @@ class TestBatchedColumn:
             assert abs(ev.value - zeta_em(ev.s).value) < 1e-4
 
 
+def _n4_rep() -> LinearRepresentation:
+    """n^4 at k = 2: U_n = (n^4, n^3, n^2, n, 1), row j of A_r expanding
+    (2n + r)^j; Abar has eigenvalues 1, 2, 4, 8, 16, so bases 1 to 5."""
+    pw = range(4, -1, -1)
+    mats = tuple(np.array([[math.comb(j, i) * 2**i * r ** (j - i) if i <= j else 0 for i in pw]
+                           for j in pw], dtype=np.int64) for r in (0, 1))
+    return LinearRepresentation(k=2, dim=5, matrices=mats, seeds=np.ones((1, 5), dtype=np.int64),
+                                output_coord=0, labels=tuple((0, i) for i in range(5)),
+                                verified_to=0, growth=(1.0, 4.0))
+
+
 class TestPoleScan:
+    @pytest.mark.parametrize("a, b, count", [(0.86, 1.16, 10), (2.5, 3.2, 6)])
+    def test_predicts_every_lattice_point_past_abar_norm_k_squared(self, a, b, count):
+        # bases right of Re 3 once lost their towers' points: the l range
+        # stopped at 2 - a + 1, and these rectangles predicted 8 and 4
+        rep = _n4_rep()
+        assert [evaluate(rep, n) for n in (1, 2, 3, 17)] == [1, 16, 81, 17**4]
+        scan = pole_scan(rep, a, b, 10, 0.05)
+        want = [complex(p.s) for p in pole_lattice(rep, 3, 40).in_rectangle(a, b, 10)]
+        assert scan.predicted == tuple(want) and len(want) == count
+
+    def test_zero_abar_predicts_nothing(self):
+        rep = LinearRepresentation(k=2, dim=2, matrices=(np.zeros((2, 2), dtype=np.int64),) * 2,
+                                   seeds=np.array([[1, 0]]), output_coord=0,
+                                   labels=((0, 0), (0, 1)), verified_to=0, growth=(1.0, 0.0))
+        scan = pole_scan(rep, 0.86, 1.16, 10, 0.05)
+        assert scan.predicted_count == 0 and len(scan.points) == 7 * 201
+
     def test_const_one_single_cluster(self, const_rep):
         scan = pole_scan(const_rep, 0.9, 1.1, 10, 0.05)
         assert scan.observed_count == 1

@@ -155,6 +155,24 @@ class TestOneRoutine:
         below, above = (zeta_em(complex(x, 500)).error_estimate for x in (1 - 1e-6, 1 + 1e-6))
         assert max(below, above) <= 2 * min(below, above)
 
+    # sin(pi s / 2) < 0 at all but -3.7 and -150.5, where log sin once took the
+    # log of a negative real and left the rounding of its pi as Im zeta
+    REAL_LEFT = [-1.0, -5.0, -9.5, -0.75, -3.7, -150.5]
+
+    def test_real_s_has_real_zeta(self):
+        value = zeta._zeta_on(np.array(self.REAL_LEFT + [-0.5, 0.0, 0.5, 2.0]), 1e-12)[0]
+        assert value.imag.tolist() == [0.0] * 10 and not np.signbit(value.imag).any()
+        for s in self.REAL_LEFT:
+            res = zeta_em(s)
+            assert res.value.imag == 0.0 and math.copysign(1, res.value.imag) == 1, s
+            assert abs(res.value - mp_zeta(s)) <= res.error_estimate, s
+
+    def test_real_s_has_real_chi(self):
+        chi = reflection_factor(np.array(self.REAL_LEFT + [0.3, -0.2]))
+        assert chi.imag.tolist() == [0.0] * 8 and not np.signbit(chi.imag).any()
+        assert reflection_factor(-1.0).imag == 0.0
+        assert reflection_factor(-1 + 0.5j).imag != 0.0  # off the axis, untouched
+
 
 class TestLogGamma:
     def test_theta_arguments(self):
