@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PrecisionError, VerdictError
-from .kernel import _distinct_verdict, _enumerate_distinct
+from .kernel import _distinct_verdict, _enumerate_distinct, _window_rows
 from .seqgen import ValueTable, write_rows
 
 LATTICE_ZERO_TOL = 1e-10  # eigenvalues of Abar this small give no lattice points
@@ -161,9 +161,8 @@ def build_representation(t: ValueTable, k: int, L: int, M: int) -> LinearReprese
         )
     unit = np.eye(len(reps), dtype=np.int64)
     mats = tuple(unit[[classes[l + 1][r0 + r * k**l] for l, r0, _ in reps]] for r in range(k))
-    # the window matrix: row i is coordinate i's window, column n - 1 is U_n;
-    # int64, since np.abs wraps in a narrow table's type
-    P = np.stack([prefix for _, _, prefix in reps], dtype=np.int64)
+    # the window matrix: row i is coordinate i's window, column n - 1 is U_n
+    P = _window_rows(reps, t.values.dtype, M)
     return LinearRepresentation(
         k=k,
         dim=len(reps),

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .seqgen import ValueTable, _largest_abs, is_prime, write_rows
+from .seqgen import ValueTable, _blocks, _largest_abs, is_prime, write_rows
 
 
 @dataclass(frozen=True)
@@ -152,30 +152,41 @@ def _enumerate_distinct(t: ValueTable, k: int, L: int, M: int):
     """All (l, r) up to depth L, deduplicated by exact window comparison.
 
     Returns ((representatives, classes), counts): representatives holds
-    the first-seen (l, r, prefix) of each distinct window in breadth-first
-    order, classes[l][r] is the index there of the window of (l, r), and
-    counts[d] is the number of distinct windows at depth <= d.  Dict keys
-    are the raw window bytes, so hash collisions still fall back to full
-    content comparison.
+    the first-seen (l, r, key) of each distinct window in breadth-first
+    order, key being the window's raw bytes in the table's type (read back
+    by _window_rows), classes[l][r] is the index there of the window of
+    (l, r), and counts[d] is the number of distinct windows at depth <= d.
+    The keys are also the dict keys, so hash collisions still fall back to
+    full content comparison, and each distinct window is held once, as
+    its key; each depth's block is dropped after its pass.
     """
     if L < 0:
         raise DomainError(f"max depth must be >= 0, got {L}")
     _validate_geometry(t, k, L, k**L - 1, M)
     seen: dict[bytes, int] = {}
-    rep_list: list[tuple[int, int, np.ndarray]] = []
+    rep_list: list[tuple[int, int, bytes]] = []
     classes: list[list[int]] = []
     counts: list[int] = []
     for l in range(L + 1):
         block = _depth_windows(t.values, k, l, M, 1)
-        block.flags.writeable = False
         classes.append([])
         for r, row in enumerate(block):
-            c = seen.setdefault(row.tobytes(), len(rep_list))
+            key = row.tobytes()
+            c = seen.setdefault(key, len(rep_list))
             if c == len(rep_list):
-                rep_list.append((l, r, row))
+                rep_list.append((l, r, key))
             classes[l].append(c)
         counts.append(len(rep_list))
+        del block
     return (rep_list, classes), counts
+
+
+def _window_rows(reps, dtype, M: int) -> np.ndarray:
+    """The windows of the representatives ``reps`` of _enumerate_distinct,
+    one int64 row each, from one buffer of their joined keys (int64: rows
+    % p, exact checks and np.abs overflow a narrow table's type)."""
+    keys = b"".join(key for _, _, key in reps)
+    return np.frombuffer(keys, dtype=dtype).reshape(-1, M).astype(np.int64)
 
 
 def _depth_windows(values: np.ndarray, k: int, l: int, M: int, first: int) -> np.ndarray:
@@ -196,8 +207,16 @@ def _distinct_cap(t: ValueTable, k: int, L: int, M: int) -> int | None:
     That is |alphabet|^M.  A one-value region gives one window at every
     width, so no width is to blame for it and there is no cap.
     """
-    letters = len(np.unique(t.values[1 : k**L * (M + 1)]))
-    return letters**M if letters > 1 else None
+    region = t.values[1 : k**L * (M + 1)]
+    blocks = _blocks(len(region))
+    # the sorted letters so far; each block's new ones are inserted in
+    # place, which costs one pass over the letters, not a sort
+    letters = np.unique(region[blocks[0]])
+    for b in blocks[1:]:
+        u = np.unique(region[b])
+        fresh = u[letters.take(np.searchsorted(letters, u), mode="clip") != u]
+        letters = np.insert(letters, np.searchsorted(letters, fresh), fresh)
+    return len(letters)**M if len(letters) > 1 else None
 
 
 def _distinct_verdict(t: ValueTable, k: int, L: int, M: int, counts: list[int]) -> Verdict:
@@ -361,8 +380,7 @@ def rank_profile(t: ValueTable, k: int, L: int, M: int) -> RankProfile:
             for l in range(L + 1):
                 new = reps[counts[l - 1] if l else 0 : counts[l]]
                 if new and space.rank < M:
-                    # int64: rows % p and the exact checks overflow a narrow table's type
-                    rows = np.array([prefix for _, _, prefix in new], dtype=np.int64)
+                    rows = _window_rows(new, t.values.dtype, M)
                     absorbed, dependent, coef = space.absorb(rows % p)
                     basis = np.concatenate([basis, rows[absorbed]])
                     if space.rank < M:  # at full rank the basis spans Q^M
@@ -394,15 +412,16 @@ class DensityEstimate:
 def value_density(t: ValueTable, v: int, prefix_lengths: list[int]) -> list[DensityEstimate]:
     """#{n <= X : t(n) = v} / X for each X, with a rational approximation.
 
-    A prefix length below 1 is a DomainError, one past the table a
-    CapacityError."""
+    Counted block by block.  A prefix length below 1 is a DomainError,
+    one past the table a CapacityError."""
     out = []
     for X in prefix_lengths:
         if X < 1:
             raise DomainError(f"prefix length must be >= 1, got {X}")
         if X > t.N:
             raise CapacityError(f"prefix length {X} outside table range 1..{t.N}")
-        count = int(np.count_nonzero(t.values[1 : X + 1] == v))
+        prefix = t.values[1 : X + 1]
+        count = sum(int(np.count_nonzero(prefix[b] == v)) for b in _blocks(X))
         exact = Fraction(count, X)
         approx = exact.limit_denominator(DENSITY_MAX_DENOMINATOR)
         out.append(

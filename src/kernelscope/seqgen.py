@@ -20,6 +20,12 @@ A new function is one ``_TAGS`` row: its table builder, its growth pair
 Every table the package builds for itself comes from ``build_table``: it
 sizes the sieve, runs ``generate`` and reduces by the id's modulus.
 
+A pass over a table holds the table and one block of at most 2^16
+entries (``_CHUNK``), never a temporary the size of the table: the
+builders combine, read off and count block by block into the narrow
+output, and ``residues`` reduces one block at a time into the narrow
+residue array.
+
 Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
 ``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only:
 ``to_json`` lists values[1:], and ``write_csv`` formats its rows by array
@@ -110,8 +116,9 @@ class FactorTable:
     For 2 <= n <= N, with p = ``spf[n]`` the smallest prime factor of n,
     ``exp[n]`` is the e with p^e || n and ``rest[n]`` = n / p^e, so
     rest[n] = 1 or spf[rest[n]] > p.  Index 0 and 1 hold 0.  n is prime
-    exactly when spf[n] == n.  spf, rest and exp are int32, int32 and int8
-    (9 bytes per n), which caps N below 2^31.
+    exactly when spf[n] == n, and ``primes`` lists those n in order.  spf,
+    rest and exp are int32, int32 and int8 (9 bytes per n), which caps N
+    below 2^31; primes is int32 (4 bytes per prime, 2.5 MiB at N = 10^7).
     """
 
     N: int
@@ -125,8 +132,14 @@ class FactorTable:
             a.flags.writeable = False
 
 
-# n is split and tabulated in chunks of at most this many entries
+# n is split and tabulated in chunks of at most this many entries, and
+# every other pass over a table reads it in blocks of this many
 _CHUNK = 1 << 16
+
+
+def _blocks(length: int):
+    """Slices of at most _CHUNK entries covering 0..length - 1, in order."""
+    return [slice(lo, min(lo + _CHUNK, length)) for lo in range(0, length, _CHUNK)]
 
 
 def _chunks(N: int):
@@ -161,7 +174,8 @@ def build_factor_table(N: int) -> FactorTable:
     spf = np.zeros(N + 1, dtype=np.int32)
     for p in np.flatnonzero(small)[::-1].tolist():
         spf[p * p :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2
+    primes = np.flatnonzero(spf[2:] == 0).astype(np.int32)
+    primes += 2
     spf[primes] = primes
     rest = np.zeros(N + 1, dtype=np.int32)
     exp = np.zeros(N + 1, dtype=np.int8)
@@ -403,11 +417,16 @@ def _sigma_table(N: int, ft: FactorTable, m: int) -> np.ndarray:
 
 def _read_off(tag: str, op):
     """Builder for op applied to the table of ``tag``, in the type that
-    the largest |value| of the result needs."""
+    the largest |value| of the result needs.  op runs block by block: once
+    to find that largest |value|, then again into the output."""
 
     def table(N: int, ft: FactorTable, m) -> np.ndarray:
-        v = op(_TAGS[tag].table(N, ft, m))
-        return v.astype(_int_type(_largest_abs(v)), copy=False)
+        src = _TAGS[tag].table(N, ft, m)
+        blocks = _blocks(N + 1)
+        out = np.empty(N + 1, dtype=_int_type(max(_largest_abs(op(src[b])) for b in blocks)))
+        for b in blocks:
+            out[b] = op(src[b])
+        return out
 
     return table
 
@@ -421,6 +440,14 @@ def _nth_prime_table(N: int, ft: FactorTable, m) -> np.ndarray:
         )
     out = np.zeros(N + 1, dtype=_int_type(int(ft.primes[N - 1])))
     out[1:] = ft.primes[:N]
+    return out
+
+
+def _sum_binary_digits_table(N: int, ft: FactorTable, m) -> np.ndarray:
+    """The 1 bits of n, counted block by block; at most 63, so int8."""
+    out = np.empty(N + 1, dtype=np.int8)
+    for b in _blocks(N + 1):
+        out[b] = np.bitwise_count(np.arange(b.start, b.stop, dtype=np.uint64))
     return out
 
 
@@ -459,9 +486,7 @@ _TAGS = {
     "tau_squared": _Tag(_by_exponent(lambda e, m: (e + 1) ** 2), (72.0, 0.5)),
     "const_one": _Tag(lambda N, ft, m: np.ones(N + 1, dtype=np.int8), (1.0, 0.0)),
     "thue_morse_pm": _Tag(_read_off("sum_binary_digits", lambda v: 1 - 2 * (v & 1)), (1.0, 0.0)),
-    "sum_binary_digits": _Tag(
-        lambda N, ft, m: np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int8),
-        (2.6, 0.25)),
+    "sum_binary_digits": _Tag(_sum_binary_digits_table, (2.6, 0.25)),
     "identity_n": _Tag(lambda N, ft, m: np.arange(N + 1, dtype=_int_type(N)), (1.0, 1.0)),
     "tau_k": _Tag(_by_exponent(lambda e, m: math.comb(e + m - 1, e)),
                   lambda m: (8.45 ** (m - 1), 0.25 * (m - 1)), param_min=1),
@@ -513,24 +538,32 @@ def is_prime(n: int) -> bool:
 
 def residues(values: np.ndarray, m: int) -> np.ndarray:
     """Entrywise least non-negative residues mod m in one new array of the
-    narrowest type that holds m - 1.
+    narrowest type that holds m - 1, written block by block.
 
     Computed as v - m * floor(v / m) (np.mod is slower, most of all on
     negative entries), whose intermediates lie within |v| + m of 0: in the
     values' own type when max |v| + m fits it, else in the narrowest wider
-    type that holds it, then narrowed.  Past int64, np.fmod's truncated
-    remainder, which never overflows, is moved up by m where negative.
+    type that holds it, then narrowed into the output.  Past int64,
+    np.fmod's truncated remainder, which never overflows, is moved up by m
+    where negative.
     """
+    out = np.empty(len(values), dtype=_int_type(m - 1))
     reach = _largest_abs(values) + m
-    if reach > _INT64_MAX:
-        out = np.fmod(values, m, dtype=np.int64)
-        out[out < 0] += m
-    else:
-        wide = values.astype(np.promote_types(values.dtype, _int_type(reach)), copy=False)
-        out = np.floor_divide(wide, m)
-        out *= m
-        np.subtract(wide, out, out=out)
-    return out.astype(_int_type(m - 1), copy=False)
+    wide = np.int64 if reach > _INT64_MAX else np.promote_types(values.dtype, _int_type(reach))
+    # a block is worked in ``out`` itself when that is the working type
+    scratch = None if out.dtype == wide else np.empty(_CHUNK, dtype=wide)
+    for b in _blocks(len(values)):
+        r = out[b] if scratch is None else scratch[: b.stop - b.start]
+        if reach > _INT64_MAX:
+            np.fmod(values[b], m, out=r, dtype=np.int64)
+            r[r < 0] += m
+        else:  # the values are widened as the ufunc reads them
+            np.floor_divide(values[b], m, out=r, dtype=wide)
+            r *= m
+            np.subtract(values[b], r, out=r, dtype=wide)
+        if scratch is not None:
+            out[b] = r
+    return out
 
 
 def reduce_mod(t: ValueTable, m: int) -> ValueTable:

@@ -299,7 +299,13 @@ def _reflection(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (w - 1/2) log w - w at the Stirling point w of log Gamma(1 - s), with
     u's ulps scaled by |cot u|, the condition of log sin u, near the zeros
     of sin.
+
+    At s = 1, 2, 3, ... Gamma(1 - s) has a pole, and the point is refused
+    with a PoleError before any log is taken.
     """
+    pole = (s.imag == 0) & (s.real >= 1) & (s.real == np.floor(s.real)) & np.isfinite(s.real)
+    if pole.any():
+        raise PoleError(f"reflection factor: Gamma(1 - s) has a pole at s={complex(s[pole][0])}")
     u = (math.pi / 2) * s
     y = np.abs(u.imag)
     a, b = 1 + np.exp(-2 * y), -np.expm1(-2 * y)

@@ -12,6 +12,7 @@ from kernelscope.kernel import (
     Verdict,
     _classify,
     _depth_windows,
+    _distinct_cap,
     _FpRowSpace,
     _enumerate_distinct,
     kernel_element,
@@ -416,7 +417,31 @@ class TestDepthWindows:
         assert got_counts == counts
         assert [(l, r) for l, r, _ in reps] == [(l, r) for l, r, _ in first.values()]
         for (_, _, got), (_, _, want) in zip(reps, first.values()):
-            assert np.array_equal(got, want)
+            assert np.array_equal(np.frombuffer(got, t.values.dtype), want)
+
+
+class TestWindowsHeldOnce:
+    @pytest.mark.parametrize("tag, param, k, L, M", [
+        ("phi", None, 3, 7, 64), ("tau", None, 3, 8, 64), ("lambda", None, 2, 12, 64),
+        ("sigma_m", 2, 2, 8, 512),
+    ])
+    def test_profile_holds_each_window_once(self, table, tag, param, k, L, M):
+        # the traced peak is one copy of each distinct window, as its bytes
+        # key, and the deepest depth's block
+        t = table(tag, param)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            prof = kernel_profile(t, k, L, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        window = M * t.values.itemsize
+        distinct, windows = prof.distinct_counts[-1], sum(k**l for l in range(L + 1))
+        # a key's object, dict slot, int and (l, r, key) tuple take < 256
+        # bytes beside its window; each window's class is a list slot
+        bound = distinct * (window + 256) + windows * 16 + k**L * window + 64 * 2**10
+        assert peak <= bound, (peak, bound)
 
 
 class TestWindowCap:
@@ -459,8 +484,26 @@ class TestWindowCap:
         assert kernel_profile(table("lambda", N=2**14), 2, 6, 2).verdict.kind == "window_capped"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("tag, k, L, M", [
+        ("phi", 2, 10, 127), ("tau", 3, 8, 20), ("const_one", 2, 11, 31), ("mu", 2, 1, 32768),
+    ])
+    def test_letter_count_across_blocks(self, table, tag, k, L, M):
+        # the letters are counted block by block over values[1 : k^L (M + 1)]:
+        # 2^17 - 1, 137780, 2^16 - 1 and 2^16 + 1 entries
+        t = table(tag)
+        letters = len(np.unique(t.values[1 : k**L * (M + 1)]))
+        assert _distinct_cap(t, k, L, M) == (letters**M if letters > 1 else None)
+
 
 class TestValueDensity:
+    @pytest.mark.parametrize("N", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+    def test_counts_across_block_edges(self, table, N):
+        t = table("mu", N=N)
+        lengths = [X for X in (1, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 1, N) if X <= N]
+        for v in (-1, 0, 1, 2):
+            got = [e.count for e in value_density(t, v, lengths)]
+            assert got == [int(np.count_nonzero(t.values[1 : X + 1] == v)) for X in lengths]
+
     def test_const_density_one(self, table):
         ests = value_density(table("const_one", N=1000), 1, [10, 100, 1000])
         assert all(e.density == 1.0 for e in ests)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelscope.errors import CapacityError, ConstructionError, DomainError, RangeError
+from kernelscope.kernel import value_density
 from kernelscope.seqgen import (
     ALL_TAGS,
     FunctionId,
@@ -17,6 +19,7 @@ from kernelscope.seqgen import (
     generate,
     is_prime,
     reduce_mod,
+    residues,
     sieve_bound,
 )
 
@@ -600,3 +603,97 @@ class TestDeepExponents:
             else:
                 want = _oracle_value(tag, param, n, fac, None, is_prime)
             assert got.value(n) == want, (tag, param, n)
+
+
+# --- a pass holds the table and one block ------------------------------------
+
+# every tag at the parameters of TestInvariants' growth check, less sigma_3,
+# which int64 cannot hold at N = 2^21 (CapacityError)
+_MEMORY_CASES = [(tag, m) for tag in ALL_TAGS
+                 for m in {"tau_k": (1, 2, 3, 5), "sigma_m": (0, 1, 2), "q_m": (2, 3)}.get(
+                     tag, (None,))]
+# the table each read-off row applies its op to, held beside the output
+_READ_OFF_SOURCE = {"r_half_rho": "rho", "chi_P": "big_omega", "chi_PP": "omega",
+                    "thue_morse_pm": "sum_binary_digits"}
+# a block's temporaries are the same at both sizes, but for a table whose
+# type widens between them; a temporary of one bit per n would grow by
+# 224 KiB from 2^18 to 2^21 entries
+_MEMORY_SLACK = 64 * 2**10
+# block edges: one short of a block, one block, one past it, and a short
+# last block after three
+_EDGES = [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7]
+
+
+@pytest.fixture(scope="module")
+def ft_2m():
+    return build_factor_table(2**21)
+
+
+def _traced_extra(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args) beyond the nbytes of the table it
+    returns (all of it for a result that is not a table)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - (out.values.nbytes if isinstance(out, ValueTable) else 0)
+
+
+class TestOneBlock:
+    @pytest.mark.parametrize("tag,param", _MEMORY_CASES)
+    def test_extras_do_not_grow_with_N(self, ft_2m, tag, param):
+        fid = FunctionId(tag, param)
+        sizes, ft = (2**18, 2**21), ft_2m
+        if tag == "nth_prime":  # its first 2^21 primes need a sieve past the default cap
+            sizes = (2**16, 2**18)
+            ft = build_factor_table(sieve_bound(fid, sizes[1]))
+        extras, itemsize = [], []
+        for N in sizes:
+            t = generate(fid, N, ft)
+            itemsize.append(t.values.itemsize)
+            extras.append([_traced_extra(generate, fid, N, ft),
+                           _traced_extra(reduce_mod, t, 3),
+                           _traced_extra(reduce_mod, t, 2**31 - 1),
+                           _traced_extra(value_density, t, int(t.values[1]), [N])])
+        # two block temporaries widen with the table's type (rho, tau_squared)
+        allowed = [_MEMORY_SLACK + 2 * 2**16 * (itemsize[1] - itemsize[0])] * 4
+        if tag in _READ_OFF_SOURCE:
+            src = [generate(FunctionId(_READ_OFF_SOURCE[tag]), N, ft).values.nbytes
+                   for N in sizes]
+            allowed[0] += src[1] - src[0]
+        names = ("generate", "reduce_mod 3", "reduce_mod 2^31 - 1", "value_density")
+        for name, small, big, allow in zip(names, *extras, allowed):
+            assert big - small <= allow, (name, small, big)
+
+    @pytest.mark.parametrize("N", _EDGES)
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_residues_match_whole_array(self, N, dtype):
+        info = np.iinfo(dtype)
+        values = np.random.default_rng(N).integers(info.min, info.max, N + 1, dtype=dtype,
+                                                   endpoint=True)
+        # the type's extremes at both ends and on both sides of the first edge
+        for i in (0, 1, 2**16 - 2, 2**16 - 1, 2**16, 2**16 + 1, N - 1, N):
+            if i <= N:
+                values[i] = info.min if i % 2 else info.max
+        for m in (2, 3, 7, 2**31 - 1, 2**63 - 1):
+            got = residues(values, m)
+            assert got.dtype == {2**31 - 1: np.int32, 2**63 - 1: np.int64}.get(m, np.int8)
+            assert np.array_equal(got, np.mod(values.astype(np.int64), m)), m
+
+    @pytest.mark.parametrize("N", _EDGES)
+    def test_block_builders_match_whole_array(self, ft_1m, N):
+        def whole(tag):
+            return generate(FunctionId(tag), N, ft_1m).values
+
+        popcount = np.bitwise_count(np.arange(N + 1, dtype=np.uint64)).astype(np.int64)
+        want = {"sum_binary_digits": popcount, "thue_morse_pm": 1 - 2 * (popcount & 1),
+                "chi_P": whole("big_omega") == 1, "chi_PP": whole("omega") == 1,
+                "r_half_rho": whole("rho") >> 1}
+        for tag, w in want.items():
+            got = whole(tag)
+            # every one of them fits int8 at these N
+            assert got.dtype == np.int8 and got[0] == 0, tag
+            assert np.array_equal(got[1:], w[1:]), tag

@@ -142,6 +142,20 @@ class TestOneRoutine:
         with pytest.raises(PrecisionError, match=r"overflows at s=\(-900\+400j\)"):
             reflection_factor(np.array([-3 + 40j, -900 + 400j, -950 - 100j]))
 
+    @pytest.mark.parametrize("s", [1.0, 2.0, 7.0, 7 + 0j, 31.0])
+    def test_reflection_factor_refuses_gamma_poles(self, s):
+        # Gamma(1 - s) has a pole at s = 1, 2, 3, ...: a PoleError naming the
+        # point, raised before the log of zero would warn
+        with pytest.raises(PoleError, match=rf"pole at s=\({s.real:g}\+0j\)"):
+            reflection_factor(s)
+        with pytest.raises(PoleError, match=rf"pole at s=\({s.real:g}\+0j\)"):
+            reflection_factor(np.array([-3 + 40j, s, 2.5]))
+
+    def test_reflection_factor_next_to_gamma_poles(self):
+        # off the poles, on and beside the real axis, chi is finite
+        for s in [0.5, 6.5, 7 + 1e-9j, 7 - 3j]:
+            assert np.isfinite(reflection_factor(s))
+
     # the points where the estimate once left out the rounding of s log n,
     # and 40 seeded points high up the range
     def test_estimate_bounds_argument_rounding(self):
