@@ -1,10 +1,12 @@
 """Sieve-based generation of arithmetic-function value tables.
 
 One smallest-prime-factor sieve up to N drives every arithmetic function.
-It strides spf[p*p::p] = p over the primes p <= sqrt(N), largest first, so
-the last write to a composite n is its smallest prime, with no compare or
-mask.  It then splits each n once into p = spf(n), the exponent e with
-p^e || n and rest = n / p^e.  Each function is then just its rule for
+It runs one chunk [a, b) at a time: over the primes p with p^2 < b,
+largest first, it strides spf = p across the chunk's multiples of p from
+p^2 on, so the last write to a composite n is its smallest prime p, with
+no compare or mask; a prime keeps spf 0 and is listed in ``primes``.  It
+then splits each n of the chunk once into p, the exponent e with p^e || n
+and rest = n / p^e.  Each function is then just its rule for
 f(p^e): one pass reads f(p^e) (by e alone where the rule allows) and
 combines it with the finished value at rest (a product for multiplicative
 functions, a sum for additive ones).  Each table is stored in the narrowest
@@ -21,10 +23,10 @@ Every table the package builds for itself comes from ``build_table``: it
 sizes the sieve, runs ``generate`` and reduces by the id's modulus.
 
 A pass over a table holds the table and one block of at most 2^16
-entries (``_CHUNK``), never a temporary the size of the table: the
-builders combine, read off and count block by block into the narrow
-output, and ``residues`` reduces one block at a time into the narrow
-residue array.
+entries (``_CHUNK``), never a temporary the size of the table: the sieve
+sieves and splits one chunk at a time into its four outputs, the builders
+combine, read off and count block by block into the narrow output, and
+``residues`` reduces one block at a time into the narrow residue array.
 
 Tables are index-aligned: ``values[n]`` is f(n) for 1 <= n <= N and
 ``values[0]`` is unused padding (always 0).  Exports emit n = 1..N only:
@@ -111,14 +113,18 @@ class FunctionId:
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Smallest-prime-factor sieve up to N, with each n split at its spf.
+    """Smallest-prime-factor sieve up to N, with each n split at its
+    smallest prime p.
 
-    For 2 <= n <= N, with p = ``spf[n]`` the smallest prime factor of n,
-    ``exp[n]`` is the e with p^e || n and ``rest[n]`` = n / p^e, so
-    rest[n] = 1 or spf[rest[n]] > p.  Index 0 and 1 hold 0.  n is prime
-    exactly when spf[n] == n, and ``primes`` lists those n in order.  spf,
-    rest and exp are int32, int32 and int8 (9 bytes per n), which caps N
-    below 2^31; primes is int32 (4 bytes per prime, 2.5 MiB at N = 10^7).
+    ``spf[n]`` is p for a composite n and 0 for a prime n and for n = 0, 1;
+    ``_smallest_prime`` reads p for a block of n, with n itself where spf
+    holds 0.  For 2 <= n <= N, ``exp[n]`` is the e with p^e || n and
+    ``rest[n]`` = n / p^e, so rest[n] = 1 or rest[n]'s smallest prime
+    exceeds p; index 0 and 1 hold 0.  ``primes`` lists the primes up to N
+    in order.  spf, rest and exp are uint16, int32 and int8 (7 bytes per
+    n); int32 caps N below 2^31, and a composite's p is at most
+    sqrt(N) < 46341 < 2^16.  primes is int32 (4 bytes per prime, 2.5 MiB
+    at N = 10^7).
     """
 
     N: int
@@ -132,8 +138,8 @@ class FactorTable:
             a.flags.writeable = False
 
 
-# n is split and tabulated in chunks of at most this many entries, and
-# every other pass over a table reads it in blocks of this many
+# n is sieved, split and tabulated in chunks of at most this many entries,
+# and every other pass over a table reads it in blocks of this many
 _CHUNK = 1 << 16
 
 
@@ -152,41 +158,59 @@ def _chunks(N: int):
         a = b
 
 
-def build_factor_table(N: int) -> FactorTable:
-    """Sieve smallest prime factors for 2..N (O(N log log N)), then split
-    each n = p^e * rest from m = n // p: p divides m exactly when
-    spf[m] == p, and then n shares m's rest with one more factor p.
+def _smallest_prime(spf: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The smallest prime factor of each n in [a, b), 2 <= a, in int32:
+    spf[n], or n itself where spf[n] is 0 (n prime)."""
+    p = spf[a:b].astype(np.int32)
+    p += (p == 0) * np.arange(a, b, dtype=np.int32)
+    return p
 
-    The sieve writes spf[p*p::p] = p for the primes p <= sqrt(N) (from a
-    boolean sieve to sqrt(N)), largest first: a composite n is hit by
-    every prime q with q^2 <= n and q | n, spf(n) among them since
-    spf(n)^2 <= n, and spf(n) is the last of them.  Entries still 0 are
-    the primes."""
-    cap = min(max_table_size(), 2**31 - 1)  # spf and rest are int32
+
+def build_factor_table(N: int) -> FactorTable:
+    """Sieve smallest prime factors for 2..N (O(N log log N)) one chunk
+    [a, b) of ``_chunks`` at a time, then split each n of the chunk into
+    n = p^e * rest from m = n // p: p divides m exactly when spf[m] == p
+    or m == p, and then n shares m's rest with one more factor p.
+
+    A chunk writes spf[n] = p over its n with n >= p^2 and p | n, for the
+    primes p with p^2 < b, largest first: a composite n is hit by every
+    prime q with q^2 <= n and q | n, its smallest prime among them, and
+    that one is the last.  Entries still 0 are the chunk's primes.  Since
+    b <= 2a, those primes are below a, so the chunks before it found them,
+    and every m = n // p is below a and final.  The build holds its four
+    outputs and one chunk's temporaries; ``primes`` is filled into the
+    bound pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, x > 1) and then
+    shrunk in place."""
+    cap = min(max_table_size(), 2**31 - 1)  # rest is int32
     if not 2 <= N <= cap:
         raise CapacityError(f"factor table bound must satisfy 2 <= N <= {cap}, got {N}")
     root = math.isqrt(N)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    spf = np.zeros(N + 1, dtype=np.int32)
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p * p :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0).astype(np.int32)
-    primes += 2
-    spf[primes] = primes
+    spf = np.zeros(N + 1, dtype=np.uint16)
     rest = np.zeros(N + 1, dtype=np.int32)
     exp = np.zeros(N + 1, dtype=np.int8)
+    primes = np.empty(math.ceil(1.25506 * N / math.log(N)), dtype=np.int32)
+    count = 0
+    sieving = []  # the primes up to sqrt(N) found so far, ascending
     for a, b in _chunks(N):
-        p = spf[a:b]
-        m = np.arange(a, b, dtype=np.int32) // p
+        chunk = spf[a:b]
+        for p in reversed(sieving):
+            if p * p < b:
+                chunk[max(p * p, -(-a // p) * p) - a :: p] = p
+        found = np.flatnonzero(chunk == 0)
+        found += a
+        primes[count : count + len(found)] = found
+        count += len(found)
+        if a <= root:
+            sieving += found[found <= root].tolist()
+        p = _smallest_prime(spf, a, b)
+        # p divides n, so the float64 quotient is exact
+        m = (np.arange(a, b, dtype=np.int32) / p).astype(np.int32)
         exp[a:b], rest[a:b] = 1, m
-        deep = np.flatnonzero(spf.take(m) == p)
+        deep = np.flatnonzero((spf.take(m) == p) | (m == p))
         below = m.take(deep)
         exp[a + deep] += exp.take(below)
         rest[a + deep] = rest.take(below)
+    primes.resize(count, refcheck=False)
     return FactorTable(N=N, spf=spf, rest=rest, exp=exp, primes=primes)
 
 
@@ -393,7 +417,7 @@ def _phi_table(N: int, ft: FactorTable, m) -> np.ndarray:
 
     def fpe(ft, a, b, out):
         pe = np.arange(a, b, dtype=np.int32) // ft.rest[a:b]
-        return pe - pe // ft.spf[a:b]
+        return pe - pe // _smallest_prime(ft.spf, a, b)
 
     return _tabulate(N, ft, fpe, additive=False, dtype=_int_type(N))
 
@@ -408,7 +432,7 @@ def _sigma_table(N: int, ft: FactorTable, m: int) -> np.ndarray:
     dtype = _int_type(N * (2 + math.ceil(math.log(max(N, 2)))) if m == 1 else 2 * N**m)
 
     def fpe(ft, a, b, out):
-        p = ft.spf[a:b]
+        p = _smallest_prime(ft.spf, a, b)
         below = out.take(np.arange(a, b, dtype=np.int32) // ft.rest[a:b] // p)
         return 1 + p.astype(dtype) ** m * below
 

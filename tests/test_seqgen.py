@@ -12,6 +12,7 @@ from kernelscope.errors import CapacityError, ConstructionError, DomainError, Ra
 from kernelscope.kernel import value_density
 from kernelscope.seqgen import (
     ALL_TAGS,
+    FactorTable,
     FunctionId,
     ValueTable,
     build_factor_table,
@@ -33,22 +34,25 @@ class TestFactorTable:
         assert ft.spf[10] == 2
 
     def test_prime_fixed_point(self):
+        # a prime's spf entry is 0: the prime itself is in ``primes``
         ft = build_factor_table(2)
-        assert ft.spf[2] == 2
+        assert ft.spf[2] == 0
 
     def test_spf_divides(self):
         ft = build_factor_table(1000)
         n = np.arange(2, 1001)
-        assert np.all(n % ft.spf[2:] == 0)
+        composite = ft.spf[2:] != 0
+        assert np.array_equal(composite, ~bool_prime_sieve(1000)[2:])
+        assert np.all(n[composite] % ft.spf[2:][composite] == 0)
 
     def test_prime_count_1e6(self, ft_1m):
         # independent boolean sieve as the primality oracle
         is_prime = bool_prime_sieve(10**6)
         assert int(is_prime.sum()) == 78498
-        fixed_points = np.flatnonzero(ft_1m.spf == np.arange(10**6 + 1))
-        fixed_points = fixed_points[fixed_points >= 2]
-        assert len(fixed_points) == 78498
-        assert np.array_equal(np.flatnonzero(is_prime), fixed_points)
+        zeros = np.flatnonzero(ft_1m.spf == 0)
+        zeros = zeros[zeros >= 2]
+        assert len(zeros) == 78498
+        assert np.array_equal(np.flatnonzero(is_prime), zeros)
 
     def test_capacity_errors(self):
         with pytest.raises(CapacityError):
@@ -72,36 +76,40 @@ class TestFactorTable:
             build_factor_table(100)
 
     def test_int32_layout_guard(self, monkeypatch):
-        # spf and rest are int32: a cap raised past 2^31 - 1 must not let
-        # them wrap, and the refusal comes before any allocation
+        # rest is int32: a cap raised past 2^31 - 1 must not let it wrap,
+        # and the refusal comes before any allocation
         monkeypatch.setenv("KERNELSCOPE_MAX_N", str(2**31 + 10))
         with pytest.raises(CapacityError):
             build_factor_table(2**31)
 
     def test_peel_invariants(self, ft_1m):
         N = 10**6
-        n = np.arange(2, N + 1, dtype=np.int64)
-        spf, exp, rest = (a[2:].astype(np.int64) for a in (ft_1m.spf, ft_1m.exp, ft_1m.rest))
+        n = np.arange(N + 1, dtype=np.int64)
+        # the smallest prime of every n, read as n where spf holds 0
+        least = np.where(ft_1m.spf == 0, n, ft_1m.spf)
+        n, spf = n[2:], least[2:]
+        exp, rest = (a[2:].astype(np.int64) for a in (ft_1m.exp, ft_1m.rest))
         assert np.array_equal(rest * spf**exp, n)
         assert np.all(rest % spf != 0)
         assert np.all(exp >= 1)
-        assert np.all((rest == 1) | (ft_1m.spf[rest] > ft_1m.spf[2:]))
-        for a in (ft_1m.spf, ft_1m.exp, ft_1m.rest):
+        assert np.all((rest == 1) | (least[rest] > spf))
+        for a in (ft_1m.spf, ft_1m.exp, ft_1m.rest, ft_1m.primes):
             with pytest.raises(ValueError):
                 a[5] = 1
         for k in [*range(2, 3001), *range(N - 199, N + 1)]:
             fac = trial_factorization(k)
             p = min(fac)
-            assert (ft_1m.spf[k], ft_1m.exp[k], ft_1m.rest[k]) == (p, fac[p], k // p ** fac[p])
+            want = (0 if p == k else p, fac[p], k // p ** fac[p])
+            assert (ft_1m.spf[k], ft_1m.exp[k], ft_1m.rest[k]) == want
 
     @pytest.fixture(scope="class")
     def split_oracle(self):
-        """(spf, exp, rest) of 2..131073 by trial division."""
+        """(spf, exp, rest) of 2..196609 by trial division, spf 0 at a prime."""
         out = {}
-        for k in range(2, 131074):
+        for k in range(2, 196610):
             fac = trial_factorization(k)
             p = min(fac)
-            out[k] = (p, fac[p], k // p ** fac[p])
+            out[k] = (0 if p == k else p, fac[p], k // p ** fac[p])
         return out
 
     @staticmethod
@@ -109,17 +117,35 @@ class TestFactorTable:
         ft = build_factor_table(N)
         got = zip(ft.spf[2:].tolist(), ft.exp[2:].tolist(), ft.rest[2:].tolist())
         assert [*got] == [oracle[k] for k in range(2, N + 1)], N
-        assert ft.primes.tolist() == [k for k in range(2, N + 1) if oracle[k][0] == k], N
+        assert ft.primes.tolist() == [k for k in range(2, N + 1) if oracle[k][0] == 0], N
 
     def test_every_table_up_to_300(self, split_oracle):
         # each bound on or past a prime square changes which strides run
         for N in range(2, 301):
             self._check_against(split_oracle, N)
 
-    @pytest.mark.parametrize("N", [961, 962, 65536, 65537, 131073])
+    # 961 = 31^2, 66049 = 257^2, 134689 = 367^2 and 196249 = 443^2; chunks
+    # double up to [2^16, 2^17), and [2^17, 3 * 2^16) is the first one cut
+    # short of 2a by the chunk size
+    @pytest.mark.parametrize("N", [2, 3, 4, 961, 962, 65535, 65536, 65537, 66049, 131071,
+                                   131072, 131073, 134689, 196249, 196607, 196608, 196609])
     def test_square_and_chunk_edges(self, split_oracle, N):
-        # 961 = 31^2; 2^16 + 1 and 2^17 + 1 open a new split chunk
         self._check_against(split_oracle, N)
+
+    @pytest.mark.parametrize("N", [2, 1000, 2**16 + 1])
+    def test_layout(self, N):
+        ft = build_factor_table(N)
+        dtypes = [a.dtype for a in (ft.spf, ft.rest, ft.exp, ft.primes)]
+        assert dtypes == [np.uint16, np.int32, np.int8, np.int32]
+        # 7 bytes per n: 2 + 4 + 1
+        assert ft.spf.nbytes == 2 * (N + 1)
+        assert len(ft.rest) == len(ft.exp) == N + 1
+
+    def test_extras_do_not_grow_with_N(self):
+        # beyond its four outputs the build holds one chunk's temporaries;
+        # a temporary of one byte per n would grow by 1.75 MiB
+        extras = [_traced_extra(build_factor_table, N) for N in (2**18, 2**21)]
+        assert extras[1] - extras[0] <= 7 * 2**16, extras
 
 
 class TestGenerate:
@@ -630,8 +656,8 @@ def ft_2m():
 
 
 def _traced_extra(fn, *args) -> int:
-    """The tracemalloc peak of fn(*args) beyond the nbytes of the table it
-    returns (all of it for a result that is not a table)."""
+    """The tracemalloc peak of fn(*args) beyond the nbytes of the table or
+    factor table it returns (all of it for any other result)."""
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -639,6 +665,8 @@ def _traced_extra(fn, *args) -> int:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    if isinstance(out, FactorTable):
+        return peak - sum(a.nbytes for a in (out.spf, out.rest, out.exp, out.primes))
     return peak - (out.values.nbytes if isinstance(out, ValueTable) else 0)
 
 
