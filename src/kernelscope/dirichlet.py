@@ -30,12 +30,14 @@ sums of every column run in one pass over n, in phase blocks n^{-iy} of
 at most _PHASE_BLOCK entries, each built once by _unit_phase as a real
 matrix (cos and -sin of y log n) and used in real GEMMs for
 every strip range live in it, so no phase matrix is ever held whole and no
-complex exp runs.  Near-singular systems at the
-requested point are refused as candidate poles; hitting one strictly
-inside the recursion (a removable coefficient-times-pole limit, e.g.
-zeta at s = 0 needing the value at the pole s+1 = 1) is resolved by
-averaging two evaluations offset by +-i h, which is O(h^2) accurate for
-an analytic target.
+complex exp runs.  One refusal rule covers every lattice point: a
+near-singular system at the requested point refuses it as a candidate
+pole, and so does one strictly inside the recursion, unless a factor of
+the coefficient C(s + m - 1, m) that weighs it is exactly 0.  There the
+term is a removable coefficient-times-pole limit (zeta at s = 0 needs
+the value at the pole s + 1 = 1), and the one solve takes it exactly:
+C'(s) times the inner node's residue, from the resolvent's adjugate and
+the derivative of its determinant.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ _PHASE_BLOCK = 1 << 16  # n^{-iy} entries per phase block of the strip sums
 _GRID_BLOCK = 1 << 17
 _SUM_BLOCK = 1 << 16  # table entries per block of a direct sum
 _NEAR_SINGULAR_DET = 1e-8
-_OFFSET_H = 1e-4
 _M_CAP = 200
 _EPS = 2.0**-53  # unit roundoff of float64
 
@@ -75,6 +76,10 @@ class EvalResult:
 
     ``value`` is None exactly when the evaluation was refused at a
     candidate pole (near_singular set, det_magnitude filled in).
+    ``offset_averaged`` (a name kept for the JSON it is printed in) marks
+    a value that is the exact limit at a removable inner singularity: a
+    zero of a binomial coefficient times a simple pole met inside the
+    recursion.
     """
 
     s: complex
@@ -235,11 +240,12 @@ class _ColumnEngine:
     array over the grid's points, column by column: systems are solved
     through the context's resolvent polynomials and the strip sums are
     real products of phase blocks n^{-iy} with real weights n^{-x-o} U_n
-    (_strips).  Points whose top system is near-singular are refused;
-    points that meet a near-singular system strictly inside the recursion
-    are evaluated again, their column as a one-column grid at y +- h, and
-    averaged.  ``Q`` defaults to the split point of the largest height,
-    ``levels`` to default_levels at the smallest x.
+    (_strips).  Points whose top system is near-singular are refused, and
+    so are points that meet a near-singular system strictly inside the
+    recursion, except where that node's coefficient has a factor exactly 0:
+    there the one solve takes the exact limit (_solve_node), so every point
+    is one pass of one engine.  ``Q`` defaults to the split point of the
+    largest height, ``levels`` to default_levels at the smallest x.
 
     Node o is the tail H(s + o), one per offset, solved once for every
     point; the top node is offset 0.  An offset o < levels recurses on the
@@ -285,8 +291,8 @@ class _ColumnEngine:
         self.Q = split_point(ctx.rep.k, self.y_extreme) if Q is None else Q
         # k^{-s} per point: a node's k^{-(s+offset+m)} is this times a real power
         self.k_pow_s = float(ctx.rep.k) ** -self.s
-        self.inner_bad = np.zeros(len(self.s), dtype=bool)
-        self.top_bad = np.zeros(len(self.s), dtype=bool)
+        self.refused = np.zeros(len(self.s), dtype=bool)
+        self.poles: np.ndarray | None = None  # (offset, point): H(s + offset) has a pole at s
         self.top_det: np.ndarray | None = None
         self.truncated = np.zeros(self.nx, dtype=bool)  # per column
         self.terms = np.zeros(self.nx, dtype=np.int64)  # per column: its longest tail
@@ -406,13 +412,17 @@ class _ColumnEngine:
 
     def _solve_node(self, offset: int, m_eff: np.ndarray, horizon: np.ndarray,
                     rhs: np.ndarray, gs: np.ndarray, g_errs: np.ndarray,
-                    g_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    g_scale: np.ndarray, g_poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A recursion node's tail and error at every point, from each
         column's cut and horizon factor (nx), the node's strip Q <= n < kQ
         (nx, dim, ny), which is added to in place, and its children's tails
-        (M, nx, dim, ny), errors and scales (M, points), M the largest cut.
-        The n < Q head cancels out of the system exactly, so the right-hand
-        side and the solution stay on the tail's scale (no lost precision)."""
+        (M, nx, dim, ny), errors, scales and pole marks (M, points), M the
+        largest cut.  The n < Q head cancels out of the system exactly, so
+        the right-hand side and the solution stay on the tail's scale (no
+        lost precision).  An inner node near-singular at a point holds its
+        residue in s there and is marked a pole; a parent takes C'(s) times
+        it where a factor of C(s + offset + m - 1, m) is exactly 0, and
+        refuses the point where none is."""
         ctx = self.ctx
         k, nx, ny = ctx.rep.k, self.nx, self.ny
         s_vec = self.s + offset
@@ -420,9 +430,7 @@ class _ColumnEngine:
         singular = det < _NEAR_SINGULAR_DET
         if offset == 0:
             self.top_det = det
-            self.top_bad |= singular
-        else:
-            self.inner_bad |= singular
+            self.refused |= singular
         ms = np.arange(1, len(gs) + 1)
         cut = np.repeat(m_eff, ny)
         horizon = np.repeat(horizon, ny)
@@ -435,6 +443,18 @@ class _ColumnEngine:
         steps[:, 0] *= self.k_pow_s * float(k) ** -offset
         ck = np.multiply.accumulate(steps, axis=1, out=steps)
         ck[ms[None, :] > cut[:, None]] = 0.0
+        if g_poles.any():
+            poles = g_poles.T & (ms[None, :] <= cut[:, None])  # pole children within the cut
+            # C'(s): the same product with 1 in place of the factor that is 0;
+            # every later coefficient has that factor, so the horizon term is 0
+            zero = s_vec[:, None] + ms[None, :] - 1 == 0
+            d_ck = (s_vec[:, None] + ms[None, :] - 1 + zero) * (1.0 / (k * ms))[None, :]
+            d_ck[:, 0] *= self.k_pow_s * float(k) ** -offset
+            np.multiply.accumulate(d_ck, axis=1, out=d_ck)
+            removable = poles & np.logical_or.accumulate(zero, axis=1)
+            self.refused |= (poles & ~removable).any(axis=1)
+            ck[removable] = d_ck[removable]
+            horizon[removable.any(axis=1)] = 0.0
         # error propagation is relative: a child's absolute error only matters
         # at the scale its term actually contributes to the right-hand side
         rel_children = g_errs / np.maximum(g_scale, 1e-300)
@@ -456,6 +476,17 @@ class _ColumnEngine:
                 err_rhs += np.where(last > 0, last * horizon, 0.0)
         sol = np.einsum("cyij,cjy->ciy", inv.reshape(nx, ny, *inv.shape[1:]), rhs)
         err = inv_norm * err_rhs + inv_rounding * np.abs(rhs).max(axis=1).ravel()
+        if offset and singular.any():
+            # the residue adj(c) rhs / (d/ds det(I - c Abar)) at c = k^{1-s-offset},
+            # where d/ds det = -log k c det'(c) = -log k sum_i i a_i c^i; a
+            # double root has no residue
+            slope = -math.log(k) * np.polynomial.polynomial.polyval(
+                ctx.rep.k ** (1 - s_vec), np.arange(ctx.rep.dim + 1) * ctx.poly[:, 0])
+            self.poles[offset] = singular & (np.abs(slope) >= _NEAR_SINGULAR_DET)
+            self.refused |= singular & ~self.poles[offset]
+            slope = np.where(self.poles[offset], slope, 1.0)
+            sol /= slope.reshape(nx, 1, ny)
+            err /= np.abs(slope)
         return sol, err
 
     def _m_horizon(self, s: complex) -> tuple[int, float]:
@@ -503,6 +534,7 @@ class _ColumnEngine:
         # the node array, a row per offset and then the head strip; a row
         # holds a (dim, ny) block per column
         vec = np.zeros((end + 1, self.nx, self.ctx.rep.dim, self.ny), dtype=np.complex128)
+        self.poles = np.zeros((end, len(self.s)), dtype=bool)
         mass = self._strips(hi, vec)[:end]
         # rounding scales with the summed mass, not an absolute floor: deep
         # tails are tiny and their errors must stay tiny relative to them
@@ -514,7 +546,7 @@ class _ColumnEngine:
                 c = slice(offset + 1, offset + 1 + int(cuts[offset].max()))
                 vec[offset], err[offset] = self._solve_node(
                     offset, cuts[offset], horizons[offset], vec[offset], vec[c], err[c],
-                    scale[c])
+                    scale[c], self.poles[c])
             scale[offset] = np.abs(vec[offset]).max(axis=1).ravel()
             self.nodes += 1
         if self.levels == 0:
@@ -523,41 +555,23 @@ class _ColumnEngine:
         return value.ravel(), err[0]
 
     def _evaluate(self):
-        """Values, errors, the refused, averaged, truncated and terms flags
+        """Values, errors, the refused, exact-limit, truncated and terms flags
         and top_det at every point."""
         value, err = self._solve()
-        refused = self.top_bad.copy()
-        averaged = self.inner_bad & ~refused
-        truncated = np.repeat(self.truncated, self.ny)
-        terms = np.repeat(self.terms, self.ny)
-        for c, x in enumerate(self.xs.tolist()):
-            local = np.flatnonzero(averaged[c * self.ny : (c + 1) * self.ny])
-            if not len(local):
-                continue
-            # removable inner singularity: one column of the points at y +- h
-            idx, y, n = c * self.ny + local, self.ys[local], len(local)
-            pair = np.concatenate([y + _OFFSET_H, y - _OFFSET_H])
-            twin = _ColumnEngine(self.ctx, x, pair, self.levels, self.m_max, Q=self.Q)
-            t_val, t_err = twin._solve()
-            value[idx] = (t_val[:n] + t_val[n:]) / 2
-            err[idx] = np.maximum(t_err[:n], t_err[n:]) + _OFFSET_H**2
-            truncated[idx], terms[idx] = twin.truncated[0], twin.terms[0]
-            bad = twin.top_bad | twin.inner_bad
-            refused[idx] = bad[:n] | bad[n:]
-        averaged &= ~refused
         # a point not refused needs a finite value and an estimate that is a
         # number (inf: no finite bound)
-        broken = np.flatnonzero(~refused & (~np.isfinite(value) | np.isnan(err)))
+        broken = np.flatnonzero(~self.refused & (~np.isfinite(value) | np.isnan(err)))
         if len(broken):
             j = broken[0]
             s = complex(self.s[j])
             if not np.isfinite(value[j]):
                 raise PrecisionError(f"continuation at s = {s} overflowed: its value is not finite")
             raise PrecisionError(f"continuation at s = {s} lost its error bound: it is NaN")
-        return value, err, refused, averaged, truncated, terms, self.top_det
+        return (value, err, self.refused, self.poles.any(axis=0) & ~self.refused,
+                np.repeat(self.truncated, self.ny), np.repeat(self.terms, self.ny), self.top_det)
 
     def run(self) -> list[EvalResult]:
-        value, err, refused, averaged, truncated, terms, _ = self._evaluate()
+        value, err, refused, limit, truncated, terms, _ = self._evaluate()
         # a value is reported with a finite bound or not at all; the check is
         # here, not in _evaluate, because pole_scan reads no estimate
         unbounded = np.flatnonzero(~refused & np.isinf(err))
@@ -577,7 +591,7 @@ class _ColumnEngine:
                     s=s, value=complex(value[j]), method="recursion",
                     error_estimate=float(err[j]), det_magnitude=det,
                     truncated=bool(truncated[j]), terms=int(terms[j]) or None,
-                    offset_averaged=bool(averaged[j]),
+                    offset_averaged=bool(limit[j]),
                 ))
         return results
 
@@ -614,9 +628,11 @@ def continue_via_recursion(
     ``levels`` bounds the descent depth; the continued region is
     Re s > 1.25 + d - levels, d the growth degree of the representation
     (0 for an automatic one).  At a candidate pole of the series itself the
-    value is refused (near_singular, det_magnitude).  A near-singular
-    system met strictly inside the recursion is removable and handled by
-    +-i h offset averaging.  This is a column of one point.
+    value is refused (near_singular, det_magnitude), and so it is at a
+    near-singular system met strictly inside the recursion, unless a factor
+    of the binomial coefficient on it is exactly 0 (zeta at s = 0, -1, ...
+    through const_one): that singularity is removable, and the value is its
+    exact limit (offset_averaged).  This is a column of one point.
     """
     s = complex(s)
     return _continue(rep, s.real, [s.imag], levels, m_max)[0]

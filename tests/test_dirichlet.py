@@ -350,6 +350,88 @@ class TestErrorCalibration:
                 assert err <= res.error_estimate, (k, s, err, res.error_estimate)
 
 
+def _digit_sum_rep() -> LinearRepresentation:
+    """U_n = (s_2(n), 1): the averaged matrix [[1, 1/2], [0, 1]] is one
+    Jordan block, so det(I - c Abar) = (1 - c)^2 has a double root at c = 1."""
+    return LinearRepresentation(
+        k=2,
+        dim=2,
+        matrices=(np.eye(2, dtype=np.int64), np.array([[1, 1], [0, 1]], dtype=np.int64)),
+        seeds=np.array([[1, 1]], dtype=np.int64),
+        output_coord=0,
+        labels=((0, 0), (0, 0)),
+        verified_to=0,
+        growth=(1.0, 1.0),
+    )
+
+
+class TestRemovableLimit:
+    """A zero of C(s + m - 1, m) times a simple pole one level down is
+    taken as its exact limit in the one solve; a pole met inside the
+    recursion where no factor vanishes refuses the point."""
+
+    @pytest.mark.parametrize("k, N", [(2, 4096), (3, 2**14)])
+    @pytest.mark.parametrize("s", [0.0, -1.0, -3.0])
+    def test_zeta_at_nonpositive_integers(self, table, k, N, s):
+        rep = build_representation(table("const_one", N=N), k, 5, 32)
+        res = continue_via_recursion(rep, s, levels=dirichlet.default_levels(s, 0.0))
+        err = abs(res.value - complex(mpmath.zeta(s)))
+        assert res.offset_averaged and not res.near_singular
+        assert err < 1e-9, (k, s, err)
+        assert err <= res.error_estimate, (k, s, err, res.error_estimate)
+        # every coefficient past the zero factor has it too, so the dropped
+        # tail adds nothing (charging the envelope's tail gave 1.5 at k = 2)
+        assert res.error_estimate < 1e-6, (k, s, res.error_estimate)
+
+    def test_one_engine_per_call(self, const_rep, monkeypatch):
+        built = []
+        init = _ColumnEngine.__init__
+
+        def counted(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(_ColumnEngine, "__init__", counted)
+        assert continue_via_recursion(const_rep, 0.0).offset_averaged
+        assert len(built) == 1
+        built.clear()
+        scan = pole_scan(const_rep, -0.1, 0.1, 1.0, 0.1)
+        assert len(built) == 1 and len(scan.points) == 3 * 11
+
+    @pytest.mark.parametrize("s", [2j * math.pi / math.log(2), 1e-12])
+    def test_pole_without_a_zero_factor_refused(self, table, s):
+        # const_one at k = 2 has the lattice point 2 pi i / log 2 one level
+        # down; at 1e-12 the pole s + 1 = 1 is within the threshold but no
+        # factor of C vanishes
+        rep = build_representation(table("const_one", N=4096), 2, 5, 32)
+        res = continue_via_recursion(rep, s)
+        assert res.near_singular and res.value is None
+        assert not res.offset_averaged
+
+    def test_pole_below_a_pole_refused(self):
+        # zeta(s - 1) at s = 0: the child H(s + 1) is itself a pole whose own
+        # child H(s + 2) is one too, with no zero factor between them
+        from test_automaton import identity_regular_rep
+
+        res = continue_via_recursion(identity_regular_rep(), 0.0)
+        assert res.near_singular and res.value is None
+
+    def test_double_pole_refused(self):
+        # a double root of det has no residue: the point is refused, and no
+        # division by zero warns (a warning fails the test)
+        for s in (0.0, -1.0):
+            res = continue_via_recursion(_digit_sum_rep(), s)
+            assert res.near_singular and res.value is None, s
+
+    def test_off_lattice_point_keeps_its_value(self, table):
+        # 2 pi i / log 2 is not on the k = 3 lattice of const_one
+        rep = build_representation(table("const_one", N=2**14), 3, 5, 32)
+        s = 2j * math.pi / math.log(2)
+        res = continue_via_recursion(rep, s)
+        assert not res.near_singular and not res.offset_averaged
+        assert abs(res.value - complex(mpmath.zeta(s))) <= res.error_estimate
+
+
 def _mp_inverse(abar, c):
     """(I - c Abar)^{-1} at 40 digits: Abar exact, c the engine's float."""
     d = len(abar)
@@ -825,8 +907,8 @@ class TestPoleScan:
 
     def test_one_phase_matrix_per_scan(self, const_rep, monkeypatch):
         # the scan's strips run in one pass over n, whose phase blocks of
-        # n^{-iy} are built once each (this scan needs one); no point is
-        # offset-averaged, which would build the twin column's own
+        # n^{-iy} are built once each (this scan needs one); no point meets
+        # an inner pole (whose exact limit builds no phase block either)
         from kernelscope import dirichlet
 
         levels = dirichlet.default_levels(0.9, const_rep.growth[1])
